@@ -144,6 +144,13 @@ fn cmd_stats(args: &ParsedArgs) -> Result<(), String> {
         snap.piggyback_count,
     );
     println!(
+        "data plane: {} loop threads, {} frames handled, {} idle polls ({:.2} per released packet)",
+        snap.dataplane_threads,
+        snap.loop_frames,
+        snap.loop_idle_polls,
+        snap.loop_idle_polls as f64 / snap.released.max(1) as f64,
+    );
+    println!(
         "{:<12} {:>9} {:>12} {:>12} {:>12} {:>12}",
         "stage", "samples", "mean", "p50", "p99", "p999"
     );

@@ -8,15 +8,17 @@
 //! buffer extracts those logs, sends them to the forwarder (to ride
 //! incoming packets around the ring), and withholds the packet until later
 //! commit vectors dominate its logs' dependency vectors.
+//!
+//! The buffer runs inline on the last server's workers: see [`BufferSink`].
 
 use crate::config::RingMath;
-use crate::control::{InPort, OutPort};
+use crate::control::OutPort;
 use crate::journal::{EventKind, EventSource};
 use crate::metrics::ChainMetrics;
 use crate::probe::{ProbePoint, ProbeSlot};
 use bytes::BytesMut;
 use crossbeam::channel::Sender;
-use ftc_net::server::AliveToken;
+use ftc_net::{Disconnected, FrameTx};
 use ftc_packet::piggyback::{
     batch_wire_len, encode_batch, DepVector, PiggybackLog, PiggybackMessage,
 };
@@ -298,31 +300,58 @@ impl BufferState {
     }
 }
 
-/// Spawns the buffer threads onto the last server.
-pub fn spawn_buffer(
-    server: &mut ftc_net::Server,
-    state: Arc<BufferState>,
-    in_port: Arc<InPort>,
+/// The buffer as the last replica's output link.
+///
+/// The buffer has no thread of its own: it shares server n−1 (§3.2), so the
+/// last replica's [`OutPort`] is wired with this sink and the worker that
+/// finished the packet runs the buffer on the same thread. `send` is
+/// [`BufferState::handle_frame`]; `poll` — which the server's data-plane
+/// loop calls every iteration, also while the replica is quiesced — runs
+/// [`BufferState::tick`] once `resend_period` has passed, so the resend
+/// timer needs no thread either.
+///
+/// Lock order, on the send and on the tick path alike: tail `OutPort` →
+/// buffer state → feedback `OutPort`.
+pub struct BufferSink {
+    buffer: Arc<BufferState>,
     resend_period: Duration,
-) {
-    let st = Arc::clone(&state);
-    server.spawn("buffer", move |alive: AliveToken| {
-        let mut last_tick = Instant::now();
-        while alive.is_alive() {
-            if let Some(frame) = in_port.recv_timeout(Duration::from_millis(1)) {
-                st.handle_frame(frame);
-            }
-            if last_tick.elapsed() >= resend_period {
-                st.tick();
-                last_tick = Instant::now();
-            }
+    last_tick: Instant,
+}
+
+impl BufferSink {
+    /// Wraps `buffer`; the first tick is due `resend_period` from now.
+    pub fn new(buffer: Arc<BufferState>, resend_period: Duration) -> BufferSink {
+        BufferSink {
+            buffer,
+            resend_period,
+            last_tick: Instant::now(),
         }
-    });
+    }
+}
+
+impl FrameTx for BufferSink {
+    fn send(&mut self, frame: BytesMut) -> Result<(), Disconnected> {
+        self.buffer.handle_frame(frame);
+        Ok(())
+    }
+
+    fn poll(&mut self) -> Result<(), Disconnected> {
+        if self.last_tick.elapsed() >= self.resend_period {
+            self.buffer.tick();
+            self.last_tick = Instant::now();
+        }
+        Ok(())
+    }
+
+    fn in_flight(&self) -> usize {
+        0 // a function call: nothing is ever in flight
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::control::InPort;
     use crossbeam::channel;
     use ftc_net::{reliable_pair, Endpoint};
     use ftc_packet::builder::UdpPacketBuilder;
@@ -486,6 +515,55 @@ mod tests {
             .feedback_rx
             .recv_timeout(Duration::from_millis(100))
             .expect("resend");
+        let (fb, _) = PiggybackMessage::decode_trailing(&f).unwrap().unwrap();
+        assert_eq!(fb.logs.len(), 1);
+    }
+
+    #[test]
+    fn sink_releases_a_clean_packet_before_send_returns() {
+        let r = rig(3, 1);
+        let tail_out = OutPort::wired(BufferSink::new(
+            Arc::clone(&r.buf),
+            Duration::from_secs(3600),
+        ));
+        tail_out.send(frame_with(&PiggybackMessage::default()));
+        // No thread in between: the packet is already on the egress.
+        assert!(r.egress.try_recv().is_ok());
+        assert!(tail_out.is_wired());
+    }
+
+    #[test]
+    fn sink_poll_resends_when_the_period_has_passed_and_not_before() {
+        let msg = PiggybackMessage {
+            flags: 0,
+            logs: vec![log(2, 0, 0)],
+            commits: vec![],
+        };
+        let first_feedback = |r: &Rig| {
+            r.feedback_rx
+                .recv_timeout(Duration::from_millis(100))
+                .expect("fresh log fed back")
+        };
+
+        // Not before: a poll inside the period sends nothing.
+        let r = rig(3, 1);
+        let mut sink = BufferSink::new(Arc::clone(&r.buf), Duration::from_secs(3600));
+        sink.send(frame_with(&msg)).unwrap();
+        first_feedback(&r);
+        sink.poll().unwrap();
+        assert!(r.feedback_rx.recv_timeout(Duration::ZERO).is_none());
+        assert_eq!(r.buf.uncommitted_len(), 1);
+
+        // Once it has passed (a zero period always has): the poll resends.
+        let r = rig(3, 1);
+        let mut sink = BufferSink::new(Arc::clone(&r.buf), Duration::ZERO);
+        sink.send(frame_with(&msg)).unwrap();
+        first_feedback(&r);
+        sink.poll().unwrap();
+        let f = r
+            .feedback_rx
+            .recv_timeout(Duration::from_millis(100))
+            .expect("uncommitted log resent");
         let (fb, _) = PiggybackMessage::decode_trailing(&f).unwrap().unwrap();
         assert_eq!(fb.logs.len(), 1);
     }

@@ -1,16 +1,19 @@
 //! Deploying and wiring a running FTC chain.
 //!
 //! One server per middlebox (paper §3.2: no dedicated replica servers). The
-//! forwarder shares the first server; the buffer shares the last. Servers
-//! are joined by reliable sequenced links; the buffer→forwarder feedback
-//! closes the logical ring.
+//! forwarder shares the first server; the buffer shares the last — both run
+//! inline on that server's data-plane loops ([`crate::dataplane`]), so a
+//! chain of `n` positions runs `n × (workers + 1)` threads. Servers are
+//! joined by reliable sequenced links; the buffer→forwarder feedback closes
+//! the logical ring.
 
-use crate::buffer::{spawn_buffer, BufferState};
+use crate::buffer::{BufferSink, BufferState};
 use crate::config::ChainConfig;
 use crate::control::{ctrl_pair, CtrlClient, InPort, OutPort};
-use crate::forwarder::{spawn_forwarder, ForwarderState};
+use crate::dataplane::{spawn_dataplane, Source, Stage};
+use crate::forwarder::ForwarderState;
 use crate::metrics::ChainMetrics;
-use crate::replica::{spawn_replica, ReplicaState};
+use crate::replica::{spawn_ctrl, ReplicaState};
 use bytes::BytesMut;
 use crossbeam::channel::{self, Receiver, Sender};
 use ftc_net::nic::Nic;
@@ -58,7 +61,8 @@ pub struct ReplicaSlot {
     pub in_port: Arc<InPort>,
     /// Outgoing data link (swappable for rerouting).
     pub out_port: Arc<OutPort>,
-    /// The replica's NIC (the forwarder dispatches into slot 0's NIC).
+    /// The replica's NIC: the queues worker 0 hands other workers' flows to
+    /// (unused with `workers = 1`), and the overrun counter.
     pub nic: Arc<Nic>,
     /// Region this replica is deployed in.
     pub region: RegionId,
@@ -173,21 +177,6 @@ impl FtcChain {
         let mut servers = Vec::with_capacity(n);
         let mut slots: Vec<ReplicaSlot> = Vec::with_capacity(n);
 
-        // Data links between consecutive replicas, r_{n-1}→buffer, and the
-        // buffer→forwarder feedback link.
-        let mut in_ports: Vec<Arc<InPort>> = Vec::with_capacity(n);
-        let mut out_ports: Vec<Arc<OutPort>> = Vec::with_capacity(n);
-        in_ports.push(Arc::new(InPort::empty())); // r0 is fed by the forwarder directly
-        for i in 0..n - 1 {
-            let link = Self::link_between(&cfg, &topology, regions[i], regions[i + 1], i as u64);
-            let (tx, rx) = reliable_pair(&link);
-            out_ports.push(Arc::new(OutPort::wired(tx)));
-            in_ports.push(Arc::new(InPort::wired(rx)));
-        }
-        // r_{n-1} → buffer (same server: ideal link).
-        let (tail_tx, buffer_rx) = reliable_pair(&Endpoint::in_proc());
-        out_ports.push(Arc::new(OutPort::wired(tail_tx)));
-        let buffer_in = Arc::new(InPort::wired(buffer_rx));
         // buffer → forwarder feedback.
         let fb_link = Self::link_between(&cfg, &topology, regions[n - 1], regions[0], 7777);
         let (fb_tx, fb_rx) = reliable_pair(&fb_link);
@@ -207,6 +196,23 @@ impl FtcChain {
             Arc::clone(&metrics),
         );
 
+        // Data links between consecutive replicas. r0 has no incoming link
+        // (its loop pulls the ingress) and r_{n-1}'s outgoing "link" is the
+        // buffer, called inline.
+        let mut in_ports: Vec<Arc<InPort>> = Vec::with_capacity(n);
+        let mut out_ports: Vec<Arc<OutPort>> = Vec::with_capacity(n);
+        in_ports.push(Arc::new(InPort::empty()));
+        for i in 0..n - 1 {
+            let link = Self::link_between(&cfg, &topology, regions[i], regions[i + 1], i as u64);
+            let (tx, rx) = reliable_pair(&link);
+            out_ports.push(Arc::new(OutPort::wired(tx)));
+            in_ports.push(Arc::new(InPort::wired(rx)));
+        }
+        out_ports.push(Arc::new(OutPort::wired(BufferSink::new(
+            Arc::clone(&buffer),
+            cfg.resend_period,
+        ))));
+
         for (i, spec) in specs.iter().enumerate() {
             let mut server = Server::new(format!("server{i}"), regions[i]);
             let state = ReplicaState::new(
@@ -216,34 +222,20 @@ impl FtcChain {
                 Arc::clone(&out_ports[i]),
                 Arc::clone(&metrics),
             );
-            let (nic, queues) = Self::make_nic(&cfg);
+            let (stage, nic) = Stage::replica(Arc::clone(&state));
             let (ctrl_client, ctrl_server) = ctrl_pair(Duration::ZERO);
-            spawn_replica(
-                &mut server,
-                Arc::clone(&state),
-                Arc::clone(&in_ports[i]),
-                Arc::clone(&nic),
-                queues,
-                ctrl_server,
-            );
-            if i == 0 {
-                spawn_forwarder(
-                    &mut server,
-                    Arc::clone(&forwarder),
-                    ingress_rx.clone(),
-                    Arc::clone(&feedback_in),
-                    Arc::clone(&nic),
-                    cfg.propagate_timeout,
-                );
-            }
-            if i == n - 1 {
-                spawn_buffer(
-                    &mut server,
-                    Arc::clone(&buffer),
-                    Arc::clone(&buffer_in),
-                    cfg.resend_period,
-                );
-            }
+            let source = if i == 0 {
+                Source::Ingress {
+                    ingress: ingress_rx.clone(),
+                    forwarder: Arc::clone(&forwarder),
+                    feedback: Arc::clone(&feedback_in),
+                    propagate_timeout: cfg.propagate_timeout,
+                }
+            } else {
+                Source::Link(Arc::clone(&in_ports[i]))
+            };
+            spawn_dataplane(&mut server, source, stage);
+            spawn_ctrl(&mut server, Arc::clone(&state), ctrl_server);
             servers.push(Some(server));
             slots.push(ReplicaSlot {
                 state,
@@ -290,10 +282,13 @@ impl FtcChain {
         cfg.link.clone().with_latency(latency).with_seed(seed)
     }
 
-    fn make_nic(cfg: &ChainConfig) -> (Arc<Nic>, Vec<Receiver<BytesMut>>) {
-        let mut nic = Nic::new(cfg.workers, cfg.nic_queue_depth);
-        let queues = (0..cfg.workers).map(|w| nic.take_queue(w)).collect();
-        (Arc::new(nic), queues)
+    /// Threads currently running the chain (killed servers run none).
+    pub fn thread_count(&self) -> usize {
+        self.servers
+            .iter()
+            .flatten()
+            .map(Server::thread_count)
+            .sum()
     }
 
     /// Number of replicas (effective chain length).
@@ -346,10 +341,8 @@ impl FtcChain {
         let n = self.len();
         let mut server = Server::new(format!("server{idx}r"), region);
 
-        // Fresh NIC + control plane. The NIC is sized from the *replica's*
-        // config, which may carry a different worker count than the rest of
-        // the chain (vertical scaling, §4.3).
-        let (nic, queues) = Self::make_nic(&state.cfg);
+        // Fresh NIC + control plane.
+        let (stage, nic) = Stage::replica(Arc::clone(&state));
         let (ctrl_client, ctrl_server) = ctrl_pair(Duration::ZERO);
 
         // Wire: predecessor → new replica.
@@ -381,10 +374,8 @@ impl FtcChain {
             out_port.install(tx);
             self.replicas[idx + 1].in_port.install(rx);
         } else {
-            // New last server: respawn the buffer alongside.
-            let (tail_tx, buffer_rx) = reliable_pair(&Endpoint::in_proc());
-            out_port.install(tail_tx);
-            let buffer_in = Arc::new(InPort::wired(buffer_rx));
+            // New last server: a fresh buffer (soft state, §5.2), inline
+            // behind the replica's out-port, and a fresh feedback link.
             let fb_link = Self::link_between(
                 &self.cfg,
                 &self.topology,
@@ -401,12 +392,7 @@ impl FtcChain {
                 feedback_out,
                 Arc::clone(&self.metrics),
             );
-            spawn_buffer(
-                &mut server,
-                Arc::clone(&buffer),
-                buffer_in,
-                self.cfg.resend_period,
-            );
+            out_port.install(BufferSink::new(Arc::clone(&buffer), self.cfg.resend_period));
             self.buffer = buffer;
             // Feedback queued at the forwarder references the dead
             // replica's transaction history; the replacement reissues those
@@ -414,30 +400,23 @@ impl FtcChain {
             self.forwarder.clear_pending();
         }
 
-        if idx == 0 {
-            // New first server: respawn the forwarder (soft state, §5.2).
+        let source = if idx == 0 {
+            // New first server: a fresh forwarder (soft state, §5.2) behind
+            // a fresh ingress channel.
             let (ingress_tx, ingress_rx) = channel::unbounded::<BytesMut>();
             *self.ingress.lock() = ingress_tx;
-            let forwarder = ForwarderState::new(Arc::clone(&self.metrics));
-            spawn_forwarder(
-                &mut server,
-                Arc::clone(&forwarder),
-                ingress_rx,
-                Arc::clone(&self.feedback_in),
-                Arc::clone(&nic),
-                self.cfg.propagate_timeout,
-            );
-            self.forwarder = forwarder;
-        }
-
-        spawn_replica(
-            &mut server,
-            Arc::clone(&state),
-            Arc::clone(&in_port),
-            Arc::clone(&nic),
-            queues,
-            ctrl_server,
-        );
+            self.forwarder = ForwarderState::new(Arc::clone(&self.metrics));
+            Source::Ingress {
+                ingress: ingress_rx,
+                forwarder: Arc::clone(&self.forwarder),
+                feedback: Arc::clone(&self.feedback_in),
+                propagate_timeout: self.cfg.propagate_timeout,
+            }
+        } else {
+            Source::Link(Arc::clone(&in_port))
+        };
+        spawn_dataplane(&mut server, source, stage);
+        spawn_ctrl(&mut server, Arc::clone(&state), ctrl_server);
 
         self.servers[idx] = Some(server);
         self.replicas[idx] = ReplicaSlot {
@@ -580,6 +559,59 @@ mod tests {
                 Some(u64::from(n)),
                 "shared counter must see every packet exactly once"
             );
+        }
+    }
+
+    #[test]
+    fn a_chain_runs_workers_plus_one_threads_per_server() {
+        // One loop per worker plus the control thread, on every server: the
+        // forwarder and the buffer have no threads of their own.
+        for workers in [1usize, 4] {
+            let specs = vec![MbSpec::Monitor { sharing_level: 1 }; 3];
+            let mut chain = FtcChain::deploy(ChainConfig::new(specs).with_workers(workers));
+            assert_eq!(chain.thread_count(), 3 * (workers + 1), "workers={workers}");
+            chain.inject(pkt(1));
+            assert_eq!(chain.egress().collect(1, Duration::from_secs(5)).len(), 1);
+            let snap = chain.metrics.snapshot();
+            assert_eq!(snap.dataplane_threads, 3 * workers as u64);
+            assert!(snap.loop_frames >= 3, "one frame per server at least");
+            chain.kill(1);
+            assert_eq!(chain.thread_count(), 2 * (workers + 1));
+            assert_eq!(
+                chain.metrics.snapshot().dataplane_threads,
+                2 * workers as u64
+            );
+        }
+    }
+
+    #[test]
+    fn flows_are_processed_by_the_worker_their_queue_belongs_to() {
+        // Monitor with sharing level 1 counts per worker (`g<worker>`): the
+        // leader must run its own flows inline and hand the others to the
+        // worker that owns their queue, on the ingress server and on the
+        // link-fed one alike.
+        let specs = vec![MbSpec::Monitor { sharing_level: 1 }; 2];
+        let chain = FtcChain::deploy(ChainConfig::new(specs).with_workers(4));
+        let n = 400u16;
+        for i in 0..n {
+            chain.inject(pkt(i)); // one flow per packet
+        }
+        let got = chain.egress().collect(n as usize, Duration::from_secs(20));
+        assert_eq!(got.len(), n as usize);
+        for slot in &chain.replicas {
+            let per_worker: Vec<u64> = (0..4)
+                .map(|w| {
+                    let key = format!("mon:packets:g{w}");
+                    slot.state.own_store.peek_u64(key.as_bytes()).unwrap_or(0)
+                })
+                .collect();
+            assert!(
+                per_worker.iter().all(|&c| c > 0),
+                "r{}: every worker must see its flows: {per_worker:?}",
+                slot.state.idx
+            );
+            assert_eq!(per_worker.iter().sum::<u64>(), u64::from(n));
+            assert_eq!(slot.nic.dropped(), 0);
         }
     }
 

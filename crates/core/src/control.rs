@@ -97,6 +97,14 @@ pub fn encode_resp(resp: &CtrlResp) -> Bytes {
     match resp {
         CtrlResp::Pong => b.put_u8(RESP_PONG),
         CtrlResp::State { snapshot, max } => {
+            // One allocation of the exact size. A snapshot runs to hundreds
+            // of kilobytes, and growing into it by doubling copies it once
+            // over and touches as much fresh memory again — on the
+            // recovery path, inside the outage.
+            let entries: usize = snapshot.maps.iter().map(Vec::len).sum();
+            b.reserve(
+                13 + 4 * snapshot.maps.len() + 8 * entries + snapshot.byte_size() + 8 * max.len(),
+            );
             b.put_u8(RESP_STATE);
             b.put_u32(snapshot.maps.len() as u32);
             for map in &snapshot.maps {

@@ -5,14 +5,21 @@
 //! buffer to incoming packets before forwarding the packets to the first
 //! middlebox". During idle periods it emits *propagating packets* so held
 //! state keeps flowing.
+//!
+//! The forwarder has no thread of its own: it shares server 0 (§3.2), so
+//! the server's data-plane loop ([`crate::dataplane`]) calls
+//! [`ForwarderState::prepare_ingress`] on each ingress frame and hands the
+//! result to the first replica on the same thread. Feedback from the buffer
+//! is only ever *used* at two instants — when logs are staged for the next
+//! ingress packet and when the propagate time-out fires — so the loop
+//! drains the feedback link into [`ForwarderState::ingest_feedback`] at
+//! those two instants and nowhere else.
 
 use crate::journal::{EventKind, EventSource};
 use crate::metrics::ChainMetrics;
 use crate::probe::{ProbePoint, ProbeSlot};
 use bytes::BytesMut;
-use crossbeam::channel::{Receiver, RecvTimeoutError};
 use ftc_net::nic::Nic;
-use ftc_net::server::AliveToken;
 use ftc_packet::ether::MacAddr;
 use ftc_packet::piggyback::{PiggybackLog, PiggybackMessage, TrailerView};
 use ftc_packet::pool::{log_vec_pool, Checkout, Pool};
@@ -21,7 +28,7 @@ use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Maximum feedback logs attached to a single packet; the rest wait for the
 /// next packet (bounds trailer growth).
@@ -96,16 +103,18 @@ impl ForwarderState {
         staged
     }
 
-    /// Processes one external packet: attach pending feedback and dispatch
-    /// into the first replica's NIC.
-    pub fn handle_ingress(&self, frame: BytesMut, nic: &Nic) {
+    /// Prepares one external packet for the first replica: parse, attach
+    /// pending feedback, count and journal. `None` when the frame is dropped
+    /// at ingress. The data-plane loop of server 0 passes the result straight
+    /// to the replica on the same thread.
+    pub fn prepare_ingress(&self, frame: BytesMut) -> Option<BytesMut> {
         let t0 = Instant::now();
         let Ok(mut pkt) = Packet::from_frame(frame) else {
-            return; // not IPv4: drop at ingress
+            return None; // not IPv4: drop at ingress
         };
         let staged = self.stage_pending();
         if pkt.attach_piggyback_parts(0, &staged, &[]).is_err() {
-            return; // staged logs die with the packet (resent by the buffer)
+            return None; // staged logs die with the packet (resent by the buffer)
         }
         drop(staged); // back to the pool, cleared
         self.metrics.injected.fetch_add(1, Ordering::Relaxed);
@@ -113,13 +122,13 @@ impl ForwarderState {
         self.metrics
             .journal
             .record(EventSource::Forwarder, EventKind::PacketInjected);
-        nic.dispatch(pkt.into_bytes());
+        Some(pkt.into_bytes())
     }
 
-    /// Emits a propagating packet if feedback is pending (idle-timer path).
-    pub fn emit_propagating(&self, nic: &Nic) -> bool {
+    /// Builds a propagating packet if feedback is pending (idle-timer path).
+    pub fn prepare_propagating(&self) -> Option<BytesMut> {
         if self.pending.lock().is_empty() {
-            return false;
+            return None;
         }
         let staged = self.stage_pending();
         let prop = packet::propagating_packet_from_logs(
@@ -128,50 +137,24 @@ impl ForwarderState {
             &staged,
         );
         self.metrics.propagating.fetch_add(1, Ordering::Relaxed);
-        nic.dispatch(prop.into_bytes());
-        true
+        Some(prop.into_bytes())
     }
-}
 
-/// Spawns the forwarder threads onto the first server.
-///
-/// `ingress` carries external traffic; `feedback` carries encoded piggyback
-/// messages from the buffer; both feed `nic` (the first replica's NIC).
-pub fn spawn_forwarder(
-    server: &mut ftc_net::Server,
-    state: Arc<ForwarderState>,
-    ingress: Receiver<BytesMut>,
-    feedback: Arc<crate::control::InPort>,
-    nic: Arc<Nic>,
-    propagate_timeout: Duration,
-) {
-    {
-        let state = Arc::clone(&state);
-        let nic = Arc::clone(&nic);
-        server.spawn("forwarder", move |alive: AliveToken| {
-            while alive.is_alive() {
-                match ingress.recv_timeout(propagate_timeout) {
-                    Ok(frame) => state.handle_ingress(frame, &nic),
-                    Err(RecvTimeoutError::Timeout) => {
-                        // §5.1: "upon the timeout, the forwarder sends a
-                        // propagating packet carrying a piggyback message it
-                        // has received from the buffer."
-                        state.emit_propagating(&nic);
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-        });
+    /// [`Self::prepare_ingress`], then dispatch into `nic` — the stepped
+    /// form (`SyncChain`, the benchmark's traced pass), where the first
+    /// replica is a separate step.
+    pub fn handle_ingress(&self, frame: BytesMut, nic: &Nic) {
+        if let Some(frame) = self.prepare_ingress(frame) {
+            nic.dispatch(frame);
+        }
     }
-    {
-        let state = Arc::clone(&state);
-        server.spawn("forwarder-feedback", move |alive: AliveToken| {
-            while alive.is_alive() {
-                if let Some(frame) = feedback.recv_timeout(Duration::from_millis(1)) {
-                    state.ingest_feedback(frame);
-                }
-            }
-        });
+
+    /// [`Self::prepare_propagating`], then dispatch into `nic` (stepped
+    /// form). Returns whether a packet was emitted.
+    pub fn emit_propagating(&self, nic: &Nic) -> bool {
+        self.prepare_propagating()
+            .map(|frame| nic.dispatch(frame))
+            .is_some()
     }
 }
 
@@ -180,6 +163,7 @@ mod tests {
     use super::*;
     use ftc_packet::builder::UdpPacketBuilder;
     use ftc_packet::piggyback::{DepVector, MboxId};
+    use std::time::Duration;
 
     fn feedback_frame(n_logs: usize) -> BytesMut {
         let logs = (0..n_logs)

@@ -6,11 +6,14 @@
 //!   replication groups (§5: "viewing a chain as a logical ring, the
 //!   replication group of a middlebox consists of a replica and its `f`
 //!   succeeding replicas").
-//! * [`replica`] — the per-server runtime: multi-queue RSS dispatch, worker
-//!   threads running packet transactions at the *head*, the apply rule for
-//!   replicated piggyback logs, tail stripping and commit vectors, parked
-//!   packets for out-of-order logs, and propagating packets for filtered
-//!   traffic.
+//! * [`replica`] — the per-server protocol state: packet transactions at
+//!   the *head*, the apply rule for replicated piggyback logs, tail
+//!   stripping and commit vectors, parked packets for out-of-order logs,
+//!   and propagating packets for filtered traffic.
+//! * [`dataplane`] — the one run-to-completion loop every server thread
+//!   runs: worker 0 leads the receive (with the forwarder inline on server
+//!   0), RSS hand-off to the other workers, the buffer inline behind the
+//!   last replica's out-port.
 //! * [`forwarder`] / [`buffer`] — the chain's ingress and egress elements
 //!   (§5.1): the forwarder piggybacks tail-of-chain state onto incoming
 //!   packets (and emits propagating packets on idle); the buffer withholds
@@ -43,6 +46,7 @@ pub mod buffer;
 pub mod chain;
 pub mod config;
 pub mod control;
+pub mod dataplane;
 pub mod forwarder;
 pub mod hist;
 pub mod journal;

@@ -71,6 +71,15 @@ pub struct ChainMetrics {
     /// Frames whose trailer pushed them past the configured MTU (§7.2:
     /// deploy jumbo frames when this is non-zero).
     pub oversize_frames: AtomicU64,
+    /// Frames pulled and handled by data-plane loops ([`crate::dataplane`]),
+    /// summed over every loop of the chain.
+    pub loop_frames: AtomicU64,
+    /// Blocking receives of data-plane loops that returned empty: each is
+    /// one wake-up that moved no packet.
+    pub loop_idle_polls: AtomicU64,
+    /// Data-plane loop threads currently running (control threads not
+    /// counted).
+    pub dataplane_threads: AtomicU64,
 
     /// Table-2 breakdown: middlebox packet-transaction execution.
     pub t_transaction: TimingCell,
@@ -112,6 +121,9 @@ impl ChainMetrics {
             piggyback_bytes: self.piggyback_bytes.load(Ordering::Relaxed),
             piggyback_count: self.piggyback_count.load(Ordering::Relaxed),
             oversize_frames: self.oversize_frames.load(Ordering::Relaxed),
+            loop_frames: self.loop_frames.load(Ordering::Relaxed),
+            loop_idle_polls: self.loop_idle_polls.load(Ordering::Relaxed),
+            dataplane_threads: self.dataplane_threads.load(Ordering::Relaxed),
             mean_piggyback_bytes: self.mean_piggyback_bytes().unwrap_or(0.0),
             transaction: StageStats::of(&self.t_transaction),
             piggyback: StageStats::of(&self.t_piggyback),
@@ -185,6 +197,13 @@ pub struct MetricsSnapshot {
     pub piggyback_count: u64,
     /// Frames whose trailer exceeded the configured MTU.
     pub oversize_frames: u64,
+    /// Frames handled by data-plane loops, summed over the chain's loops.
+    pub loop_frames: u64,
+    /// Blocking receives of data-plane loops that returned empty;
+    /// `loop_idle_polls / released` is the idle-wake cost per packet.
+    pub loop_idle_polls: u64,
+    /// Data-plane loop threads running when the snapshot was taken.
+    pub dataplane_threads: u64,
     /// Mean piggyback trailer size in bytes (0 when none were sent).
     pub mean_piggyback_bytes: f64,
     /// Table-2 stage: middlebox packet-transaction execution.
@@ -207,6 +226,7 @@ impl MetricsSnapshot {
             "{{\"injected\":{},\"released\":{},\"filtered\":{},\"propagating\":{},\
              \"held\":{},\"logs_applied\":{},\"logs_parked\":{},\"logs_stale\":{},\
              \"piggyback_bytes\":{},\"piggyback_count\":{},\"oversize_frames\":{},\
+             \"loop_frames\":{},\"loop_idle_polls\":{},\"dataplane_threads\":{},\
              \"mean_piggyback_bytes\":{},\"transaction\":{},\"piggyback\":{},\
              \"apply\":{},\"forwarder\":{},\"buffer\":{}}}",
             self.injected,
@@ -220,6 +240,9 @@ impl MetricsSnapshot {
             self.piggyback_bytes,
             self.piggyback_count,
             self.oversize_frames,
+            self.loop_frames,
+            self.loop_idle_polls,
+            self.dataplane_threads,
             self.mean_piggyback_bytes,
             self.transaction.json_fields(),
             self.piggyback.json_fields(),
@@ -281,6 +304,7 @@ mod tests {
         assert!(s.transaction.p99_ns >= s.transaction.p50_ns);
         let json = s.to_json();
         assert!(json.contains("\"injected\":7"));
+        assert!(json.contains("\"loop_idle_polls\":0,\"dataplane_threads\":0"));
         assert!(json.contains("\"p999_ns\":"));
     }
 }

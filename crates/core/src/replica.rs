@@ -8,14 +8,12 @@
 //! — the node that strips a log and vouches for it with a commit vector.
 
 use crate::config::{ChainConfig, RingMath};
-use crate::control::{CtrlReq, CtrlResp, CtrlServer, InPort, OutPort};
+use crate::control::{CtrlReq, CtrlResp, CtrlServer, OutPort};
 use crate::journal::{EventKind, EventSource};
 use crate::metrics::ChainMetrics;
 use crate::probe::{ProbePoint, ProbeSlot, ProbeVerdict};
 use bytes::BytesMut;
 use ftc_mbox::{Action, Middlebox, ProcCtx};
-use ftc_net::nic::Nic;
-use ftc_net::server::AliveToken;
 use ftc_packet::ether::MacAddr;
 use ftc_packet::piggyback::{MboxId, PiggybackLog, PiggybackMessage};
 use ftc_packet::{packet, Packet};
@@ -101,7 +99,7 @@ struct ParkingLot {
     count: usize,
 }
 
-/// Shared state of one replica's data-plane threads.
+/// Shared state of one replica's data-plane loops ([`crate::dataplane`]).
 pub struct ReplicaState {
     /// Position of this replica in the (effective) chain.
     pub idx: usize,
@@ -213,7 +211,7 @@ impl ReplicaState {
 
     /// Bounded wait while quiesced, without pulling work: returns as soon as
     /// the replica resumes or `slice` elapses, whichever is first. Callers
-    /// (the rx/worker loops) re-check liveness between slices.
+    /// (the data-plane loops) re-check liveness between slices.
     pub fn wait_while_paused(&self, slice: Duration) {
         let mut q = self.quiesce.lock();
         if q.paused {
@@ -233,7 +231,7 @@ impl ReplicaState {
     /// must not be lost — and the claim blocks in bounded condvar waits,
     /// re-checking `keep_waiting` between them; returns `false` (no slot
     /// claimed) when `keep_waiting` reports shutdown.
-    fn claim_busy(&self, keep_waiting: impl Fn() -> bool) -> bool {
+    pub(crate) fn claim_busy(&self, keep_waiting: impl Fn() -> bool) -> bool {
         let mut q = self.quiesce.lock();
         while q.paused {
             let deadline = Instant::now() + Duration::from_millis(1);
@@ -247,7 +245,7 @@ impl ReplicaState {
 
     /// Releases a busy slot claimed with [`Self::claim_busy`], waking a
     /// pending [`Self::pause`] when the last worker drains.
-    fn release_busy(&self) {
+    pub(crate) fn release_busy(&self) {
         let mut q = self.quiesce.lock();
         q.busy -= 1;
         if q.busy == 0 {
@@ -359,6 +357,7 @@ impl ReplicaState {
             let log = &pp.msg.logs[li];
             let m = log.mbox.0 as usize;
             let group = self.replicated.get(&m).expect("blocked implies replicated");
+            let t0 = Instant::now();
             let mut lot = self.parked.lock();
             match group
                 .max
@@ -373,6 +372,7 @@ impl ReplicaState {
                     }
                     drop(lot);
                     self.metrics.logs_applied.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.t_apply.record(t0.elapsed());
                     self.journal_log(EventKind::LogApplied { mbox: m as u16 });
                     pp.remaining.swap_remove(0);
                     continue;
@@ -650,84 +650,17 @@ impl ReplicaState {
     }
 }
 
-/// Spawns all data-plane threads of a replica onto `server`.
-///
-/// Thread layout per server (paper §2/§6): an rx thread pulling the
-/// reliable link and dispatching to NIC queues by RSS; `cfg.workers` worker
-/// threads; a control thread serving RPCs.
-pub fn spawn_replica(
-    server: &mut ftc_net::Server,
-    state: Arc<ReplicaState>,
-    in_port: Arc<InPort>,
-    nic: Arc<Nic>,
-    queues: Vec<crossbeam::channel::Receiver<BytesMut>>,
-    ctrl: CtrlServer,
-) {
-    assert_eq!(queues.len(), state.cfg.workers);
-    for (w, queue) in queues.into_iter().enumerate() {
-        let state = Arc::clone(&state);
-        server.spawn(&format!("worker{w}"), move |alive: AliveToken| {
-            while alive.is_alive() {
-                if state.is_paused() {
-                    // Recovery-source quiescing (§4.1): stop admitting
-                    // packets; they wait in the NIC ring (or overflow).
-                    state.wait_while_paused(Duration::from_millis(1));
-                    continue;
-                }
-                match queue.recv_timeout(Duration::from_millis(1)) {
-                    Ok(frame) => {
-                        // Quiesced between recv and claiming: the frame is
-                        // held (its piggyback logs must not be lost) and the
-                        // transaction runs after Resume, so it sequences
-                        // after the served state.
-                        if !state.claim_busy(|| alive.is_alive()) {
-                            return; // shutting down; frame dies with us
-                        }
-                        state.handle_frame(w, frame);
-                        state.release_busy();
-                    }
-                    // Parked packets are woken by the applier that clears
-                    // their dependency (no polling needed): idle is idle.
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => break,
-                }
+/// Spawns the replica's control thread onto `server`. The data-plane
+/// threads are [`crate::dataplane::spawn_dataplane`]'s.
+pub fn spawn_ctrl(server: &mut ftc_net::Server, state: Arc<ReplicaState>, mut ctrl: CtrlServer) {
+    server.spawn("ctrl", move |alive| {
+        while alive.is_alive() {
+            let res = ctrl.serve_next(Duration::from_millis(2), |req| state.serve_ctrl(req));
+            if res.is_err() {
+                break; // all clients gone
             }
-        });
-    }
-
-    {
-        let state = Arc::clone(&state);
-        server.spawn("rx", move |alive: AliveToken| {
-            while alive.is_alive() {
-                if state.is_paused() {
-                    // Quiesced: leave frames in the reliable receiver
-                    // (backpressure) instead of overflowing the NIC ring —
-                    // dropped frames here would lose piggyback logs that the
-                    // transport has already delivered exactly once.
-                    state.wait_while_paused(Duration::from_millis(1));
-                } else if let Some(frame) = in_port.recv_timeout(Duration::from_millis(1)) {
-                    let a = alive.clone();
-                    nic.dispatch_backpressure(frame, Duration::from_millis(1), move || {
-                        a.is_alive()
-                    });
-                }
-                state.out.poll();
-            }
-        });
-    }
-
-    {
-        let state = Arc::clone(&state);
-        let mut ctrl = ctrl;
-        server.spawn("ctrl", move |alive: AliveToken| {
-            while alive.is_alive() {
-                let res = ctrl.serve_next(Duration::from_millis(2), |req| state.serve_ctrl(req));
-                if res.is_err() {
-                    break; // all clients gone
-                }
-            }
-        });
-    }
+        }
+    });
 }
 
 #[cfg(test)]

@@ -23,9 +23,11 @@
 //! * [`sock`] — the tokio TCP/UDS backend.
 //! * [`nic`] — a multi-queue NIC model with receive-side scaling by
 //!   symmetric flow hash, so both directions of a flow reach the same
-//!   worker thread (§2).
-//! * [`server`] — fail-stop servers: named thread groups with a shared
-//!   liveness token; killing a server stops its threads and drops its state.
+//!   worker thread (§2). A server's worker 0 leads the receive and runs its
+//!   own flows inline; the queues carry the other workers' flows.
+//! * [`server`] — fail-stop servers: named thread groups (one data-plane
+//!   loop per worker plus a control thread) with a shared liveness token;
+//!   killing a server stops its threads and drops its state.
 //! * [`topology`] — named regions with an RTT matrix, reproducing the
 //!   multi-region SAVI cloud used in the recovery evaluation (§7.5).
 //! * [`rpc`] — the in-process request/response channel with injected WAN

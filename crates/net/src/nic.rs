@@ -50,15 +50,26 @@ impl Nic {
         self.queues_rx[i].take().expect("queue already taken")
     }
 
-    /// Dispatches a frame to a queue by symmetric flow hash; falls back to
-    /// queue 0 for frames without a parseable flow (e.g. propagating
-    /// packets).
+    /// The queue a frame belongs to: its symmetric flow hash modulo the
+    /// queue count, or queue 0 for frames without a parseable flow (e.g.
+    /// propagating packets).
+    pub fn rss_queue(&self, frame: &[u8]) -> usize {
+        if self.queues_tx.len() == 1 {
+            return 0;
+        }
+        match frame
+            .get(ftc_packet::ether::HEADER_LEN..)
+            .map(FlowKey::from_ipv4)
+        {
+            Some(Ok(key)) => (key.rss_hash() % self.queues_tx.len() as u64) as usize,
+            _ => 0,
+        }
+    }
+
+    /// Dispatches a frame to its [`Nic::rss_queue`], dropping and counting
+    /// it when the queue is full.
     pub fn dispatch(&self, frame: BytesMut) {
-        let q = match FlowKey::from_ipv4(&frame[ftc_packet::ether::HEADER_LEN..]) {
-            Ok(key) => (key.rss_hash() % self.queues_tx.len() as u64) as usize,
-            Err(_) => 0,
-        };
-        self.dispatch_to(q, frame);
+        self.dispatch_to(self.rss_queue(&frame), frame);
     }
 
     /// Dispatches a frame to a specific queue.
@@ -72,24 +83,22 @@ impl Nic {
         }
     }
 
-    /// Dispatches with backpressure: blocks (in `tick` slices, re-checking
-    /// `keep_waiting`) instead of dropping when the queue is full.
+    /// Dispatches to queue `q` with backpressure: blocks (in `tick` slices,
+    /// re-checking `keep_waiting`) instead of dropping when the queue is
+    /// full.
     ///
     /// Inter-replica frames carry piggyback logs whose loss above the
-    /// reliable transport would be unrecoverable, so replica rx paths use
-    /// this instead of [`Nic::dispatch`]'s drop-on-overrun. Returns false
-    /// if the frame was abandoned (queue dead or `keep_waiting` said stop).
+    /// reliable transport would be unrecoverable, so a server's receive
+    /// leader hands link frames to its other workers with this instead of
+    /// [`Nic::dispatch_to`]'s drop-on-overrun. Returns false if the frame
+    /// was abandoned (queue dead or `keep_waiting` said stop).
     pub fn dispatch_backpressure(
         &self,
-        frame: BytesMut,
+        q: usize,
+        mut frame: BytesMut,
         tick: std::time::Duration,
         mut keep_waiting: impl FnMut() -> bool,
     ) -> bool {
-        let q = match FlowKey::from_ipv4(&frame[ftc_packet::ether::HEADER_LEN..]) {
-            Ok(key) => (key.rss_hash() % self.queues_tx.len() as u64) as usize,
-            Err(_) => 0,
-        };
-        let mut frame = frame;
         loop {
             match self.queues_tx[q].send_timeout(frame, tick) {
                 Ok(()) => return true,

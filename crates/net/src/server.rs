@@ -88,6 +88,11 @@ impl Server {
         self.threads.push(handle);
     }
 
+    /// Number of threads spawned on this server and not yet joined.
+    pub fn thread_count(&self) -> usize {
+        self.threads.len()
+    }
+
     /// Fail-stops the server: threads observe the dead token and exit. Does
     /// not block; use [`Server::join`] to wait for full termination.
     pub fn kill(&self) {

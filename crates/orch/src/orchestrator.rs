@@ -263,14 +263,23 @@ impl Orchestrator {
             Err(RecoveryError::NoSource { mbox: m })
         };
 
+        // One fetch per group, in parallel; the last group's runs on this
+        // thread, which would otherwise only wait — one thread start and
+        // one wake-up fewer inside the outage.
         let results: Vec<Result<Fetched, RecoveryError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = groups
+            let Some((&last, spawned)) = groups.split_last() else {
+                return Vec::new(); // f = 0: nothing is replicated
+            };
+            let fetch_one = &fetch_one;
+            let handles: Vec<_> = spawned
                 .iter()
                 .map(|&m| scope.spawn(move || fetch_one(m)))
                 .collect();
+            let last = fetch_one(last);
             handles
                 .into_iter()
                 .map(|h| h.join().expect("fetch thread"))
+                .chain(std::iter::once(last))
                 .collect()
         });
 
@@ -462,6 +471,31 @@ mod tests {
             }
             let got = o.chain.egress().collect(10, Duration::from_secs(10));
             assert_eq!(got.len(), 10, "traffic must flow after recovering r{idx}");
+        }
+    }
+
+    #[test]
+    fn recovery_restores_the_thread_layout_at_every_position() {
+        // `workers + 1` threads per server, also for a respawned first
+        // server (fresh forwarder, inline) and last server (fresh buffer,
+        // inline): recovery must not bring a thread back.
+        for workers in [1usize, 4] {
+            let specs = vec![MbSpec::Monitor { sharing_level: 1 }; 3];
+            let chain = FtcChain::deploy(ChainConfig::new(specs).with_workers(workers));
+            let mut o = Orchestrator::new(chain, OrchestratorConfig::default());
+            for idx in 0..3 {
+                o.chain.kill(idx);
+                assert_eq!(o.chain.thread_count(), 2 * (workers + 1));
+                o.recover(idx, RegionId(0)).expect("recovery");
+                assert_eq!(
+                    o.chain.thread_count(),
+                    3 * (workers + 1),
+                    "workers={workers}, after recovering r{idx}"
+                );
+                o.chain.inject(pkt(idx as u16));
+                let got = o.chain.egress().collect(1, Duration::from_secs(10));
+                assert_eq!(got.len(), 1, "traffic after recovering r{idx}");
+            }
         }
     }
 

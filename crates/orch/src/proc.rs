@@ -6,9 +6,13 @@
 //! OS processes speaking the socket transport ([`ftc_net::sock`]). The
 //! parent process hosts the chain edges — the forwarder (ingress) and the
 //! buffer (egress) — while each `ftc node` child process hosts one replica.
-//! Nothing above the transport layer changes: replicas run the unchanged
-//! [`spawn_replica`] loop over [`OutPort`]/[`InPort`]/[`CtrlServer`]
-//! handles that happen to be socket-backed.
+//! Nothing above the transport layer changes: every process runs the same
+//! data-plane loop ([`spawn_dataplane`]) as the in-process chain, over
+//! [`OutPort`]/[`InPort`]/[`CtrlServer`] handles that happen to be
+//! socket-backed. A replica process runs it with the socket in-port as its
+//! source; the parent runs it twice, with no replica in between — an
+//! ingress loop (ingress → forwarder → socket edge to replica 0) and an
+//! egress loop (tail edge → buffer).
 //!
 //! # Socket and stream conventions
 //!
@@ -46,16 +50,16 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crossbeam::channel::{self, Receiver, Sender};
-use ftc_core::buffer::{spawn_buffer, BufferState};
+use ftc_core::buffer::{BufferSink, BufferState};
 use ftc_core::chain::{ChainSystem, Egress};
 use ftc_core::config::ChainConfig;
 use ftc_core::control::{CtrlClient, CtrlReq, CtrlServer, InPort, OutPort};
-use ftc_core::forwarder::{spawn_forwarder, ForwarderState};
+use ftc_core::dataplane::{spawn_dataplane, Source, Stage};
+use ftc_core::forwarder::ForwarderState;
 use ftc_core::metrics::{ChainMetrics, MetricsSnapshot, StageStats};
 use ftc_core::recovery::{recover_replica_state, RpcFetcher};
-use ftc_core::replica::{spawn_replica, ReplicaState};
+use ftc_core::replica::{spawn_ctrl, ReplicaState};
 use ftc_mbox::parse_chain;
-use ftc_net::nic::Nic;
 use ftc_net::rpc::RpcError;
 use ftc_net::sock::{SockNode, SockTransport};
 use ftc_net::topology::RegionId;
@@ -144,6 +148,12 @@ pub struct NodeStats {
     pub piggyback_bytes: u64,
     /// Packets that carried a trailer out of this replica.
     pub piggyback_count: u64,
+    /// Frames handled by this process's data-plane loops.
+    pub loop_frames: u64,
+    /// Blocking receives of those loops that returned empty.
+    pub loop_idle_polls: u64,
+    /// Data-plane loop threads running in this process.
+    pub dataplane_threads: u64,
     /// Table-2 stage: middlebox transaction execution.
     pub transaction: StageStats,
     /// Table-2 stage: piggyback construction.
@@ -218,6 +228,9 @@ pub fn encode_node_resp(resp: &NodeResp) -> Bytes {
             buf.put_u64(s.logs_applied);
             buf.put_u64(s.piggyback_bytes);
             buf.put_u64(s.piggyback_count);
+            buf.put_u64(s.loop_frames);
+            buf.put_u64(s.loop_idle_polls);
+            buf.put_u64(s.dataplane_threads);
             put_stage(&mut buf, &s.transaction);
             put_stage(&mut buf, &s.piggyback);
             put_stage(&mut buf, &s.apply);
@@ -235,13 +248,16 @@ pub fn decode_node_resp(mut b: &[u8]) -> Option<NodeResp> {
         RESP_PONG => Some(NodeResp::Pong),
         RESP_DONE => Some(NodeResp::Done),
         RESP_STATS => {
-            if b.remaining() < 3 * 8 {
+            if b.remaining() < 6 * 8 {
                 return None;
             }
             Some(NodeResp::Stats(NodeStats {
                 logs_applied: b.get_u64(),
                 piggyback_bytes: b.get_u64(),
                 piggyback_count: b.get_u64(),
+                loop_frames: b.get_u64(),
+                loop_idle_polls: b.get_u64(),
+                dataplane_threads: b.get_u64(),
                 transaction: take_stage(&mut b)?,
                 piggyback: take_stage(&mut b)?,
                 apply: take_stage(&mut b)?,
@@ -293,7 +309,7 @@ pub struct NodeOpts {
 
 /// Runs one replica as the current process: binds `node-<idx>.sock`,
 /// wires socket-backed ports to the neighbours, (optionally) recovers
-/// state, spawns the unchanged replica loop, and serves management
+/// state, spawns the data-plane loop and the control thread, and serves management
 /// requests until [`NodeReq::Shutdown`]. Blocks for the process lifetime.
 pub fn run_node(opts: &NodeOpts) -> Result<(), String> {
     let specs = parse_chain(&opts.chain).map_err(|e| format!("--chain: {e}"))?;
@@ -367,18 +383,10 @@ pub fn run_node(opts: &NodeOpts) -> Result<(), String> {
     ));
     let ctrl =
         CtrlServer::from_responder(transport.rpc_responder(&local_ep, repl_ctrl_stream(opts.idx)));
-    let mut nic = Nic::new(cfg.workers, cfg.nic_queue_depth);
-    let queues = (0..cfg.workers).map(|w| nic.take_queue(w)).collect();
-    let nic = Arc::new(nic);
     let mut server = Server::new(format!("node{}", opts.idx), RegionId(0));
-    spawn_replica(
-        &mut server,
-        Arc::clone(&state),
-        Arc::clone(&in_port),
-        nic,
-        queues,
-        ctrl,
-    );
+    let (stage, _nic) = Stage::replica(Arc::clone(&state));
+    spawn_dataplane(&mut server, Source::Link(Arc::clone(&in_port)), stage);
+    spawn_ctrl(&mut server, Arc::clone(&state), ctrl);
 
     // Management loop on the main thread. Serving starts only after
     // recovery, so the parent's first successful Ping implies readiness.
@@ -407,6 +415,9 @@ pub fn run_node(opts: &NodeOpts) -> Result<(), String> {
                         logs_applied: snap.logs_applied,
                         piggyback_bytes: snap.piggyback_bytes,
                         piggyback_count: snap.piggyback_count,
+                        loop_frames: snap.loop_frames,
+                        loop_idle_polls: snap.loop_idle_polls,
+                        dataplane_threads: snap.dataplane_threads,
                         transaction: snap.transaction,
                         piggyback: snap.piggyback,
                         apply: snap.apply,
@@ -506,11 +517,11 @@ impl ProcChain {
             )?));
         }
 
-        // Parent-side data plane. The forwarder dispatches into a local
-        // single-queue NIC; a pump thread forwards that queue into the
-        // socket edge toward replica 0. The buffer reads the tail edge and
-        // feeds the forwarder back over an in-process link (both live
-        // here).
+        // Parent-side data plane: two loops and no replica. The ingress
+        // loop runs the forwarder inline and sends into the socket edge
+        // toward replica 0; the egress loop reads the tail edge into the
+        // buffer, which feeds the forwarder back over an in-process link
+        // (both live here).
         let ingress_out = Arc::new(OutPort::wired(
             transport.open_tx(&Endpoint::sock(node_addr(&pc.dir, 0)), data_stream(0)),
         ));
@@ -524,31 +535,29 @@ impl ProcChain {
         let buffer = BufferState::new(cfg.ring(), egress_tx, feedback_out, Arc::clone(&metrics));
 
         let mut server = Server::new("gateway".to_string(), RegionId(0));
-        let mut nic = Nic::new(1, cfg.nic_queue_depth);
-        let nic_q = nic.take_queue(0);
-        let nic = Arc::new(nic);
-        spawn_forwarder(
+        spawn_dataplane(
             &mut server,
-            forwarder,
-            ingress_rx,
-            feedback_in,
-            nic,
-            cfg.propagate_timeout,
+            Source::Ingress {
+                ingress: ingress_rx,
+                forwarder,
+                feedback: feedback_in,
+                propagate_timeout: cfg.propagate_timeout,
+            },
+            Stage::Port {
+                label: "ingress",
+                out: Arc::clone(&ingress_out),
+                metrics: Arc::clone(&metrics),
+            },
         );
-        spawn_buffer(&mut server, buffer, Arc::clone(&tail_in), cfg.resend_period);
-        {
-            let out = Arc::clone(&ingress_out);
-            server.spawn("ingress-pump", move |alive| {
-                while alive.is_alive() {
-                    match nic_q.recv_timeout(Duration::from_millis(1)) {
-                        Ok(frame) => out.send(frame),
-                        Err(channel::RecvTimeoutError::Timeout) => {}
-                        Err(channel::RecvTimeoutError::Disconnected) => break,
-                    }
-                    out.poll();
-                }
-            });
-        }
+        spawn_dataplane(
+            &mut server,
+            Source::Link(Arc::clone(&tail_in)),
+            Stage::Port {
+                label: "egress",
+                out: Arc::new(OutPort::wired(BufferSink::new(buffer, cfg.resend_period))),
+                metrics: Arc::clone(&metrics),
+            },
+        );
 
         // Control clients (the callers patient-dial, so this also waits
         // until every child has bound its socket).
@@ -734,6 +743,9 @@ impl ProcChain {
                 snap.logs_applied += s.logs_applied;
                 snap.piggyback_bytes += s.piggyback_bytes;
                 snap.piggyback_count += s.piggyback_count;
+                snap.loop_frames += s.loop_frames;
+                snap.loop_idle_polls += s.loop_idle_polls;
+                snap.dataplane_threads += s.dataplane_threads;
                 merge_stage(&mut snap.transaction, &s.transaction);
                 merge_stage(&mut snap.piggyback, &s.piggyback);
                 merge_stage(&mut snap.apply, &s.apply);
@@ -840,6 +852,9 @@ mod tests {
             logs_applied: 7,
             piggyback_bytes: 1024,
             piggyback_count: 16,
+            loop_frames: 99,
+            loop_idle_polls: 3,
+            dataplane_threads: 2,
             transaction: StageStats {
                 samples: 5,
                 mean_ns: 100,

@@ -17,6 +17,12 @@
 # override with FTC_BENCH_TOLERANCE=0.25):
 #   scripts/check.sh --bench-gate
 #
+# Standing-benchmark smoke (benchmark/run.sh --smoke, ~14 s of measuring:
+# all four workloads, both passes; its exit code is its output checks —
+# exact delivery, no trailer on released packets, head counter ==
+# replicated copy == packets released — not its timings):
+#   scripts/check.sh --bench-smoke
+#
 # Async-transport model checker (deterministic interleaving x fault
 # schedules over the real socket backend, ~1 second at the PR-gate bound;
 # FTC_TRANSPORT_DEEP=1 raises the bound — CI runs the deep sweep nightly):
@@ -31,12 +37,14 @@ cd "$(dirname "$0")/.."
 
 RUN_PROTOCOL=0
 RUN_BENCH_GATE=0
+RUN_BENCH_SMOKE=0
 RUN_TRANSPORT=0
 RUN_RECONFIG=0
 for arg in "$@"; do
     case "$arg" in
     --protocol) RUN_PROTOCOL=1 ;;
     --bench-gate) RUN_BENCH_GATE=1 ;;
+    --bench-smoke) RUN_BENCH_SMOKE=1 ;;
     --transport-check) RUN_TRANSPORT=1 ;;
     --reconfig-check) RUN_RECONFIG=1 ;;
     *)
@@ -72,6 +80,11 @@ if [[ "$RUN_BENCH_GATE" == "1" ]]; then
     python3 scripts/bench_gate.py \
         BENCH_baseline_quick.json target/BENCH_fresh_quick.json \
         --tolerance "${FTC_BENCH_TOLERANCE:-0.10}"
+fi
+
+if [[ "$RUN_BENCH_SMOKE" == "1" ]]; then
+    echo "check.sh: standing benchmark smoke (output checks on all four workloads)"
+    bash benchmark/run.sh --smoke
 fi
 
 if [[ "$RUN_TRANSPORT" == "1" ]]; then
