@@ -119,9 +119,8 @@ impl Recorder {
         rec
     }
 
-    /// Creates a recorder and attaches it to any [`StateBackend`] engine
-    /// (the tap is part of the backend contract, so the same audit runs
-    /// against 2PL and epoch-batched stores alike).
+    /// Creates a recorder and attaches it to a [`StateBackend`] (the tap is
+    /// part of the backend contract).
     pub fn attach_backend(store: &dyn StateBackend) -> Arc<Recorder> {
         let rec = Recorder::new();
         store.set_recorder(Arc::<Recorder>::clone(&rec));

@@ -1016,7 +1016,6 @@ impl std::fmt::Display for AbstractWitness {
 /// | `ring-shorter-than-chain` | `no-replica-slot` |
 /// | `buffer-before-tail` | `processing-gap` / `never-released` |
 /// | `partitions-lt-workers` | `seq-collision` |
-/// | `unknown-engine` | `no-engine` |
 pub fn check_abstract_deploy(spec: &DeploySpec) -> Vec<AbstractWitness> {
     let mut out = Vec::new();
     if spec.middleboxes.is_empty() {
@@ -1110,17 +1109,6 @@ pub fn check_abstract_deploy(spec: &DeploySpec) -> Vec<AbstractWitness> {
             ),
         });
     }
-    if spec.engine.parse::<ftc_stm::EngineKind>().is_err() {
-        out.push(AbstractWitness {
-            code: "no-engine",
-            schedule: format!(
-                "build position 0's state store: no engine named `{}` \
-                 exists, so the first packet transaction has nothing to \
-                 begin on",
-                spec.engine
-            ),
-        });
-    }
     out
 }
 
@@ -1186,7 +1174,6 @@ mod tests {
                 buffer_pos: 0,
                 partitions: 8,
                 workers: 1,
-                engine: "twopl".into(),
             },
             DeploySpec {
                 middleboxes: vec![mon(); 4],
@@ -1195,7 +1182,6 @@ mod tests {
                 buffer_pos: 1,
                 partitions: 8,
                 workers: 1,
-                engine: "twopl".into(),
             },
             DeploySpec {
                 middleboxes: vec![mon(); 3],
@@ -1204,7 +1190,6 @@ mod tests {
                 buffer_pos: 1,
                 partitions: 8,
                 workers: 1,
-                engine: "twopl".into(),
             },
             DeploySpec {
                 middleboxes: vec![],
@@ -1213,7 +1198,6 @@ mod tests {
                 buffer_pos: 0,
                 partitions: 1,
                 workers: 4,
-                engine: "twopl".into(),
             },
         ];
         for spec in &cases {

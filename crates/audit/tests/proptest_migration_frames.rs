@@ -19,11 +19,10 @@
 
 use bytes::Bytes;
 use ftc_packet::frame::{self, kind, FrameDecoder};
-use ftc_stm::{EngineKind, PartitionExport, StateBackend, StateBackendExt, StateStore};
+use ftc_stm::{PartitionExport, StateStore};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use tokio::runtime::Runtime;
 use tokio::sim;
 
@@ -41,30 +40,6 @@ const PREFIXES: &[&str] = &["mon:", "gen:", "ids:", "lb:"];
 /// every partition export (the transfer the source would send).
 fn source_and_wire(partitions: usize, writes: &[(u8, u16, u64)]) -> (StateStore, Vec<Bytes>) {
     let store = StateStore::new(partitions);
-    for &(prefix, suffix, value) in writes {
-        let key = Bytes::from(format!(
-            "{}{:04x}",
-            PREFIXES[prefix as usize % PREFIXES.len()],
-            suffix
-        ));
-        store.transaction(|txn| {
-            txn.write_u64(key.clone(), value)?;
-            Ok(())
-        });
-    }
-    let wire = (0..partitions as u16)
-        .map(|p| store.export_partition(p).encode())
-        .collect();
-    (store, wire)
-}
-
-/// [`source_and_wire`], but over an arbitrary [`StateBackend`] engine.
-fn backend_and_wire(
-    kind: EngineKind,
-    partitions: usize,
-    writes: &[(u8, u16, u64)],
-) -> (Arc<dyn StateBackend>, Vec<Bytes>) {
-    let store = kind.build(partitions);
     for &(prefix, suffix, value) in writes {
         let key = Bytes::from(format!(
             "{}{:04x}",
@@ -166,69 +141,6 @@ proptest! {
         // The destination's own exports reproduce the source's bytes.
         for (p, original) in wire.iter().enumerate() {
             prop_assert_eq!(&dst.export_partition(p as u16).encode()[..], &original[..]);
-        }
-        prop_assert_eq!(dst.snapshot(), src.snapshot());
-        prop_assert_eq!(dst.seq_vector(), src.seq_vector());
-    }
-
-    /// Cross-engine migration (`ftc reconfig` moving a middlebox between
-    /// engines): for the same committed history the 2PL and batched
-    /// engines put **byte-identical** [`PartitionExport`] frames on the
-    /// wire, and shipping one engine's frames over the sim socket into a
-    /// destination running the *other* engine completes the migration —
-    /// the destination re-exports the source's exact bytes.
-    #[test]
-    fn exports_cross_engines_byte_identically_over_the_sim_socket(
-        partitions in 1usize..6,
-        writes in pvec((any::<u8>(), any::<u16>(), any::<u64>()), 0..24),
-        src_is_batched in any::<bool>(),
-    ) {
-        let (src_kind, dst_kind) = if src_is_batched {
-            (EngineKind::Batched, EngineKind::TwoPl)
-        } else {
-            (EngineKind::TwoPl, EngineKind::Batched)
-        };
-        let (src, wire) = backend_and_wire(src_kind, partitions, &writes);
-
-        // Engine-independence of the wire form: the twin engine, fed the
-        // identical history, exports the identical bytes.
-        let (_twin, twin_wire) = backend_and_wire(dst_kind, partitions, &writes);
-        for (a, b) in wire.iter().zip(&twin_wire) {
-            prop_assert_eq!(&a[..], &b[..], "{} vs {}", src_kind, dst_kind);
-        }
-
-        let frames = frame_exports(&wire);
-        let name = fresh_name();
-        let rt = Runtime::new().unwrap();
-        let got = rt.block_on(async {
-            let listener = sim::SimListener::bind(&name).unwrap();
-            let client = sim::connect(&name).unwrap();
-            let (server, _) = listener.accept().await.unwrap();
-            let (_cr, mut cw) = client.into_split();
-            let (mut sr, _sw) = server.into_split();
-            for f in &frames {
-                cw.write_all(f).await.unwrap();
-            }
-            cw.shutdown().await.unwrap();
-            let mut dec = FrameDecoder::new();
-            let mut got = Vec::new();
-            let clean = read_frames(&mut sr, &mut dec, &mut got).await;
-            prop_assert!(clean, "clean stream must not decode as corrupt");
-            got
-        });
-
-        prop_assert_eq!(got.len(), partitions);
-        let dst = dst_kind.build(partitions);
-        for (f, original) in got.iter().zip(&wire) {
-            prop_assert_eq!(&f.payload[..], &original[..]);
-            dst.import_partition(&PartitionExport::decode(&f.payload).expect("whole frame"));
-        }
-        for (p, original) in wire.iter().enumerate() {
-            prop_assert_eq!(
-                &dst.export_partition(p as u16).encode()[..],
-                &original[..],
-                "{} -> {} re-export (partition {})", src_kind, dst_kind, p
-            );
         }
         prop_assert_eq!(dst.snapshot(), src.snapshot());
         prop_assert_eq!(dst.seq_vector(), src.seq_vector());

@@ -19,17 +19,6 @@ fn arb_mbspec() -> impl Strategy<Value = MbSpec> {
     ]
 }
 
-fn arb_engine() -> impl Strategy<Value = String> {
-    // Both real engines plus a typo: the agreement property must hold in
-    // the unknown-engine direction too (static `unknown-engine` ⇔ dynamic
-    // `no-engine`).
-    prop_oneof![
-        Just("twopl".to_string()),
-        Just("batched".to_string()),
-        Just("optimist".to_string()),
-    ]
-}
-
 fn arb_raw_spec() -> impl Strategy<Value = DeploySpec> {
     (
         proptest::collection::vec(arb_mbspec(), 0..4),
@@ -37,17 +26,16 @@ fn arb_raw_spec() -> impl Strategy<Value = DeploySpec> {
         0usize..6,
         0usize..6,
         1usize..5,
-        (1usize..5, arb_engine()),
+        1usize..5,
     )
         .prop_map(
-            |(middleboxes, f, ring_len, buffer_pos, partitions, (workers, engine))| DeploySpec {
+            |(middleboxes, f, ring_len, buffer_pos, partitions, workers)| DeploySpec {
                 middleboxes,
                 f,
                 ring_len,
                 buffer_pos,
                 partitions,
                 workers,
-                engine,
             },
         )
 }
@@ -96,7 +84,6 @@ fn infeasible_shapes_map_to_expected_dynamic_failures() {
                 buffer_pos: 0,
                 partitions: 8,
                 workers: 1,
-                engine: "twopl".into(),
             },
             "under-replication",
         ),
@@ -109,7 +96,6 @@ fn infeasible_shapes_map_to_expected_dynamic_failures() {
                 buffer_pos: 1,
                 partitions: 8,
                 workers: 1,
-                engine: "twopl".into(),
             },
             "no-replica-slot",
         ),
@@ -122,7 +108,6 @@ fn infeasible_shapes_map_to_expected_dynamic_failures() {
                 buffer_pos: 1,
                 partitions: 8,
                 workers: 1,
-                engine: "twopl".into(),
             },
             "processing-gap",
         ),

@@ -17,9 +17,6 @@ USAGE:
   ftc drill   --chain \"<spec>\" [--f N]
   ftc reconfig --chain \"<spec>\" --idx N (--scale W | --migrate R)
               [--f N] [--workers N] [--packets N]
-  ftc bench   [--quick] [--seconds S] [--workers N] [--inflight N] [--out FILE]
-              [--engine twopl|batched] [--remote] [--clients N] [--dir DIR]
-              [--reconfig]
   ftc node    --chain \"<spec>\" --idx N --dir DIR [--f N] [--workers N] [--recover]
   ftc help
 
@@ -38,17 +35,15 @@ EXAMPLES:
   ftc sim --chain \"monitor(sharing=8)\" --system ftc --rate max
   ftc drill --chain \"firewall -> monitor -> simple_nat(ext=198.51.100.1)\"
   ftc reconfig --chain \"monitor -> monitor\" --idx 1 --scale 2
-  ftc bench --quick --out BENCH_table2.json
-  ftc bench --remote --quick --clients 2
-  ftc bench --quick --reconfig
 
 `ftc reconfig` performs a live four-phase handover (prepare, transfer,
 switch, release): `--scale W` rescales replica N to W workers, `--migrate R`
-moves it to region R. `ftc bench --reconfig` additionally measures the
-Table-2 chain scaling 2 -> 3 -> 2 workers under load.
+moves it to region R.
 
 `ftc node` runs one replica as an OS process (normally spawned by the
-parent: `ftc bench --remote` or the programmatic ProcChain deployer).";
+programmatic ProcChain deployer).
+
+Performance is measured by the standing benchmark: `bash benchmark/run.sh`.";
 
 /// The selected subcommand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,8 +62,6 @@ pub enum Command {
     Drill,
     /// Live reconfiguration: scale or migrate one replica via handover.
     Reconfig,
-    /// Run the standing Table-2 benchmark and emit BENCH_table2.json.
-    Bench,
     /// Run one replica as an OS process (spawned by a multi-process parent).
     Node,
     /// Print usage.
@@ -123,29 +116,77 @@ impl ParsedArgs {
 }
 
 /// Flags that take no value; everything else is `--key value`.
-const BOOL_FLAGS: &[&str] = &["json", "quick", "reconfig", "recover", "remote"];
+const BOOL_FLAGS: &[&str] = &["json", "recover"];
+
+/// Every subcommand with the options it reads. Any other option is an
+/// error, so a misspelled or stale one cannot be silently ignored.
+const COMMANDS: &[(&str, Command, &[&str])] = &[
+    (
+        "run",
+        Command::Run,
+        &["chain", "f", "workers", "packets", "loss"],
+    ),
+    (
+        "stats",
+        Command::Stats,
+        &["chain", "f", "workers", "packets", "json"],
+    ),
+    (
+        "trace",
+        Command::Trace,
+        &["chain", "f", "packets", "kill", "json"],
+    ),
+    (
+        "compare",
+        Command::Compare,
+        &["chain", "workers", "seconds"],
+    ),
+    (
+        "sim",
+        Command::Sim,
+        &["chain", "system", "f", "workers", "rate", "packet-bytes"],
+    ),
+    ("drill", Command::Drill, &["chain", "f"]),
+    (
+        "reconfig",
+        Command::Reconfig,
+        &[
+            "chain", "idx", "scale", "migrate", "f", "workers", "packets",
+        ],
+    ),
+    (
+        "node",
+        Command::Node,
+        &["chain", "idx", "dir", "f", "workers", "recover"],
+    ),
+];
 
 /// Parses `argv` (excluding the program name).
 pub fn parse_args(argv: &[String]) -> Result<ParsedArgs, String> {
     let mut it = argv.iter();
-    let command = match it.next().map(|s| s.as_str()) {
-        Some("run") => Command::Run,
-        Some("stats") => Command::Stats,
-        Some("trace") => Command::Trace,
-        Some("compare") => Command::Compare,
-        Some("sim") => Command::Sim,
-        Some("drill") => Command::Drill,
-        Some("reconfig") => Command::Reconfig,
-        Some("bench") => Command::Bench,
-        Some("node") => Command::Node,
-        Some("help") | Some("--help") | Some("-h") | None => Command::Help,
-        Some(other) => return Err(format!("unknown subcommand `{other}`")),
+    let (name, command, accepted): (&str, Command, &[&str]) = match it.next().map(|s| s.as_str()) {
+        Some("help") | Some("--help") | Some("-h") | None => ("help", Command::Help, &[]),
+        Some(other) => *COMMANDS
+            .iter()
+            .find(|(name, _, _)| *name == other)
+            .ok_or_else(|| format!("unknown subcommand `{other}`"))?,
     };
     let mut options = HashMap::new();
     while let Some(flag) = it.next() {
         let Some(key) = flag.strip_prefix("--") else {
             return Err(format!("expected `--option`, got `{flag}`"));
         };
+        if !accepted.contains(&key) {
+            let known: Vec<String> = accepted.iter().map(|k| format!("--{k}")).collect();
+            return Err(format!(
+                "`ftc {name}` has no option `--{key}` (it takes: {})",
+                if known.is_empty() {
+                    "none".to_string()
+                } else {
+                    known.join(" ")
+                }
+            ));
+        }
         let value = if BOOL_FLAGS.contains(&key) {
             "true".to_string()
         } else {
@@ -204,5 +245,73 @@ mod tests {
         let p = parse_args(&argv("run --packets abc")).unwrap();
         assert!(p.get_usize("packets", 1).is_err());
         assert!(p.chain().is_err());
+    }
+
+    #[test]
+    fn options_a_subcommand_does_not_read_are_rejected() {
+        let err = parse_args(&argv("run --chain monitor --packts 5")).unwrap_err();
+        assert!(err.contains("--packts") && err.contains("ftc run"), "{err}");
+        // `--json` is a flag of `stats`, not of `run`.
+        let err = parse_args(&argv("run --chain monitor --json")).unwrap_err();
+        assert!(err.contains("--json"), "{err}");
+        let err = parse_args(&argv("help --chain monitor")).unwrap_err();
+        assert!(err.contains("none"), "{err}");
+        let err = parse_args(&argv("bench --quick")).unwrap_err();
+        assert_eq!(err, "unknown subcommand `bench`");
+    }
+
+    /// Splits a usage line like a shell would for the quoting USAGE uses.
+    fn shell_words(line: &str) -> Vec<String> {
+        let mut words = Vec::new();
+        for (i, part) in line.split('"').enumerate() {
+            if i % 2 == 1 {
+                words.push(part.to_string());
+            } else {
+                words.extend(part.split_whitespace().map(String::from));
+            }
+        }
+        words
+    }
+
+    #[test]
+    fn every_usage_example_parses() {
+        let examples: Vec<&str> = USAGE
+            .split("EXAMPLES:\n")
+            .nth(1)
+            .expect("USAGE has an EXAMPLES block")
+            .lines()
+            .take_while(|l| !l.trim().is_empty())
+            .collect();
+        assert!(examples.len() >= 5, "{examples:?}");
+        for line in examples {
+            let words = shell_words(line);
+            assert_eq!(words[0], "ftc", "{line}");
+            parse_args(&words[1..]).unwrap_or_else(|e| panic!("`{line}`: {e}"));
+        }
+    }
+
+    #[test]
+    fn every_option_in_the_synopsis_is_accepted() {
+        let synopsis = USAGE
+            .split("USAGE:\n")
+            .nth(1)
+            .and_then(|s| s.split("\n\n").next())
+            .expect("USAGE has a synopsis block");
+        let mut accepted: &[&str] = &[];
+        for line in synopsis.lines() {
+            let words = shell_words(line);
+            if words[0] == "ftc" {
+                accepted = COMMANDS
+                    .iter()
+                    .find(|(name, _, _)| *name == words[1])
+                    .map_or(&[], |(_, _, opts)| opts);
+            }
+            for word in &words {
+                let opt = word.trim_matches(['[', ']', '(', ')']);
+                if let Some(key) = opt.strip_prefix("--") {
+                    assert!(accepted.contains(&key), "`{line}`: --{key} not accepted");
+                }
+            }
+        }
     }
 }

@@ -22,7 +22,6 @@ pub fn dispatch(args: &ParsedArgs) -> Result<(), String> {
         Command::Sim => cmd_sim(args),
         Command::Drill => cmd_drill(args),
         Command::Reconfig => cmd_reconfig(args),
-        Command::Bench => crate::bench::cmd_bench(args),
         Command::Node => cmd_node(args),
     }
 }

@@ -8,8 +8,15 @@
 //!   threaded runtime and print throughput/latency side by side.
 //! * `ftc sim` — run a calibrated-simulator experiment.
 //! * `ftc drill` — kill and recover every replica position in turn.
-//! * `ftc bench` — run the standing Table-2 benchmark and emit
-//!   `BENCH_table2.json` (the `--bench-gate` baseline format).
+//! * `ftc stats` / `ftc trace` — drive a chain and print its per-stage
+//!   metrics or its event journal (optionally across a replica kill).
+//! * `ftc reconfig` — scale or migrate one replica by live handover.
+//! * `ftc node` — run one replica as an OS process of a multi-process
+//!   chain.
+//!
+//! Each subcommand accepts only the options it reads. Performance is
+//! measured by the standing benchmark (`benchmark/run.sh`), not by this
+//! tool.
 //!
 //! Chains are written in the Click-flavoured spec language of
 //! [`ftc::mbox::spec_lang`], e.g.
@@ -19,7 +26,6 @@
 #![warn(missing_docs)]
 
 pub mod args;
-pub mod bench;
 pub mod commands;
 
 pub use args::{parse_args, Command, ParsedArgs};

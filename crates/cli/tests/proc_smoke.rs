@@ -7,6 +7,7 @@
 
 use ftc::orch::{ProcChain, ProcConfig};
 use ftc::prelude::*;
+use ftc::traffic::WorkloadConfig;
 use std::net::Ipv4Addr;
 use std::time::Duration;
 
@@ -99,34 +100,47 @@ fn table2_chain_as_processes_survives_replica_kill() {
     );
 }
 
+/// Two concurrent closed-loop clients share one multi-process chain: both
+/// see their packets egress, and the merged per-node snapshot carries the
+/// transaction and buffer stage samples from across the process boundary.
 #[test]
-fn bench_remote_emits_valid_artifact() {
-    let tag = format!("ftc-bench-remote-test-{}", std::process::id());
-    let out = std::env::temp_dir().join(format!("{tag}.json"));
-    let dir = std::env::temp_dir().join(tag);
-    let status = std::process::Command::new(env!("CARGO_BIN_EXE_ftc"))
-        .args([
-            "bench",
-            "--remote",
-            "--quick",
-            "--seconds",
-            "0.2",
-            "--clients",
-            "2",
-        ])
-        .arg("--out")
-        .arg(&out)
-        .arg("--dir")
-        .arg(&dir)
-        .status()
-        .expect("running ftc bench --remote");
-    assert!(status.success(), "bench --remote must exit 0");
-    let body = std::fs::read_to_string(&out).unwrap();
-    std::fs::remove_file(&out).ok();
-    assert!(body.contains("\"bench\":\"table2-remote\""));
-    assert!(body.contains("\"clients\":2"));
-    assert!(body.contains("\"pps\":"));
-    for stage in ["transaction", "piggyback", "apply", "forwarder", "buffer"] {
-        assert!(body.contains(&format!("\"{stage}\":")), "missing {stage}");
-    }
+fn two_closed_loop_clients_drive_the_process_chain() {
+    let dir = std::env::temp_dir().join(format!("ftc-proc-clients-{}", std::process::id()));
+    let chain = ProcChain::deploy(ProcConfig {
+        chain: "mazu_nat(ext=203.0.113.2) -> mazu_nat(ext=203.0.113.3)".to_string(),
+        f: 1,
+        workers: 1,
+        dir,
+        exe: std::path::PathBuf::from(env!("CARGO_BIN_EXE_ftc")),
+    })
+    .expect("multi-process deploy");
+
+    let received: Vec<u64> = std::thread::scope(|s| {
+        let chain = &chain;
+        let clients: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(move || {
+                    let runner = TrafficRunner::new(WorkloadConfig {
+                        flows: 64,
+                        frame_len: 256,
+                        ..Default::default()
+                    });
+                    runner.closed_loop(chain, 32, Duration::from_millis(200))
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|h| h.join().expect("client panicked").received)
+            .collect()
+    });
+    assert!(
+        received.iter().all(|&r| r > 0),
+        "every client must receive packets: {received:?}"
+    );
+
+    std::thread::sleep(Duration::from_millis(50));
+    let snap = chain.merged_snapshot();
+    assert!(snap.transaction.samples > 0, "no transaction samples");
+    assert!(snap.buffer.samples > 0, "no buffer samples");
 }

@@ -2,7 +2,7 @@
 
 use ftc_mbox::MbSpec;
 use ftc_net::Endpoint;
-use ftc_stm::EngineKind;
+use ftc_stm::{EngineKind, DEFAULT_PARTITIONS};
 use std::time::Duration;
 
 /// Configuration of an FTC chain deployment.
@@ -35,9 +35,7 @@ pub struct ChainConfig {
     /// the need for jumbo frames.
     pub mtu: usize,
     /// State engine every store of this chain runs on (head stores and
-    /// replica copies alike — mixing engines within a chain would change
-    /// commit semantics mid-ring for no benefit). Defaults to the
-    /// `FTC_ENGINE` environment variable, falling back to 2PL.
+    /// replica copies alike).
     pub engine: EngineKind,
 }
 
@@ -69,14 +67,14 @@ impl ChainConfig {
         ChainConfig {
             middleboxes,
             f: 1,
-            partitions: 32,
+            partitions: DEFAULT_PARTITIONS,
             workers: 1,
             nic_queue_depth: 4096,
             link: Endpoint::in_proc(),
             propagate_timeout: Duration::from_millis(1),
             resend_period: Duration::from_millis(10),
             mtu: 9000, // jumbo frames, per §7.2
-            engine: EngineKind::from_env().unwrap_or_default(),
+            engine: EngineKind::default(),
         }
     }
 
@@ -308,8 +306,8 @@ mod tests {
             .with_propagate_timeout(Duration::from_millis(2))
             .with_resend_period(Duration::from_millis(20))
             .with_link(Endpoint::in_proc().with_loss(0.01).with_seed(7))
-            .with_engine(EngineKind::Batched);
-        assert_eq!(cfg.engine, EngineKind::Batched);
+            .with_engine(EngineKind::TwoPl);
+        assert_eq!(cfg.engine, EngineKind::TwoPl);
         assert_eq!(cfg.f, 2);
         assert_eq!(cfg.workers, 4);
         assert_eq!(cfg.partitions, 16);

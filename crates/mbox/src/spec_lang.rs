@@ -377,17 +377,11 @@ pub struct DeploySpec {
     pub partitions: usize,
     /// Worker threads per replica.
     pub workers: usize,
-    /// State engine the chain's stores run on, by name (`twopl` or
-    /// `batched`; see `ftc_stm::EngineKind`). Kept as the raw requested
-    /// string so [`verify_deploy_spec`] can reject typos with an
-    /// `unknown-engine` violation instead of panicking mid-build.
-    pub engine: String,
 }
 
 impl DeploySpec {
     /// A feasible deployment for `middleboxes` with failure budget `f`:
-    /// ring padded to `max(len, f+1)`, buffer after the last replica,
-    /// default (2PL) state engine.
+    /// ring padded to `max(len, f+1)`, buffer after the last replica.
     pub fn feasible(middleboxes: Vec<MbSpec>, f: usize) -> DeploySpec {
         let ring_len = middleboxes.len().max(f + 1);
         DeploySpec {
@@ -395,17 +389,9 @@ impl DeploySpec {
             f,
             ring_len,
             buffer_pos: ring_len.saturating_sub(1),
-            partitions: 32,
+            partitions: ftc_stm::DEFAULT_PARTITIONS,
             workers: 1,
-            engine: ftc_stm::EngineKind::default().name().to_string(),
         }
-    }
-
-    /// Selects a state engine by name (validated by
-    /// [`verify_deploy_spec`], not here).
-    pub fn with_engine(mut self, engine: &str) -> DeploySpec {
-        self.engine = engine.to_string();
-        self
     }
 }
 
@@ -489,20 +475,6 @@ pub fn verify_deploy_spec(spec: &DeploySpec) -> Result<(), Vec<SpecViolation>> {
                 spec.buffer_pos + 1,
                 spec.ring_len - 1,
                 spec.ring_len - 1,
-            ),
-        });
-    }
-    if spec.engine.parse::<ftc_stm::EngineKind>().is_err() {
-        violations.push(SpecViolation {
-            code: "unknown-engine",
-            message: format!(
-                "`{}` is not a state engine; known engines: {}",
-                spec.engine,
-                ftc_stm::EngineKind::ALL
-                    .iter()
-                    .map(|e| e.name())
-                    .collect::<Vec<_>>()
-                    .join(", "),
             ),
         });
     }
@@ -671,27 +643,6 @@ mod tests {
     }
 
     #[test]
-    fn unknown_engine_is_rejected_with_known_list() {
-        let spec = DeploySpec::feasible(parse_chain("monitor").unwrap(), 1).with_engine("optimist");
-        let violations = verify_deploy_spec(&spec).unwrap_err();
-        assert_eq!(codes(&violations), vec!["unknown-engine"]);
-        let msg = &violations[0].message;
-        assert!(
-            msg.contains("twopl") && msg.contains("batched"),
-            "lists engines: {msg}"
-        );
-    }
-
-    #[test]
-    fn both_engines_verify() {
-        for engine in ftc_stm::EngineKind::ALL {
-            let spec =
-                DeploySpec::feasible(parse_chain("monitor").unwrap(), 1).with_engine(engine.name());
-            verify_deploy_spec(&spec).unwrap();
-        }
-    }
-
-    #[test]
     fn all_violations_are_reported_at_once() {
         let spec = DeploySpec {
             middleboxes: parse_chain("monitor -> gen").unwrap(),
@@ -700,7 +651,6 @@ mod tests {
             buffer_pos: 5,
             partitions: 1,
             workers: 4,
-            engine: "zpaxos".into(),
         };
         let violations = verify_deploy_spec(&spec).unwrap_err();
         let cs = codes(&violations);
@@ -708,7 +658,6 @@ mod tests {
         assert!(cs.contains(&"ring-shorter-than-chain"));
         assert!(cs.contains(&"buffer-before-tail"));
         assert!(cs.contains(&"partitions-lt-workers"));
-        assert!(cs.contains(&"unknown-engine"));
     }
 
     #[test]

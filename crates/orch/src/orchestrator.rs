@@ -203,9 +203,9 @@ impl Orchestrator {
     ///
     /// This is a *planned* replacement, executed as the four-phase
     /// [`crate::reconfig`] handshake (prepare → transfer → switch →
-    /// release): state is fetched from the live instance itself (the
-    /// freshest copy), the old server is fail-stopped at the switch
-    /// commit point, and traffic is rerouted through the replacement.
+    /// release): state is fetched from the group members a §5.2 recovery
+    /// reads, the old server is fail-stopped at the switch commit point,
+    /// and traffic is rerouted through the replacement.
     /// Packets in flight at the old instance during the switch are
     /// dropped, exactly as during unplanned recovery.
     ///
@@ -248,19 +248,9 @@ impl Orchestrator {
 
         type Fetched = (usize, usize, StoreSnapshot, Vec<u64>);
         let fetch_one = |m: usize| -> Result<Fetched, RecoveryError> {
-            for src in source_order(ring, idx, m) {
-                if src == idx {
-                    continue;
-                }
-                let Some(client) = self.delayed_client(src, region) else {
-                    continue;
-                };
-                match client.call(CtrlReq::FetchState { mbox: m }, self.cfg.fetch_timeout) {
-                    Ok(CtrlResp::State { snapshot, max }) => return Ok((src, m, snapshot, max)),
-                    _ => continue, // dead or does not hold it: try the next source
-                }
-            }
-            Err(RecoveryError::NoSource { mbox: m })
+            self.fetch_group(idx, m, region)
+                .map(|(src, snapshot, max)| (src, m, snapshot, max))
+                .ok_or(RecoveryError::NoSource { mbox: m })
         };
 
         // One fetch per group, in parallel; the last group's runs on this
@@ -309,6 +299,27 @@ impl Orchestrator {
         sources.sort_unstable();
         sources.dedup();
         Ok((bytes, sources))
+    }
+
+    /// Fetches group `m`'s state for a replacement of position `idx` in
+    /// `region` from the first member in §5.2 source order that answers,
+    /// skipping `idx` itself. Returns the member, which now quiesces.
+    pub(crate) fn fetch_group(
+        &self,
+        idx: usize,
+        m: usize,
+        region: RegionId,
+    ) -> Option<(usize, StoreSnapshot, Vec<u64>)> {
+        source_order(self.chain.cfg.ring(), idx, m)
+            .into_iter()
+            .filter(|&src| src != idx)
+            .find_map(|src| {
+                let client = self.delayed_client(src, region)?;
+                match client.call(CtrlReq::FetchState { mbox: m }, self.cfg.fetch_timeout) {
+                    Ok(CtrlResp::State { snapshot, max }) => Some((src, snapshot, max)),
+                    _ => None, // dead or does not hold it: try the next one
+                }
+            })
     }
 
     /// A control client for `src` as seen from `caller_region` (None if the

@@ -3,11 +3,19 @@
 //! The orchestrator-driven counterpart of the deterministic
 //! [`SyncChain`](ftc_core::testkit::SyncChain) handover the model checker
 //! exercises: the same four-phase handshake of [`ftc_core::reconfig`] —
-//! **prepare** (quiesce the source exactly like a §4.1 recovery source),
-//! **transfer** (fetch the committed prefix group by group over the
-//! control plane), **switch** (the commit point: fail-stop the old server,
-//! wire in the replacement), **release** (decommission the source and
-//! resume traffic) — executed wall-clock against real replica threads.
+//! **prepare** (seal the source like a §4.1 recovery source, spawn the
+//! destination), **transfer** (fetch the committed prefix group by group
+//! over the control plane, from the same group members a §5.2 recovery
+//! reads, which quiesce likewise), **switch** (the commit point: fail-stop the old server, wire
+//! in the replacement, resume the quiesced members), **release**
+//! (decommission the source) — executed wall-clock against real replica
+//! threads.
+//!
+//! The outgoing instance is not read: under load its store holds commits
+//! whose packets are still in flight and are dropped at the switch, so
+//! its successors never see them. A destination started from it would
+//! reissue sequence numbers its successors already count as applied, and
+//! their apply rule would park its logs forever.
 //!
 //! Every phase reports a
 //! [`ProbePoint::Reconfig`](ftc_core::probe::ProbePoint) to the
@@ -33,7 +41,7 @@
 //! subsystem.
 
 use crate::orchestrator::Orchestrator;
-use ftc_core::control::{CtrlReq, CtrlResp, OutPort};
+use ftc_core::control::{CtrlReq, OutPort};
 use ftc_core::journal::EventKind;
 use ftc_core::probe::{ProbePoint, ProbeVerdict};
 use ftc_core::reconfig::{ReconfigActor, ReconfigFailure, ReconfigOp, ReconfigPhase};
@@ -168,6 +176,13 @@ impl Orchestrator {
         self.journal(EventKind::RespawnIssued {
             replica: idx as u16,
         });
+        // Seal the source: its FetchState answer pauses it like a §4.1
+        // recovery source (the state it returns is not used). It emits
+        // nothing more, so what it already sent lands at its successor
+        // during the spawn delay, before the transfer reads that copy.
+        let _ = self.chain.replicas[idx]
+            .ctrl
+            .call(CtrlReq::FetchState { mbox: idx }, self.cfg.fetch_timeout);
         // Spawn the destination on a server in `region`: WAN RTT +
         // spawn-cost emulation (a modeled delay, not a poll).
         // forbidden-ok: thread-sleep
@@ -187,9 +202,8 @@ impl Orchestrator {
             Arc::new(OutPort::empty()),
             Arc::clone(&self.chain.metrics),
         );
-        // The source seals here: its first FetchState answer pauses it and
-        // discards parked packets, the §4.1 recovery-source rule. A source
-        // crash at this point is an ordinary fail-stop of the position.
+        // A source crash at this point is an ordinary fail-stop of the
+        // position.
         if self.crash_at(op, ReconfigPhase::Prepare, ReconfigActor::Source, idx) {
             self.chain.kill(idx);
             return Err(ReconfigFailure::SourceCrashed {
@@ -200,57 +214,55 @@ impl Orchestrator {
         let prepare = t0.elapsed();
 
         // ---- Phase 2: transfer ------------------------------------------
-        // The old instance is alive and is its own best source (the
-        // freshest copy of every group it holds). One fetch per group, the
-        // probe point firing source-side after the export and
-        // destination-side after the import — the per-chunk crash hooks of
-        // the model checker's transfer triggers.
+        // One fetch per group from the group members §5.2 recovery reads
+        // (own group: the closest successor; replicated groups: walking
+        // back to the head); each quiesces until the switch resumes it, or
+        // a roll back resumes it together with the source. The probe point
+        // fires source-side after the export and destination-side after
+        // the import — the per-chunk crash hooks of the model checker's
+        // transfer triggers.
         let t1 = Instant::now();
         self.journal(EventKind::StateFetchStarted {
             replica: idx as u16,
         });
         let mut bytes = 0usize;
-        {
-            let old = self.chain.replicas[idx].ctrl.clone();
-            let timeout = self.cfg.fetch_timeout;
-            let mut groups: Vec<usize> = Vec::with_capacity(ring.f + 1);
-            if ring.f > 0 {
-                groups.push(idx);
+        let mut quiesced: Vec<usize> = Vec::with_capacity(ring.f + 1);
+        let mut groups: Vec<usize> = Vec::with_capacity(ring.f + 1);
+        if ring.f > 0 {
+            groups.push(idx);
+        }
+        groups.extend(ring.replicated_by(idx));
+        for m in groups {
+            let Some((src, snapshot, max)) = self.fetch_group(idx, m, region) else {
+                // No member answered: roll back, old configuration intact.
+                quiesced.push(idx);
+                self.resume_replicas(&quiesced);
+                return Err(ReconfigError::Fetch(RecoveryError::NoSource { mbox: m }));
+            };
+            quiesced.push(src);
+            if self.crash_at(op, ReconfigPhase::Transfer, ReconfigActor::Source, idx) {
+                self.chain.kill(idx);
+                self.resume_replicas(&quiesced);
+                return Err(ReconfigFailure::SourceCrashed {
+                    phase: ReconfigPhase::Transfer,
+                }
+                .into());
             }
-            groups.extend(ring.replicated_by(idx));
-            for m in groups {
-                let (snapshot, max) = match old.call(CtrlReq::FetchState { mbox: m }, timeout) {
-                    Ok(CtrlResp::State { snapshot, max }) => (snapshot, max),
-                    _ => {
-                        // Source stopped answering: roll back (best
-                        // effort — if it is truly dead, Resume is a no-op
-                        // and the detector's recovery path takes over).
-                        self.resume_replicas(&[idx]);
-                        return Err(ReconfigError::Fetch(RecoveryError::NoSource { mbox: m }));
-                    }
-                };
-                if self.crash_at(op, ReconfigPhase::Transfer, ReconfigActor::Source, idx) {
-                    self.chain.kill(idx);
-                    return Err(ReconfigFailure::SourceCrashed {
-                        phase: ReconfigPhase::Transfer,
-                    }
-                    .into());
+            bytes += snapshot.byte_size();
+            if m == idx {
+                dest.restore_own(&snapshot, &max);
+            } else {
+                dest.restore_replicated(m, &snapshot, max);
+            }
+            if self.crash_at(op, ReconfigPhase::Transfer, ReconfigActor::Destination, idx) {
+                // The half-built destination is discarded (dropped) and
+                // the sealed source resumes: old configuration intact.
+                quiesced.push(idx);
+                self.resume_replicas(&quiesced);
+                return Err(ReconfigFailure::DestinationCrashed {
+                    phase: ReconfigPhase::Transfer,
                 }
-                bytes += snapshot.byte_size();
-                if m == idx {
-                    dest.restore_own(&snapshot, &max);
-                } else {
-                    dest.restore_replicated(m, &snapshot, max);
-                }
-                if self.crash_at(op, ReconfigPhase::Transfer, ReconfigActor::Destination, idx) {
-                    // The half-built destination is discarded (dropped) and
-                    // the sealed source resumes: old configuration intact.
-                    self.resume_replicas(&[idx]);
-                    return Err(ReconfigFailure::DestinationCrashed {
-                        phase: ReconfigPhase::Transfer,
-                    }
-                    .into());
-                }
+                .into());
             }
         }
         self.journal(EventKind::StateFetchFinished {
@@ -264,7 +276,8 @@ impl Orchestrator {
         // destination owns the position.
         let t2 = Instant::now();
         if self.crash_at(op, ReconfigPhase::Switch, ReconfigActor::Orchestrator, idx) {
-            self.resume_replicas(&[idx]);
+            quiesced.push(idx);
+            self.resume_replicas(&quiesced);
             return Err(ReconfigFailure::OrchestratorCrashed {
                 phase: ReconfigPhase::Switch,
             }
@@ -272,6 +285,7 @@ impl Orchestrator {
         }
         self.chain.kill(idx);
         self.chain.respawn(idx, region, dest);
+        self.resume_replicas(&quiesced);
         if self.crash_at(op, ReconfigPhase::Switch, ReconfigActor::Destination, idx) {
             // Past the commit point: the position fail-stops on the *new*
             // configuration and §5.2 recovery rolls it forward.
@@ -462,6 +476,50 @@ mod tests {
         assert!(
             timelines.iter().any(|t| t.replica == 1),
             "handover must appear in the journal timelines: {timelines:?}"
+        );
+    }
+
+    /// Scale 1 -> 2 -> 1 workers with a burst in flight at each handover.
+    /// Packets in flight at the outgoing instance may be dropped (as in
+    /// any fail-stop), but both handovers commit, everything injected
+    /// afterwards egresses, and every released packet's update is in the
+    /// position's state.
+    #[test]
+    fn scale_up_and_down_under_load() {
+        let mut o = orch(3, 1);
+        warm(&mut o, 20);
+        let egress = o.chain.egress();
+        let mut released = 20u64;
+        let mut next = 20u16;
+        for workers in [2, 1] {
+            for _ in 0..64 {
+                o.chain.inject(pkt(next));
+                next += 1;
+            }
+            o.scale_instance(1, workers).expect("handover under load");
+            assert_eq!(o.chain.replicas[1].state.cfg.workers, workers);
+            released += egress.collect(64, Duration::from_millis(300)).len() as u64;
+        }
+
+        // `pkt(i)` sends from port 1000 + i: track the post-handover ones.
+        let mut pending: std::collections::HashSet<u16> =
+            (next..next + 30).map(|i| 1000 + i).collect();
+        for i in next..next + 30 {
+            o.chain.inject(pkt(i));
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !pending.is_empty() && Instant::now() < deadline {
+            if let Some(p) = egress.recv(Duration::from_millis(5)) {
+                released += 1;
+                pending.remove(&p.flow_key().unwrap().src_port);
+            }
+        }
+        assert!(pending.is_empty(), "lost after the handovers: {pending:?}");
+        std::thread::sleep(Duration::from_millis(80));
+        assert!(
+            counter(&o, 1) >= released,
+            "position 1 counted {} of {released} released packets",
+            counter(&o, 1)
         );
     }
 

@@ -1,25 +1,14 @@
-//! The pluggable state-engine abstraction.
+//! The state-engine abstraction.
 //!
 //! FTC's transactional packet processing (paper §4.2–§4.3) fixes *what* a
 //! state engine must provide — serializable packet transactions, piggyback
 //! logs with pre-increment dependency vectors, per-partition sequence
-//! accounting, snapshot/export state transfer, and the audit tap — but not
-//! *how* transactions are executed. [`StateBackend`] captures that contract
-//! as an object-safe trait so a chain can select its concurrency-control
-//! engine per deployment:
-//!
-//! * [`EngineKind::TwoPl`] — the original strict-2PL/wound-wait
-//!   [`StateStore`](crate::StateStore) (pessimistic, lock-per-partition).
-//! * [`EngineKind::Batched`] — the epoch-batched optimistic
-//!   [`BatchedStore`](crate::BatchedStore) (lock-free execution, group
-//!   validation per epoch; see [`crate::batched`]).
-//!
-//! Both engines must be *observationally identical* above this trait: the
-//! same committed transaction produces the same [`TxnLog`] shape, bumps the
-//! same partition sequence numbers, snapshots to the same
-//! [`StoreSnapshot`] layout, and exports byte-identical
-//! [`PartitionExport`] frames. The `ftc-audit` differential proptest and
-//! the cross-backend export round-trip test pin this equivalence.
+//! accounting, snapshot/export state transfer, and the audit tap.
+//! [`StateBackend`] captures that contract as an object-safe trait, so the
+//! replication, migration, and audit layers hold `Arc<dyn StateBackend>`
+//! and middleboxes process against `&mut dyn StateTxn`. The strict-2PL /
+//! wound-wait [`StateStore`](crate::StateStore) is its one implementation
+//! ([`EngineKind::TwoPl`]).
 
 use crate::migrate::PartitionExport;
 use crate::store::{PartitionId, StateStore, StoreSnapshot};
@@ -31,10 +20,8 @@ use std::sync::Arc;
 /// One in-flight transaction, engine-agnostic.
 ///
 /// Middleboxes program against this trait (`ftc-mbox`'s
-/// `Middlebox::process` receives `&mut dyn StateTxn`), so the same
-/// middlebox runs unchanged over the 2PL engine (where accesses take
-/// partition locks) and the batched engine (where accesses record an
-/// optimistic footprint).
+/// `Middlebox::process` receives `&mut dyn StateTxn`); on the 2PL engine
+/// every access takes its partition's lock.
 ///
 /// Error contract: an access returns [`TxnError::Wounded`] when the engine
 /// needs the transaction to abort *now*; the owning backend re-executes
@@ -111,21 +98,17 @@ impl StateTxn for Txn<'_> {
 ///   sequence number atomically, key-sorted, so equal state exports
 ///   byte-identically regardless of engine; imports replace (idempotent).
 pub trait StateBackend: Send + Sync + std::fmt::Debug {
-    /// Which engine this backend implements.
-    fn engine(&self) -> EngineKind;
-
     /// Number of partitions.
     fn partitions(&self) -> usize;
 
-    /// The partition a key maps to (identical on every replica and every
-    /// engine: dependency vectors must be portable).
+    /// The partition a key maps to (identical on every replica: dependency
+    /// vectors must be portable).
     fn partition_of(&self, key: &[u8]) -> PartitionId {
         partition_of(key, self.partitions())
     }
 
     /// Runs `body` as a packet transaction, retrying transparently on
-    /// engine-internal aborts (wound-wait wounds, failed optimistic
-    /// validation). Returns the piggyback log if the transaction wrote.
+    /// engine-internal aborts (wound-wait wounds). Returns the piggyback log if the transaction wrote.
     ///
     /// This is the object-safe spelling; use
     /// [`StateBackendExt::transaction`] to also get a typed return value.
@@ -188,12 +171,6 @@ pub trait StateBackend: Send + Sync + std::fmt::Debug {
 
     /// Detaches the audit sink, if any.
     fn clear_recorder(&self);
-
-    /// Counter snapshot `(commits, aborts, applied_logs)`. "Aborts" are
-    /// wound-wait aborts for the 2PL engine and failed optimistic
-    /// validations for the batched engine — either way, transparently
-    /// re-executed attempts.
-    fn stats_snapshot(&self) -> (u64, u64, u64);
 }
 
 /// Typed-result convenience over [`StateBackend::transaction_dyn`],
@@ -220,10 +197,6 @@ pub trait StateBackendExt: StateBackend {
 impl<B: StateBackend + ?Sized> StateBackendExt for B {}
 
 impl StateBackend for StateStore {
-    fn engine(&self) -> EngineKind {
-        EngineKind::TwoPl
-    }
-
     fn partitions(&self) -> usize {
         StateStore::partitions(self)
     }
@@ -286,35 +259,22 @@ impl StateBackend for StateStore {
     fn clear_recorder(&self) {
         StateStore::clear_recorder(self)
     }
-
-    fn stats_snapshot(&self) -> (u64, u64, u64) {
-        self.stats.snapshot()
-    }
 }
 
-/// The state engines a chain can deploy with.
+/// The state engine a chain deploys with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EngineKind {
     /// Strict two-phase locking with wound-wait deadlock resolution — the
     /// paper's §4.2 design, implemented by [`StateStore`].
     #[default]
     TwoPl,
-    /// Epoch-batched optimistic execution — lock-free bodies, per-epoch
-    /// conflict-graph validation, abort-and-requeue on conflicts —
-    /// implemented by [`BatchedStore`](crate::BatchedStore).
-    Batched,
 }
 
 impl EngineKind {
-    /// Every known engine, in canonical order (bench sweeps iterate this).
-    pub const ALL: [EngineKind; 2] = [EngineKind::TwoPl, EngineKind::Batched];
-
-    /// The canonical lowercase name (`twopl` / `batched`), as accepted by
-    /// `FromStr`, `ftc bench --engine`, and spec files.
+    /// The canonical lowercase name (`twopl`).
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::TwoPl => "twopl",
-            EngineKind::Batched => "batched",
         }
     }
 
@@ -322,87 +282,26 @@ impl EngineKind {
     pub fn build(self, partitions: usize) -> Arc<dyn StateBackend> {
         match self {
             EngineKind::TwoPl => Arc::new(StateStore::new(partitions)),
-            EngineKind::Batched => Arc::new(crate::BatchedStore::new(partitions)),
-        }
-    }
-
-    /// The engine selected by the `FTC_ENGINE` environment variable, if
-    /// set. Used by the CI engine matrix to run the whole tier-1 suite on
-    /// a non-default engine without touching any test. Panics on an
-    /// unknown value — a typo silently falling back to 2PL would void the
-    /// matrix run.
-    pub fn from_env() -> Option<EngineKind> {
-        match std::env::var("FTC_ENGINE") {
-            Ok(v) => match v.parse() {
-                Ok(kind) => Some(kind),
-                Err(UnknownEngine(name)) => {
-                    panic!("FTC_ENGINE={name:?} is not a known engine (twopl, batched)")
-                }
-            },
-            Err(_) => None,
         }
     }
 }
-
-impl std::fmt::Display for EngineKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for EngineKind {
-    type Err = UnknownEngine;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "twopl" => Ok(EngineKind::TwoPl),
-            "batched" => Ok(EngineKind::Batched),
-            other => Err(UnknownEngine(other.to_string())),
-        }
-    }
-}
-
-/// Error parsing an engine name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownEngine(pub String);
-
-impl std::fmt::Display for UnknownEngine {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "unknown state engine {:?} (expected one of: twopl, batched)",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for UnknownEngine {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::BatchedStore;
     use bytes::Bytes;
 
     #[test]
     fn engine_names_round_trip() {
-        for kind in EngineKind::ALL {
-            assert_eq!(kind.name().parse::<EngineKind>(), Ok(kind));
-            assert_eq!(kind.to_string(), kind.name());
-        }
-        assert!("TwoPL".parse::<EngineKind>().is_err());
-        assert!("".parse::<EngineKind>().is_err());
         assert_eq!(EngineKind::default(), EngineKind::TwoPl);
+        assert_eq!(EngineKind::TwoPl.name(), "twopl");
     }
 
     #[test]
     fn build_produces_matching_backend() {
-        for kind in EngineKind::ALL {
-            let b = kind.build(8);
-            assert_eq!(b.engine(), kind);
-            assert_eq!(b.partitions(), 8);
-            assert!(b.is_empty());
-        }
+        let b = EngineKind::default().build(8);
+        assert_eq!(b.partitions(), 8);
+        assert!(b.is_empty());
     }
 
     #[test]
@@ -425,18 +324,5 @@ mod tests {
         assert_eq!(lc.deps, ld.deps);
         assert_eq!(lc.writes, ld.writes);
         assert_eq!(StateStore::seq_vector(&concrete), boxed.seq_vector());
-    }
-
-    #[test]
-    fn engines_agree_on_partition_mapping() {
-        let two: Arc<dyn StateBackend> = Arc::new(StateStore::new(32));
-        let bat: Arc<dyn StateBackend> = Arc::new(BatchedStore::new(32));
-        for i in 0..200u32 {
-            let key = format!("nat:flow:10.0.{}.{}", i / 8, i % 8);
-            assert_eq!(
-                two.partition_of(key.as_bytes()),
-                bat.partition_of(key.as_bytes())
-            );
-        }
     }
 }

@@ -17,19 +17,16 @@
 //! partial-order apply rule of paper Fig. 3 and applies the writes to a
 //! replica [`StateStore`].
 //!
-//! Both the 2PL store and the epoch-batched optimistic [`BatchedStore`]
-//! implement the [`StateBackend`] trait, the engine-neutral surface the
-//! replication, migration, and audit layers program against. Engines are
-//! selected per chain via [`EngineKind`] (`FTC_ENGINE` env override); the
-//! commit-point contract both must honor is documented on [`StateBackend`]
-//! and in DESIGN.md §13.
+//! The replication, migration, and audit layers program against the
+//! object-safe [`StateBackend`] trait, which the 2PL store implements; the
+//! commit-point contract it honors is documented on [`StateBackend`] and
+//! in DESIGN.md §13. [`EngineKind`] names the engine a chain deploys with
+//! and has one variant, [`EngineKind::TwoPl`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod backend;
-mod batched;
-pub(crate) mod epoch;
 mod max_vector;
 mod migrate;
 #[cfg(feature = "loom")]
@@ -38,8 +35,7 @@ mod recorder;
 mod store;
 mod txn;
 
-pub use backend::{EngineKind, StateBackend, StateBackendExt, StateTxn, UnknownEngine};
-pub use batched::{BatchedStore, MAX_OPTIMISTIC_ATTEMPTS};
+pub use backend::{EngineKind, StateBackend, StateBackendExt, StateTxn};
 pub use max_vector::{ApplyOutcome, MaxVector, TryApply};
 pub use migrate::{ClaimTable, InstanceId, MigrateCodecError, PartitionExport};
 pub use recorder::{CommitRecord, HistorySink};

@@ -40,19 +40,6 @@
 //!    interleaved duplicates — covering all permutations plus duplicate
 //!    redelivery covers the concurrent behaviors.
 
-//!
-//! 3. [`check_epoch_batch`] — an explicit-state model of the epoch-batched
-//!    optimistic engine in [`batched`](crate::BatchedStore). Each
-//!    transaction is reduced to its *footprint plan* (touched partitions
-//!    plus whether it writes); the checker enumerates every interleaving
-//!    of per-partition version recording, submission, epoch seal/commit,
-//!    and pessimistic escalation, and verifies that every commit is fresh
-//!    at its commit point (no lost updates), every terminal history has
-//!    exactly-once effects, and the serialization graph over writer
-//!    stamps *and* reader-observed versions is acyclic. An options knob
-//!    disables the batch conflict check, which must make the checker
-//!    report a stale commit — the teeth test.
-
 use crate::{DepVector, MaxVector, StateStore, StateWrite};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -415,359 +402,6 @@ fn canonical(store: &StateStore) -> Vec<Vec<(bytes::Bytes, bytes::Bytes)>> {
             m
         })
         .collect()
-}
-
-/// One transaction's footprint plan for the epoch-batch model: the
-/// partitions it touches (each at most once, in access order) and whether
-/// it buffers any write. A writer bumps the sequence number of *every*
-/// touched partition at commit, mirroring `Txn::commit` and
-/// `BatchedStore::commit_one`.
-#[derive(Debug, Clone)]
-pub struct BatchPlan {
-    /// Partitions in first-access order.
-    pub parts: Vec<u8>,
-    /// Whether the transaction writes (read-only txns bump nothing).
-    pub writing: bool,
-}
-
-/// Tuning knobs for [`check_epoch_batch_opts`].
-#[derive(Debug, Clone, Copy)]
-pub struct EpochModelOptions {
-    /// Whether epoch admission rejects batch-internal conflicts (either
-    /// txn writing a partition the other touched). Disabling this admits
-    /// every fresh transaction, which must make the checker report a
-    /// stale commit — the self-test that the checker has teeth.
-    pub conflict_check: bool,
-    /// Requeues before a transaction escalates to the pessimistic path
-    /// (body re-run and committed under the commit lock).
-    pub requeue_cap: u8,
-}
-
-impl Default for EpochModelOptions {
-    fn default() -> Self {
-        EpochModelOptions {
-            conflict_check: true,
-            requeue_cap: 2,
-        }
-    }
-}
-
-/// Exploration statistics from a successful [`check_epoch_batch`] run.
-#[derive(Debug, Clone, Copy)]
-pub struct EpochModelStats {
-    /// Distinct states explored.
-    pub states: usize,
-    /// Distinct all-committed terminal states reached.
-    pub terminals: usize,
-    /// Largest requeue count any transaction reached.
-    pub max_requeues: u8,
-    /// Whether some interleaving took the pessimistic escalation.
-    pub pessimistic_taken: bool,
-}
-
-/// Per-transaction phase in the epoch-batch model.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-enum EPhase {
-    /// Body executing optimistically; `usize` counts partitions whose
-    /// first-access version has been recorded so far.
-    Running(usize),
-    /// Footprint submitted; awaiting an epoch verdict.
-    Queued,
-    /// Committed.
-    Done,
-}
-
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-struct EState {
-    phase: Vec<EPhase>,
-    /// First-observed sequence number per recorded partition, parallel to
-    /// `plans[i].parts[..k]`.
-    versions: Vec<Vec<u8>>,
-    requeues: Vec<u8>,
-    /// Submission order of the open epoch.
-    queue: Vec<usize>,
-    /// Per-partition commit sequence counters.
-    seqs: Vec<u8>,
-    /// `(partition, observed version)` pairs of each committed txn.
-    commits: Vec<Option<Vec<(u8, u8)>>>,
-    /// Which committed txns went through the pessimistic path.
-    pessimistic: Vec<bool>,
-}
-
-impl EState {
-    fn initial(n: usize, partitions: usize) -> EState {
-        EState {
-            phase: vec![EPhase::Running(0); n],
-            versions: vec![Vec::new(); n],
-            requeues: vec![0; n],
-            queue: Vec::new(),
-            seqs: vec![0; partitions],
-            commits: vec![None; n],
-            pessimistic: vec![false; n],
-        }
-    }
-
-    fn all_done(&self) -> bool {
-        self.phase.iter().all(|p| *p == EPhase::Done)
-    }
-
-    /// Commits txn `i` with the given observed versions: bumps every
-    /// touched partition iff the txn writes, and records the stamps.
-    fn commit_txn(&mut self, i: usize, plan: &BatchPlan, versions: &[u8]) {
-        if plan.writing {
-            for &p in &plan.parts {
-                self.seqs[p as usize] += 1;
-            }
-        }
-        self.commits[i] = Some(
-            plan.parts
-                .iter()
-                .copied()
-                .zip(versions.iter().copied())
-                .collect(),
-        );
-        self.phase[i] = EPhase::Done;
-    }
-}
-
-/// Batch-internal conflict rule, mirroring `Footprint::conflicts_with`:
-/// either transaction writes — and therefore bumps — a partition the
-/// other touched. Read-read overlap commutes.
-fn plans_conflict(a: &BatchPlan, b: &BatchPlan) -> bool {
-    let hits =
-        |x: &BatchPlan, y: &BatchPlan| x.writing && x.parts.iter().any(|p| y.parts.contains(p));
-    hits(a, b) || hits(b, a)
-}
-
-/// Every enabled successor of `s` under the epoch-batch protocol.
-fn epoch_successors(s: &EState, plans: &[BatchPlan], opts: EpochModelOptions) -> Vec<EState> {
-    let mut out = Vec::new();
-    for i in 0..plans.len() {
-        match s.phase[i] {
-            EPhase::Done | EPhase::Queued => {}
-            EPhase::Running(k) if s.requeues[i] > opts.requeue_cap => {
-                debug_assert_eq!(k, 0, "escalation happens before re-execution");
-                // Pessimistic escalation: the body re-runs and commits in
-                // one step under the commit lock (pending submissions are
-                // committed first — modelled by the separate seal step,
-                // which remains enabled and explores that ordering).
-                let mut t = s.clone();
-                let versions: Vec<u8> =
-                    plans[i].parts.iter().map(|&p| t.seqs[p as usize]).collect();
-                t.commit_txn(i, &plans[i], &versions);
-                t.pessimistic[i] = true;
-                out.push(t);
-            }
-            EPhase::Running(k) if k < plans[i].parts.len() => {
-                // Record the next partition's sequence number at first
-                // access. Interleaving these steps across transactions is
-                // what produces torn (stale) footprints.
-                let mut t = s.clone();
-                let p = plans[i].parts[k];
-                t.versions[i].push(t.seqs[p as usize]);
-                t.phase[i] = EPhase::Running(k + 1);
-                out.push(t);
-            }
-            EPhase::Running(_) => {
-                // Body finished: submit the footprint.
-                let mut t = s.clone();
-                t.phase[i] = EPhase::Queued;
-                t.queue.push(i);
-                out.push(t);
-            }
-        }
-    }
-    if !s.queue.is_empty() {
-        // Seal: whoever wins the commit lock takes the whole queue and
-        // decides it. The outcome is a function of the batch alone, so
-        // one step covers every winner.
-        let mut t = s.clone();
-        let batch = std::mem::take(&mut t.queue);
-        let seal_seqs = t.seqs.clone();
-        let mut admitted: Vec<usize> = Vec::new();
-        for &i in &batch {
-            let fresh = plans[i]
-                .parts
-                .iter()
-                .zip(&t.versions[i])
-                .all(|(&p, &v)| seal_seqs[p as usize] == v);
-            let clean = !opts.conflict_check
-                || admitted
-                    .iter()
-                    .all(|&j| !plans_conflict(&plans[j], &plans[i]));
-            if fresh && clean {
-                admitted.push(i);
-            } else {
-                t.phase[i] = EPhase::Running(0);
-                t.versions[i].clear();
-                t.requeues[i] = t.requeues[i].saturating_add(1);
-            }
-        }
-        for &i in &admitted {
-            let versions = std::mem::take(&mut t.versions[i]);
-            t.commit_txn(i, &plans[i], &versions);
-        }
-        out.push(t);
-    }
-    out
-}
-
-/// Checks the epoch-batched optimistic protocol for `plans` over
-/// `partitions` partitions with default options. Verifies, over **every**
-/// interleaving of version recording, submission, sealing, and
-/// escalation: freshness at each commit point (no lost updates),
-/// exactly-once effects in every terminal state, and an acyclic
-/// serialization graph over writer stamps and reader-observed versions.
-pub fn check_epoch_batch(
-    plans: &[BatchPlan],
-    partitions: usize,
-) -> Result<EpochModelStats, String> {
-    check_epoch_batch_opts(plans, partitions, EpochModelOptions::default())
-}
-
-/// [`check_epoch_batch`] with explicit [`EpochModelOptions`].
-pub fn check_epoch_batch_opts(
-    plans: &[BatchPlan],
-    partitions: usize,
-    opts: EpochModelOptions,
-) -> Result<EpochModelStats, String> {
-    assert!(plans.len() <= 3, "state space is exponential; keep n small");
-    for plan in plans {
-        let uniq: HashSet<_> = plan.parts.iter().collect();
-        assert_eq!(
-            uniq.len(),
-            plan.parts.len(),
-            "plans touch each partition once"
-        );
-        assert!(plan.parts.iter().all(|&p| (p as usize) < partitions));
-    }
-
-    let init = EState::initial(plans.len(), partitions);
-    let mut seen: HashSet<EState> = HashSet::new();
-    let mut queue: VecDeque<EState> = VecDeque::new();
-    seen.insert(init.clone());
-    queue.push_back(init);
-    let mut terminals = 0;
-    let mut terminal_seen: HashSet<Vec<Option<Vec<(u8, u8)>>>> = HashSet::new();
-    let mut max_requeues = 0;
-    let mut pessimistic_taken = false;
-
-    while let Some(s) = queue.pop_front() {
-        max_requeues = max_requeues.max(s.requeues.iter().copied().max().unwrap_or(0));
-        pessimistic_taken |= s.pessimistic.iter().any(|&p| p);
-        // Freshness at commit point: every committed *writer* must have
-        // observed, for each touched partition, exactly the versions its
-        // own bumps sit on top of — checked globally at terminals below;
-        // the per-state invariant here is that no two committed writers
-        // claim the same stamp (caught early for better diagnostics).
-        if s.all_done() {
-            if terminal_seen.insert(s.commits.clone()) {
-                terminals += 1;
-                check_epoch_terminal(&s, plans)?;
-            }
-            continue;
-        }
-        let succs = epoch_successors(&s, plans, opts);
-        if succs.is_empty() {
-            return Err(format!("deadlock: no step enabled in state {s:?}"));
-        }
-        for t in succs {
-            if seen.insert(t.clone()) {
-                queue.push_back(t);
-            }
-        }
-    }
-
-    Ok(EpochModelStats {
-        states: seen.len(),
-        terminals,
-        max_requeues,
-        pessimistic_taken,
-    })
-}
-
-/// Terminal checks for the epoch-batch model: exactly-once effects,
-/// freshness of every writer's stamps, and an acyclic serialization graph
-/// including read-only transactions.
-fn check_epoch_terminal(s: &EState, plans: &[BatchPlan]) -> Result<(), String> {
-    for (p, &seq) in s.seqs.iter().enumerate() {
-        let writers = plans
-            .iter()
-            .filter(|pl| pl.writing && pl.parts.contains(&(p as u8)))
-            .count();
-        if seq as usize != writers {
-            return Err(format!(
-                "partition {p}: seq {seq} after {writers} writers (lost or doubled commit)"
-            ));
-        }
-    }
-    // Writers on one partition must hold distinct consecutive stamps
-    // 0..writers — i.e. each writer's observed version was fresh at its
-    // commit point. A duplicate stamp means two writers committed over
-    // the same snapshot: a lost update.
-    let n = plans.len();
-    let mut succs = vec![Vec::new(); n];
-    let mut indeg = vec![0usize; n];
-    let mut add_edge =
-        |from: usize, to: usize, succs: &mut Vec<Vec<usize>>, indeg: &mut Vec<usize>| {
-            succs[from].push(to);
-            indeg[to] += 1;
-        };
-    let partitions = s.seqs.len();
-    for p in 0..partitions as u8 {
-        // (stamp, txn) of every writer that touched p.
-        let mut writers: Vec<(u8, usize)> = Vec::new();
-        let mut readers: Vec<(u8, usize)> = Vec::new();
-        for (i, commit) in s.commits.iter().enumerate() {
-            let commit = commit
-                .as_ref()
-                .ok_or_else(|| format!("txn {i} never committed"))?;
-            if let Some(&(_, v)) = commit.iter().find(|&&(q, _)| q == p) {
-                if plans[i].writing {
-                    writers.push((v, i));
-                } else {
-                    readers.push((v, i));
-                }
-            }
-        }
-        writers.sort_unstable();
-        for w in writers.windows(2) {
-            if w[0].0 == w[1].0 {
-                return Err(format!(
-                    "partition {p}: txns {} and {} committed over the same version {} (lost update)",
-                    w[0].1, w[1].1, w[0].0
-                ));
-            }
-        }
-        for pair in writers.windows(2) {
-            add_edge(pair[0].1, pair[1].1, &mut succs, &mut indeg);
-        }
-        // A reader that observed version v serializes after the writer
-        // whose bump produced v and before the writer that bumped v → v+1.
-        for &(v, r) in &readers {
-            if let Some(&(_, w)) = writers.iter().find(|&&(stamp, _)| stamp + 1 == v) {
-                add_edge(w, r, &mut succs, &mut indeg);
-            }
-            if let Some(&(_, w)) = writers.iter().find(|&&(stamp, _)| stamp == v) {
-                add_edge(r, w, &mut succs, &mut indeg);
-            }
-        }
-    }
-    let mut ready: Vec<usize> = (0..n).filter(|&i| indeg[i] == 0).collect();
-    let mut done = 0;
-    while let Some(i) = ready.pop() {
-        done += 1;
-        for &j in &succs[i].clone() {
-            indeg[j] -= 1;
-            if indeg[j] == 0 {
-                ready.push(j);
-            }
-        }
-    }
-    if done < n {
-        return Err("terminal history has a serialization cycle".into());
-    }
-    Ok(())
 }
 
 #[cfg(test)]

@@ -60,11 +60,10 @@ pub(crate) fn current_thread_id() -> u64 {
     h.finish()
 }
 
-/// The shared recorder attachment point every state engine embeds: the
-/// "is anyone recording?" fast flag, the commit arrival counter, and the
-/// sink slot. Factoring it here keeps the tap obligations of the
-/// [`StateBackend`](crate::StateBackend) contract identical across
-/// engines — one implementation, two (or more) users.
+/// The recorder attachment point the state store embeds: the "is anyone
+/// recording?" fast flag, the commit arrival counter, and the sink slot
+/// behind the tap obligations of the
+/// [`StateBackend`](crate::StateBackend) contract.
 #[derive(Default)]
 pub(crate) struct RecorderCell {
     /// Fast path for "is anyone recording?" — one Acquire load per commit

@@ -11,85 +11,9 @@
 
 use bytes::Bytes;
 use ftc_stm::model::{
-    check_epoch_batch, check_epoch_batch_opts, check_max_vector_permutations, check_wound_wait,
-    check_wound_wait_opts, BatchPlan, EpochModelOptions, ModelOptions,
+    check_max_vector_permutations, check_wound_wait, check_wound_wait_opts, ModelOptions,
 };
 use ftc_stm::{DepVector, StateStore, StateWrite};
-
-fn bp(parts: &[u8], writing: bool) -> BatchPlan {
-    BatchPlan {
-        parts: parts.to_vec(),
-        writing,
-    }
-}
-
-#[test]
-fn epoch_batch_hot_partition_writers() {
-    // Two writers incrementing one partition: every interleaving must
-    // serialize them (one requeues or escalates; no lost update).
-    let stats = check_epoch_batch(&[bp(&[0], true), bp(&[0], true)], 1).unwrap();
-    assert!(stats.terminals >= 1);
-    assert!(stats.max_requeues >= 1, "some interleaving invalidates one");
-}
-
-#[test]
-fn epoch_batch_three_writers_escalate() {
-    // Three hot writers with a low requeue cap: the pessimistic path must
-    // fire in some interleaving, and still never lose an update.
-    let stats = check_epoch_batch_opts(
-        &[bp(&[0], true), bp(&[0], true), bp(&[0], true)],
-        1,
-        EpochModelOptions {
-            requeue_cap: 1,
-            ..EpochModelOptions::default()
-        },
-    )
-    .unwrap();
-    assert!(stats.pessimistic_taken, "escalation must be reachable");
-}
-
-#[test]
-fn epoch_batch_readers_commute_with_each_other() {
-    // Two read-only txns plus a disjoint writer: readers may share a
-    // batch (read-read overlap admits), nothing requeues the writer.
-    let stats = check_epoch_batch(&[bp(&[0], false), bp(&[0], false), bp(&[1], true)], 2).unwrap();
-    assert!(stats.terminals >= 1);
-}
-
-#[test]
-fn epoch_batch_reader_vs_writer_serializes() {
-    // A reader and a writer on one partition: the reader must observe the
-    // value either fully before or fully after the writer's bump.
-    let stats = check_epoch_batch(&[bp(&[0, 1], false), bp(&[1], true)], 2).unwrap();
-    assert!(stats.terminals >= 2, "both serial orders are reachable");
-}
-
-#[test]
-fn epoch_batch_cross_partition_writers() {
-    // The classic torn-footprint shape: each writer touches both
-    // partitions in opposite order. Validation must reject interleavings
-    // that would produce a serialization cycle.
-    let stats = check_epoch_batch(&[bp(&[0, 1], true), bp(&[1, 0], true)], 2).unwrap();
-    assert!(stats.states > 20, "explores a real state space");
-    assert!(stats.max_requeues >= 1, "torn footprints must invalidate");
-}
-
-#[test]
-fn epoch_checker_detects_lost_update_without_conflict_check() {
-    // Self-test: admitting every fresh transaction (no batch conflict
-    // check) lets two writers commit over the same snapshot; the checker
-    // must report the lost update rather than vacuously pass.
-    let err = check_epoch_batch_opts(
-        &[bp(&[0], true), bp(&[0], true)],
-        1,
-        EpochModelOptions {
-            conflict_check: false,
-            ..EpochModelOptions::default()
-        },
-    )
-    .unwrap_err();
-    assert!(err.contains("lost update"), "got: {err}");
-}
 
 #[test]
 fn wound_wait_opposite_orders() {

@@ -24,19 +24,6 @@ from its source:
    prefix is never used (stale table), or if two middleboxes share a
    prefix (ownership must be exclusive for recovery to fetch per-group).
 
-Since the engine became pluggable (`StateBackend` in
-``crates/stm/src/backend.rs``), the same drift risk exists one layer
-down: ``EngineKind`` keeps three hand-maintained tables — the
-``name()`` match, the ``FromStr`` match, and the ``ALL`` array — plus a
-copy of the engine names in the CLI usage text (``--engine
-twopl|batched``). A new engine variant that lands in one table but not
-the others is either unreachable from chain specs or unparseable from
-``--engine``/``FTC_ENGINE``; the analyzer cross-checks all four so the
-drift fails CI instead of surfacing as a runtime "unknown engine".
-The middlebox prefix contract itself is engine-independent (middleboxes
-write through ``&mut dyn StateTxn``, so the derived access sets are the
-same whichever engine commits them).
-
 Test blocks (``#[cfg(test)]``) are stripped the same way
 ``forbidden_patterns.py`` does. Exit 0 = contract holds; 1 = violations.
 ``--self-test`` runs the detector against embedded bad fixtures.
@@ -53,8 +40,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC_LANG = ROOT / "crates" / "mbox" / "src" / "spec_lang.rs"
-BACKEND = ROOT / "crates" / "stm" / "src" / "backend.rs"
-CLI_ARGS = ROOT / "crates" / "cli" / "src" / "args.rs"
 
 # Middlebox name -> the source files its state accesses live in. The NAT
 # helpers in nat/mod.rs are shared; their prefixes come from the caller's
@@ -274,62 +259,6 @@ def check(declared, modules_text):
     return violations
 
 
-def check_engines(backend_text, usage_text):
-    """-> violation strings when the EngineKind tables have drifted.
-
-    Four places must agree on the engine set: the ``name()`` match (variant
-    -> wire name), the ``FromStr`` match (wire name -> variant), the
-    ``ALL`` array (what sweeps and verifiers iterate), and the
-    ``--engine`` line of the CLI usage text (what users are told exists).
-    """
-    violations = []
-    named = dict(
-        re.findall(r'EngineKind::(\w+)\s*=>\s*"(\w+)"', backend_text)
-    )
-    parsed = {
-        name: variant
-        for name, variant in re.findall(
-            r'"(\w+)"\s*=>\s*Ok\(EngineKind::(\w+)\)', backend_text
-        )
-    }
-    all_m = re.search(r"ALL:\s*\[EngineKind;\s*(\d+)\]\s*=\s*\[(.*?)\];",
-                      backend_text, re.S)
-    if not (named and parsed and all_m):
-        return [
-            "engine tables: EngineKind name()/FromStr/ALL not found in "
-            f"{BACKEND.relative_to(ROOT)} — the analyzer and the backend "
-            "have lost their shared shape"
-        ]
-    all_variants = set(re.findall(r"EngineKind::(\w+)", all_m.group(2)))
-    if named.keys() != set(parsed.values()) or set(named.values()) != set(
-        parsed.keys()
-    ):
-        violations.append(
-            "engine tables: name() and FromStr disagree "
-            f"(name() covers {sorted(named)}, FromStr covers "
-            f"{sorted(parsed.values())}) — an engine with this drift is "
-            "nameable but unparseable (or vice versa) from chain specs "
-            "and --engine/FTC_ENGINE"
-        )
-    if all_variants != named.keys():
-        violations.append(
-            "engine tables: ALL lists "
-            f"{sorted(all_variants)} but name() covers {sorted(named)} — "
-            "sweeps and the spec verifier iterate ALL, so the missing "
-            "engine is invisible to them"
-        )
-    usage = re.search(r"--engine\s+([\w|]+)", usage_text)
-    usage_names = set(usage.group(1).split("|")) if usage else set()
-    if usage_names != set(named.values()):
-        violations.append(
-            "engine tables: CLI usage advertises "
-            f"{sorted(usage_names)} but the backend implements "
-            f"{sorted(named.values())} — update the `--engine` line in "
-            f"{CLI_ARGS.relative_to(ROOT)}"
-        )
-    return violations
-
-
 def self_test():
     """The detector must catch each planted contract violation."""
     declared = {"monitor": {"mon:"}, "gen": {"gen:"}}
@@ -362,27 +291,6 @@ def self_test():
     got = check({"monitor": {"mon:"}}, clean)
     assert not got, f"self-test: clean module flagged: {got!r}"
 
-    # Engine-table drift fixtures.
-    good_backend = (
-        'EngineKind::TwoPl => "twopl",\n'
-        'EngineKind::Batched => "batched",\n'
-        '"twopl" => Ok(EngineKind::TwoPl),\n'
-        '"batched" => Ok(EngineKind::Batched),\n'
-        "ALL: [EngineKind; 2] = [EngineKind::TwoPl, EngineKind::Batched];\n"
-    )
-    good_usage = "[--engine twopl|batched]"
-    assert not check_engines(good_backend, good_usage), "clean tables flagged"
-    # A variant nameable but not parseable.
-    drift = good_backend.replace('"batched" => Ok(EngineKind::Batched),\n', "")
-    got = check_engines(drift, good_usage)
-    assert any("name() and FromStr disagree" in v for v in got), got
-    # ALL missing an engine.
-    drift = good_backend.replace(", EngineKind::Batched", "")
-    got = check_engines(drift, good_usage)
-    assert any("ALL lists" in v for v in got), got
-    # Usage text drift.
-    got = check_engines(good_backend, "[--engine twopl]")
-    assert any("CLI usage advertises" in v for v in got), got
     print("analyze_state_access: self-test ok")
 
 
@@ -423,7 +331,6 @@ def main():
         print()
         return 0
     violations = check(declared, modules_text)
-    violations += check_engines(BACKEND.read_text(), CLI_ARGS.read_text())
     if violations:
         for v in violations:
             print(f"analyze_state_access: {v}")
@@ -432,8 +339,7 @@ def main():
     stateful = sum(1 for p in declared.values() if p)
     print(
         f"analyze_state_access: clean — {len(declared)} middleboxes, "
-        f"{stateful} stateful, declarations match derived access sets; "
-        "engine tables agree (name/FromStr/ALL/usage)"
+        f"{stateful} stateful, declarations match derived access sets"
     )
     return 0
 

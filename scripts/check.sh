@@ -12,11 +12,6 @@
 # f=1, minutes with FTC_PROTOCOL_F2=1 — CI runs f=2 nightly):
 #   scripts/check.sh --protocol
 #
-# Bench regression gate (runs `ftc bench --quick` and compares against the
-# committed BENCH_baseline_quick.json; >10% throughput regression fails,
-# override with FTC_BENCH_TOLERANCE=0.25):
-#   scripts/check.sh --bench-gate
-#
 # Standing-benchmark smoke (benchmark/run.sh --smoke, ~14 s of measuring:
 # all four workloads, both passes; its exit code is its output checks —
 # exact delivery, no trailer on released packets, head counter ==
@@ -36,14 +31,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 RUN_PROTOCOL=0
-RUN_BENCH_GATE=0
 RUN_BENCH_SMOKE=0
 RUN_TRANSPORT=0
 RUN_RECONFIG=0
 for arg in "$@"; do
     case "$arg" in
     --protocol) RUN_PROTOCOL=1 ;;
-    --bench-gate) RUN_BENCH_GATE=1 ;;
     --bench-smoke) RUN_BENCH_SMOKE=1 ;;
     --transport-check) RUN_TRANSPORT=1 ;;
     --reconfig-check) RUN_RECONFIG=1 ;;
@@ -70,16 +63,6 @@ if [[ "$RUN_PROTOCOL" == "1" ]]; then
     if [[ "${FTC_PROTOCOL_F2:-0}" == "1" ]]; then
         echo "check.sh: protocol model checker already ran the f=2 matrix (FTC_PROTOCOL_F2=1)"
     fi
-fi
-
-if [[ "$RUN_BENCH_GATE" == "1" ]]; then
-    echo "check.sh: bench gate (quick Table-2 run vs committed baseline)"
-    python3 scripts/bench_gate.py --self-test
-    cargo run -q --release -p ftc-cli --bin ftc -- \
-        bench --quick --out target/BENCH_fresh_quick.json
-    python3 scripts/bench_gate.py \
-        BENCH_baseline_quick.json target/BENCH_fresh_quick.json \
-        --tolerance "${FTC_BENCH_TOLERANCE:-0.10}"
 fi
 
 if [[ "$RUN_BENCH_SMOKE" == "1" ]]; then

@@ -14,13 +14,9 @@ motivated by a past or feared class of concurrency bug:
                      Relaxed is reserved for counters where only the
                      eventual total matters.
 3. ``hot-unwrap``  — ``.unwrap()`` in the packet hot path
-                     (``crates/packet/src``) or the epoch-batched engine's
-                     commit path (``crates/stm/src/{batched,epoch}.rs``,
-                     which every packet transaction of a batched-engine
-                     chain crosses). Parsers handle adversarial bytes and
-                     the commit path holds the epoch lock; use
-                     ``.expect("why this cannot fail")`` or propagate the
-                     error.
+                     (``crates/packet/src``). Parsers handle adversarial
+                     bytes; use ``.expect("why this cannot fail")`` or
+                     propagate the error.
 4. ``allow-audit`` — ``#[allow(...)]`` in the protocol crates
                      (``crates/{core,stm,orch}``) without an ``// audit:``
                      justification on the same line or the line above.
@@ -112,21 +108,12 @@ PROTOCOL_CRATES = {
     ("crates", "orch", "src"),
 }
 
-# Engine files on the batched-backend packet path: every transaction of a
-# batched-engine chain executes and commits through these, so they get the
-# same no-unwrap discipline as the packet parsers.
-ENGINE_HOT_FILES = {
-    ("crates", "stm", "src", "batched.rs"),
-    ("crates", "stm", "src", "epoch.rs"),
-}
 
 def check_file(rel, violations):
     text = (ROOT / rel).read_text()
     lines = text.splitlines()
     flags = atomic_bool_fields(text)
-    in_packet_hot_path = (
-        rel.parts[:3] == ("crates", "packet", "src") or rel.parts in ENGINE_HOT_FILES
-    )
+    in_packet_hot_path = rel.parts[:3] == ("crates", "packet", "src")
     in_protocol_crate = rel.parts[:3] in PROTOCOL_CRATES
     in_sock_module = rel.parts[:3] == ("crates", "net", "src") and rel.name == "sock.rs"
     in_testkit = rel.name == "testkit.rs"
