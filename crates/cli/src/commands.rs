@@ -143,9 +143,12 @@ fn cmd_stats(args: &ParsedArgs) -> Result<(), String> {
         snap.piggyback_count,
     );
     println!(
-        "data plane: {} loop threads, {} frames handled, {} idle polls ({:.2} per released packet)",
+        "data plane: {} loop threads, {} frames handled in {} bursts ({:.2} frames/burst), \
+         {} idle polls ({:.2} per released packet)",
         snap.dataplane_threads,
         snap.loop_frames,
+        snap.loop_bursts,
+        snap.loop_frames as f64 / snap.loop_bursts.max(1) as f64,
         snap.loop_idle_polls,
         snap.loop_idle_polls as f64 / snap.released.max(1) as f64,
     );

@@ -68,8 +68,7 @@ pub struct BufferState {
 
 impl BufferState {
     /// Creates buffer state. Released packets go to `egress`; feedback
-    /// messages go out through `feedback` (a reliable link to the
-    /// forwarder).
+    /// messages go out through `feedback` (the link to the forwarder).
     pub fn new(
         ring: RingMath,
         egress: Sender<Packet>,

@@ -4,8 +4,9 @@
 //! forwarder shares the first server; the buffer shares the last — both run
 //! inline on that server's data-plane loops ([`crate::dataplane`]), so a
 //! chain of `n` positions runs `n × (workers + 1)` threads. Servers are
-//! joined by reliable sequenced links; the buffer→forwarder feedback closes
-//! the logical ring.
+//! joined by links from [`link_pair`]: plain channels when the configured
+//! endpoint declares no impairment, reliable sequenced links otherwise. The
+//! buffer→forwarder feedback closes the logical ring.
 
 use crate::buffer::{BufferSink, BufferState};
 use crate::config::ChainConfig;
@@ -18,7 +19,7 @@ use bytes::BytesMut;
 use crossbeam::channel::{self, Receiver, Sender};
 use ftc_net::nic::Nic;
 use ftc_net::topology::{RegionId, Topology};
-use ftc_net::{reliable_pair, Endpoint, Server};
+use ftc_net::{link_pair, Endpoint, Server};
 use ftc_packet::Packet;
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -179,7 +180,7 @@ impl FtcChain {
 
         // buffer → forwarder feedback.
         let fb_link = Self::link_between(&cfg, &topology, regions[n - 1], regions[0], 7777);
-        let (fb_tx, fb_rx) = reliable_pair(&fb_link);
+        let (fb_tx, fb_rx) = link_pair(&fb_link);
         let feedback_out = Arc::new(OutPort::wired(fb_tx));
         let feedback_in = Arc::new(InPort::wired(fb_rx));
 
@@ -204,7 +205,7 @@ impl FtcChain {
         in_ports.push(Arc::new(InPort::empty()));
         for i in 0..n - 1 {
             let link = Self::link_between(&cfg, &topology, regions[i], regions[i + 1], i as u64);
-            let (tx, rx) = reliable_pair(&link);
+            let (tx, rx) = link_pair(&link);
             out_ports.push(Arc::new(OutPort::wired(tx)));
             in_ports.push(Arc::new(InPort::wired(rx)));
         }
@@ -355,7 +356,7 @@ impl FtcChain {
                 region,
                 idx as u64,
             );
-            let (tx, rx) = reliable_pair(&link);
+            let (tx, rx) = link_pair(&link);
             in_port.install(rx);
             self.replicas[idx - 1].out_port.install(tx);
         }
@@ -370,7 +371,7 @@ impl FtcChain {
                 self.replicas[idx + 1].region,
                 idx as u64 + 1,
             );
-            let (tx, rx) = reliable_pair(&link);
+            let (tx, rx) = link_pair(&link);
             out_port.install(tx);
             self.replicas[idx + 1].in_port.install(rx);
         } else {
@@ -383,7 +384,7 @@ impl FtcChain {
                 self.replicas[0].region,
                 7777,
             );
-            let (fb_tx, fb_rx) = reliable_pair(&fb_link);
+            let (fb_tx, fb_rx) = link_pair(&fb_link);
             let feedback_out = Arc::new(OutPort::wired(fb_tx));
             self.feedback_in.install(fb_rx);
             let buffer = BufferState::new(

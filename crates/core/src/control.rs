@@ -11,9 +11,9 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ftc_net::rpc::RpcError;
 use ftc_net::transport::{FrameRx, FrameTx, RpcCaller, RpcResponder};
 use ftc_stm::StoreSnapshot;
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Control requests served by a replica's control thread.
 #[derive(Debug)]
@@ -338,66 +338,148 @@ impl OutPort {
     }
 }
 
-/// A swappable incoming reliable-link slot.
+/// A swappable incoming-link slot, with **one reader at a time**.
+///
+/// The reader takes the receiver out of the slot while it blocks, so an
+/// [`install`] from the orchestrator never waits behind a receive (the
+/// `parking_lot` stand-in is an unfair mutex: a reader that re-locks back
+/// to back can starve an installer for tens of milliseconds). A second
+/// concurrent reader would find the slot empty and read nothing.
+///
+/// [`install`]: InPort::install
 pub struct InPort {
-    slot: Mutex<Option<Box<dyn FrameRx>>>,
+    slot: Mutex<InSlot>,
+    /// Signalled when a reader lets go of a receiver `install` replaced.
+    retired: Condvar,
+}
+
+struct InSlot {
+    rx: Option<Box<dyn FrameRx>>,
+    /// Bumped by every [`InPort::install`]: a reader puts its receiver
+    /// back only if no install happened while it was blocked.
+    generation: u64,
+    /// The generation of the receiver a reader has taken out, if any.
+    held: Option<u64>,
 }
 
 impl InPort {
+    fn with(rx: Option<Box<dyn FrameRx>>) -> InPort {
+        InPort {
+            slot: Mutex::new(InSlot {
+                rx,
+                generation: 0,
+                held: None,
+            }),
+            retired: Condvar::new(),
+        }
+    }
+
     /// Creates an unwired port (returns `None` until [`install`]ed).
     ///
     /// [`install`]: InPort::install
     pub fn empty() -> InPort {
-        InPort {
-            slot: Mutex::new(None),
-        }
+        InPort::with(None)
     }
 
     /// Creates a port pre-wired with `receiver`.
     pub fn wired(receiver: impl FrameRx + 'static) -> InPort {
-        InPort {
-            slot: Mutex::new(Some(Box::new(receiver))),
-        }
+        InPort::with(Some(Box::new(receiver)))
     }
 
     /// Receives the next in-order frame, waiting up to `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Option<BytesMut> {
-        let mut slot = self.slot.lock();
-        match slot.as_mut() {
-            Some(rx) => match rx.recv_timeout(timeout) {
-                Ok(f) => f,
-                Err(_) => {
-                    *slot = None;
-                    None
+        let mut got = None;
+        self.recv_burst(timeout, 1, |frame| got = Some(frame));
+        got
+    }
+
+    /// Receives up to `max` frames into `sink`: waits up to `timeout` for
+    /// the first, then takes only frames that are already there. The slot
+    /// is locked twice per call, not per frame.
+    pub(crate) fn recv_burst(&self, timeout: Duration, max: usize, mut sink: impl FnMut(BytesMut)) {
+        let (mut rx, generation) = {
+            let mut slot = self.slot.lock();
+            match slot.rx.take() {
+                Some(rx) => {
+                    slot.held = Some(slot.generation);
+                    (rx, slot.generation)
                 }
-            },
-            None => {
-                // Unwired (predecessor died): emulate the blocking recv's
-                // bounded wait so callers don't spin. Not a polling loop —
-                // there is no event source to wait on until `install`.
-                drop(slot);
-                // forbidden-ok: thread-sleep
-                std::thread::sleep(timeout.min(Duration::from_millis(1)));
-                None
+                None => {
+                    // Unwired (predecessor died): emulate the blocking recv's
+                    // bounded wait so callers don't spin. Not a polling loop
+                    // — there is no event source to wait on until `install`.
+                    drop(slot);
+                    // forbidden-ok: thread-sleep
+                    std::thread::sleep(timeout.min(Duration::from_millis(1)));
+                    return;
+                }
+            }
+        };
+        let mut wait = timeout;
+        let mut live = true;
+        for _ in 0..max {
+            match rx.recv_timeout(wait) {
+                Ok(Some(frame)) => sink(frame),
+                Ok(None) => break,
+                Err(_) => {
+                    live = false;
+                    break;
+                }
+            }
+            wait = Duration::ZERO;
+        }
+        let mut slot = self.slot.lock();
+        slot.held = None;
+        if slot.generation != generation {
+            // Replaced meanwhile: `rx` is dropped, exactly as `install`
+            // drops a receiver nobody holds.
+            self.retired.notify_all();
+        } else if live {
+            slot.rx = Some(rx);
+        } // else a dead link stays unwired
+    }
+
+    /// Installs a new link (rerouting). Never waits for a blocked reader:
+    /// the receiver it replaces is dropped when that reader's receive ends.
+    pub fn install(&self, receiver: impl FrameRx + 'static) {
+        self.swap(Box::new(receiver));
+    }
+
+    /// [`install`](InPort::install), then waits until no reader holds the
+    /// receiver it replaced. Socket receivers of one stream share the
+    /// node's per-stream queue, so a socket edge is rerouted with this:
+    /// once it returns, no frame of the new epoch can reach the old
+    /// receiver. The wait lasts at most the reader's current receive (one
+    /// 1 ms slice on every data-plane loop); past a 1 s budget it gives up,
+    /// as [`crate::replica::ReplicaState::pause`] does.
+    pub fn install_exclusive(&self, receiver: impl FrameRx + 'static) {
+        let mut slot = self.swap(Box::new(receiver));
+        let deadline = Instant::now() + Duration::from_secs(1);
+        while slot.held.is_some_and(|g| g != slot.generation) {
+            if self.retired.wait_until(&mut slot, deadline).timed_out() {
+                break;
             }
         }
     }
 
-    /// Installs a new link (rerouting).
-    pub fn install(&self, receiver: impl FrameRx + 'static) {
-        *self.slot.lock() = Some(Box::new(receiver));
+    fn swap(&self, rx: Box<dyn FrameRx>) -> MutexGuard<'_, InSlot> {
+        let mut slot = self.slot.lock();
+        slot.rx = Some(rx);
+        slot.generation += 1;
+        slot
     }
 
-    /// True if a live link is installed.
+    /// True if a live link is installed (also while its reader holds it).
     pub fn is_wired(&self) -> bool {
-        self.slot.lock().is_some()
+        let slot = self.slot.lock();
+        slot.rx.is_some() || slot.held.is_some()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftc_net::{reliable_pair, Endpoint};
+    use ftc_net::{link_pair, reliable_pair, Endpoint};
 
     #[test]
     fn ports_relay_frames() {
@@ -430,6 +512,78 @@ mod tests {
         out.send(BytesMut::from(&b"rewired"[..]));
         let f = inp.recv_timeout(Duration::from_millis(100)).unwrap();
         assert_eq!(&f[..], b"rewired");
+    }
+
+    /// Reports each receive just before it blocks.
+    struct Announcing(Box<dyn FrameRx>, crossbeam::channel::Sender<()>);
+
+    impl FrameRx for Announcing {
+        fn recv_timeout(
+            &mut self,
+            timeout: Duration,
+        ) -> Result<Option<BytesMut>, ftc_net::Disconnected> {
+            let _ = self.1.send(());
+            self.0.recv_timeout(timeout)
+        }
+    }
+
+    /// A port whose reader, on its own thread, is parked in a 50 ms
+    /// receive on a link that sends nothing.
+    fn port_with_parked_reader() -> (Arc<InPort>, std::thread::JoinHandle<Option<BytesMut>>) {
+        let (old_tx, old_rx) = link_pair(&Endpoint::in_proc());
+        let (entered_tx, entered) = crossbeam::channel::unbounded();
+        let port = Arc::new(InPort::wired(Announcing(old_rx, entered_tx)));
+        let reader = {
+            let port = Arc::clone(&port);
+            std::thread::spawn(move || {
+                let _keep_the_link_open = old_tx;
+                port.recv_timeout(Duration::from_millis(50))
+            })
+        };
+        entered.recv().expect("the reader blocks on the old link");
+        (port, reader)
+    }
+
+    #[test]
+    fn install_does_not_wait_for_a_blocked_reader() {
+        let (port, reader) = port_with_parked_reader();
+        assert!(port.is_wired(), "wired while its reader holds the link");
+        let (mut tx, rx) = link_pair(&Endpoint::in_proc());
+        let t0 = Instant::now();
+        port.install(rx);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(5), "install waited {took:?}");
+        assert!(
+            reader.join().unwrap().is_none(),
+            "the old link sent nothing"
+        );
+        tx.send(BytesMut::from(&b"new"[..])).unwrap();
+        let f = port.recv_timeout(Duration::from_millis(100));
+        assert_eq!(&f.expect("read from the new link")[..], b"new");
+    }
+
+    #[test]
+    fn install_exclusive_returns_once_the_old_receiver_is_dropped() {
+        let (port, reader) = port_with_parked_reader();
+        let (_tx, rx) = link_pair(&Endpoint::in_proc());
+        port.install_exclusive(rx);
+        assert_eq!(port.slot.lock().held, None, "the reader let go");
+        assert!(reader.join().unwrap().is_none());
+        assert!(port.is_wired());
+    }
+
+    #[test]
+    fn a_dead_link_unwires_the_in_port() {
+        let (tx, rx) = link_pair(&Endpoint::in_proc());
+        let port = InPort::wired(rx);
+        drop(tx);
+        assert!(port.is_wired());
+        assert!(port.recv_timeout(Duration::from_millis(1)).is_none());
+        assert!(!port.is_wired(), "a dead link is not put back");
+        let (mut tx, rx) = link_pair(&Endpoint::in_proc());
+        tx.send(BytesMut::from(&b"x"[..])).unwrap();
+        port.install(rx);
+        assert!(port.recv_timeout(Duration::ZERO).is_some());
     }
 
     #[test]

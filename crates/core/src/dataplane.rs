@@ -2,37 +2,44 @@
 //! worker, and nothing else touches a packet.
 //!
 //! The paper's implementation is Click on DPDK, where "a thread receives
-//! packets from a NIC's input queue" (§2) and runs the packet transaction
-//! to completion on that thread (§6). Here a frame that reaches a server is
-//! carried by **one** thread from the receive to the send on the next link:
-//! parse → apply the predecessors' piggyback logs → packet transaction →
-//! attach → send. The forwarder shares server 0 and the buffer shares
-//! server n−1 (§3.2), so they are function calls on that same thread
-//! ([`ForwarderState::prepare_ingress`], [`crate::buffer::BufferSink`]); a
-//! packet changes threads once per server and never within one.
+//! packets from a NIC's input queue" (§2) in bursts and runs the packet
+//! transaction to completion on that thread (§6). Here a frame that reaches
+//! a server is carried by **one** thread from the receive to the send on
+//! the next link: parse → apply the predecessors' piggyback logs → packet
+//! transaction → attach → send. The forwarder shares server 0 and the
+//! buffer shares server n−1 (§3.2), so they are function calls on that same
+//! thread ([`ForwarderState::prepare_ingress`], [`crate::buffer::BufferSink`]);
+//! a packet changes threads once per server and never within one.
 //!
 //! Thread layout per server: `cfg.workers` data-plane loops (this module)
 //! plus one control thread ([`crate::replica::spawn_ctrl`]).
 //!
+//! * **Every wake handles a burst.** A loop does one bounded blocking
+//!   receive and then takes, without blocking, whatever else is already
+//!   there, up to `BURST` (32) frames. The pause check, the busy claim
+//!   and the leader's port poll are paid once per burst, not per frame.
 //! * **Worker 0 is the receive leader.** It blocks on the server's
-//!   [`Source`] in slices of at most 1 ms (`propagate_timeout` on server 0),
-//!   computes the RSS queue of the frame and, if the queue is its own, runs
-//!   [`ReplicaState::handle_frame`] inline — with `workers = 1` nothing is
-//!   queued at all. Frames of other queues are handed to that worker's
-//!   [`Nic`] queue: with backpressure when they came off a link (piggyback
-//!   logs may not be dropped above the reliable layer), drop-and-count when
-//!   they came from the ingress (an RX-ring overrun).
+//!   [`Source`] in slices of at most 1 ms (`propagate_timeout` on server 0)
+//!   and computes each frame's RSS queue. Frames of other queues are handed
+//!   to that worker's [`Nic`] queue: with backpressure when they came off a
+//!   link (piggyback logs may not be dropped), drop-and-count when they came
+//!   from the ingress (an RX-ring overrun). Its own flows it then runs
+//!   inline, in arrival order — with `workers = 1` nothing is queued at all.
+//!   A flow maps to one queue, so per-flow order is kept.
 //! * **Workers 1.. drain their NIC queue** ([`Source::Queue`]) with the
 //!   same loop.
-//! * **Quiescing (§4.1) is unchanged**: while the replica is paused no loop
-//!   pulls — frames wait in the reliable receiver, the ingress channel or
-//!   the NIC queues — and every `handle_frame` is bracketed by a busy
-//!   claim, so `pause()` observes `busy == 0` before a snapshot is served.
-//!   The leader keeps polling the outgoing port while paused, so
-//!   retransmissions and the inline buffer's resend timer keep running.
+//! * **Quiescing (§4.1)**: while the replica is paused no loop pulls —
+//!   frames wait in the link, the ingress channel or the NIC queues — and
+//!   the inline part of every burst is bracketed by one busy claim, so
+//!   `pause()` observes `busy == 0` before a snapshot is served. Frames
+//!   bound for another worker are dispatched *before* the claim, because a
+//!   backpressured dispatch can block on a full queue and `pause()` must
+//!   not wait for it. The leader keeps polling the outgoing port while
+//!   paused, so retransmissions and the inline buffer's resend timer keep
+//!   running.
 //!
 //! The same loop serves the multi-process gateway, which hosts a forwarder
-//! and a buffer but no replica: [`Stage::Port`] forwards each pulled frame
+//! and a buffer but no replica: [`Stage::Port`] forwards every pulled frame
 //! to an [`OutPort`].
 
 use crate::control::{InPort, OutPort};
@@ -51,14 +58,19 @@ use std::time::Duration;
 /// Longest a loop blocks before it re-checks liveness and pause state.
 const SLICE: Duration = Duration::from_millis(1);
 
+/// Most frames one wake of a loop pulls and handles (the reliable layer's
+/// `ACK_EVERY` and the piggyback codec's `MAX_LOGS_PER_PACKET` are 32 too).
+const BURST: usize = 32;
+
 /// Where a loop takes its frames from.
 pub enum Source {
     /// Server 0 (and the multi-process gateway): the chain ingress, with the
     /// forwarder run inline. The receive blocks for `propagate_timeout`;
     /// when it fires, pending feedback leaves in a propagating packet
-    /// (§5.1). The feedback link is drained, without blocking, at the two
-    /// instants feedback is used: before logs are staged for an ingress
-    /// packet and when the time-out fires.
+    /// (§5.1). The feedback link is drained, without blocking, once per
+    /// wake, before the burst's first frame is prepared: feedback is only
+    /// ever used when logs are staged for an ingress packet and when the
+    /// time-out fires.
     Ingress {
         /// External traffic.
         ingress: Receiver<BytesMut>,
@@ -69,63 +81,75 @@ pub enum Source {
         /// Idle time after which pending feedback is propagated.
         propagate_timeout: Duration,
     },
-    /// Every other server: the reliable link from the predecessor.
+    /// Every other server: the link from the predecessor.
     Link(Arc<InPort>),
     /// Workers 1..: the NIC queue the leader dispatches into.
     Queue(Receiver<BytesMut>),
 }
 
-enum Pulled {
-    Frame(BytesMut),
-    /// The bounded wait ended with nothing to handle.
-    Empty,
-    /// The source is gone for good.
-    Closed,
-}
-
 impl Source {
-    /// One bounded blocking receive; counts the ones that come back empty.
-    fn pull(&self, metrics: &ChainMetrics) -> Pulled {
-        let (frame, idle) = match self {
+    /// One bounded blocking receive, then non-blocking ones until `burst`
+    /// holds `BURST` frames or the source has nothing more; counts the
+    /// blocking receives that come back empty. Returns `false` when the
+    /// source is gone for good.
+    fn pull(&self, burst: &mut Vec<BytesMut>, metrics: &ChainMetrics) -> bool {
+        let idle = match self {
             Source::Ingress {
                 ingress,
                 forwarder,
                 feedback,
                 propagate_timeout,
             } => {
-                let got = ingress.recv_timeout(*propagate_timeout);
-                if matches!(got, Err(RecvTimeoutError::Disconnected)) {
-                    return Pulled::Closed;
-                }
-                while let Some(fb) = feedback.recv_timeout(Duration::ZERO) {
+                let first = match ingress.recv_timeout(*propagate_timeout) {
+                    Ok(frame) => Some(frame),
+                    Err(RecvTimeoutError::Timeout) => None,
+                    Err(RecvTimeoutError::Disconnected) => return false,
+                };
+                feedback.recv_burst(Duration::ZERO, usize::MAX, |fb| {
                     forwarder.ingest_feedback(fb);
-                }
-                match got {
-                    Ok(frame) => (forwarder.prepare_ingress(frame), false),
-                    Err(_) => (forwarder.prepare_propagating(), true),
+                });
+                match first {
+                    Some(frame) => {
+                        burst.extend(forwarder.prepare_ingress(frame));
+                        while burst.len() < BURST {
+                            let Ok(frame) = ingress.try_recv() else { break };
+                            burst.extend(forwarder.prepare_ingress(frame));
+                        }
+                        false
+                    }
+                    None => {
+                        burst.extend(forwarder.prepare_propagating());
+                        true
+                    }
                 }
             }
             Source::Link(port) => {
-                let got = port.recv_timeout(SLICE);
-                let idle = got.is_none();
-                (got, idle)
+                port.recv_burst(SLICE, BURST, |frame| burst.push(frame));
+                burst.is_empty()
             }
             Source::Queue(queue) => match queue.recv_timeout(SLICE) {
-                Ok(frame) => (Some(frame), false),
+                Ok(frame) => {
+                    burst.push(frame);
+                    while burst.len() < BURST {
+                        let Ok(frame) = queue.try_recv() else { break };
+                        burst.push(frame);
+                    }
+                    false
+                }
                 // Parked packets are woken by the applier that clears their
                 // dependency (no polling needed): idle is idle.
-                Err(RecvTimeoutError::Timeout) => (None, true),
-                Err(RecvTimeoutError::Disconnected) => return Pulled::Closed,
+                Err(RecvTimeoutError::Timeout) => true,
+                Err(RecvTimeoutError::Disconnected) => return false,
             },
         };
         if idle {
             metrics.loop_idle_polls.fetch_add(1, Ordering::Relaxed);
         }
-        frame.map_or(Pulled::Empty, Pulled::Frame)
+        true
     }
 
-    /// Link frames carry piggyback logs the reliable layer has already
-    /// delivered exactly once; only ingress frames may be shed.
+    /// Link frames carry piggyback logs the link has already delivered
+    /// exactly once; only ingress frames may be shed.
     fn lossless(&self) -> bool {
         !matches!(self, Source::Ingress { .. })
     }
@@ -225,21 +249,24 @@ impl Loop {
         // Only the leader drives the outgoing port's timers; one poller per
         // port is enough and keeps the port's lock uncontended.
         let leader = !matches!(self.source, Source::Queue(_));
+        let mut burst = Vec::with_capacity(BURST);
         while alive.is_alive() {
             let paused = self.replica.as_ref().filter(|(s, _)| s.is_paused());
             if let Some((state, _)) = paused {
                 // Recovery-source quiescing (§4.1): stop admitting packets.
                 state.wait_while_paused(SLICE);
             } else {
-                match self.source.pull(&self.metrics) {
-                    Pulled::Frame(frame) => {
-                        self.metrics.loop_frames.fetch_add(1, Ordering::Relaxed);
-                        if !self.handle(frame, alive) {
-                            break;
-                        }
+                if !self.source.pull(&mut burst, &self.metrics) {
+                    break;
+                }
+                if !burst.is_empty() {
+                    let m = &self.metrics;
+                    m.loop_frames
+                        .fetch_add(burst.len() as u64, Ordering::Relaxed);
+                    m.loop_bursts.fetch_add(1, Ordering::Relaxed);
+                    if !self.handle(&mut burst, alive) {
+                        break;
                     }
-                    Pulled::Empty => {}
-                    Pulled::Closed => break,
                 }
             }
             if leader {
@@ -251,31 +278,48 @@ impl Loop {
             .fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// Runs one frame to completion, or hands it to the worker that owns
-    /// its flow. Returns `false` when the server is shutting down.
-    fn handle(&self, frame: BytesMut, alive: &AliveToken) -> bool {
+    /// Runs a burst to completion: frames of other workers' flows are
+    /// handed to their queues, the rest run inline in arrival order.
+    /// Leaves `burst` empty. Returns `false` when the server is shutting
+    /// down.
+    fn handle(&self, burst: &mut Vec<BytesMut>, alive: &AliveToken) -> bool {
         let Some((state, nic)) = &self.replica else {
-            self.out.send(frame);
+            for frame in burst.drain(..) {
+                self.out.send(frame);
+            }
             return true;
         };
-        let q = match self.source {
-            Source::Queue(_) => self.worker,
-            _ => nic.rss_queue(&frame),
-        };
-        if q == self.worker {
-            // Quiesced between the pull and the claim: the frame is held
-            // (its piggyback logs must not be lost) and the transaction
-            // runs after Resume, so it sequences after the served state.
-            if !state.claim_busy(|| alive.is_alive()) {
-                return false; // shutting down; frame dies with us
-            }
-            state.handle_frame(self.worker, frame);
-            state.release_busy();
-        } else if self.source.lossless() {
-            nic.dispatch_backpressure(q, frame, SLICE, || alive.is_alive());
-        } else {
-            nic.dispatch_to(q, frame);
+        if !matches!(self.source, Source::Queue(_)) {
+            // Dispatch first, outside the busy claim: a backpressured
+            // dispatch may block on a full queue, and a claim held there
+            // would make a concurrent `pause()` wait for it.
+            burst.retain_mut(|frame| {
+                let q = nic.rss_queue(frame);
+                if q == self.worker {
+                    return true;
+                }
+                let frame = std::mem::take(frame);
+                if self.source.lossless() {
+                    nic.dispatch_backpressure(q, frame, SLICE, || alive.is_alive());
+                } else {
+                    nic.dispatch_to(q, frame);
+                }
+                false
+            });
         }
+        if burst.is_empty() {
+            return true;
+        }
+        // Quiesced between the pull and the claim: the burst is held (its
+        // piggyback logs must not be lost) and its transactions run after
+        // Resume, so they sequence after the served state.
+        if !state.claim_busy(|| alive.is_alive()) {
+            return false; // shutting down; the burst dies with us
+        }
+        for frame in burst.drain(..) {
+            state.handle_frame(self.worker, frame);
+        }
+        state.release_busy();
         true
     }
 }
@@ -285,33 +329,59 @@ mod tests {
     use super::*;
     use crate::buffer::{BufferSink, BufferState};
     use crate::config::{ChainConfig, RingMath};
+    use crate::probe::{ProbePoint, ProbeVerdict, ProtocolProbe};
     use crossbeam::channel;
     use ftc_mbox::MbSpec;
-    use ftc_net::{reliable_pair, Endpoint};
+    use ftc_net::{link_pair, reliable_pair, Endpoint, FrameRx};
     use ftc_packet::builder::UdpPacketBuilder;
     use ftc_packet::piggyback::{DepVector, MboxId, PiggybackLog, PiggybackMessage};
+    use ftc_packet::Packet;
     use std::net::Ipv4Addr;
+    use std::sync::atomic::AtomicUsize;
     use std::time::Instant;
 
-    /// A first replica of a two-monitor chain with two workers, and its
-    /// NIC with `depth`-deep queues; queue 1 is returned undrained (its
-    /// worker is not running).
-    fn two_worker_replica(
-        out: OutPort,
-        depth: usize,
-    ) -> (Arc<ReplicaState>, Arc<Nic>, Receiver<BytesMut>) {
+    /// A first replica of a two-monitor chain with `workers` workers.
+    fn replica(workers: usize, out: OutPort) -> Arc<ReplicaState> {
         let specs = vec![MbSpec::Monitor { sharing_level: 1 }; 2];
-        let cfg = Arc::new(ChainConfig::new(specs.clone()).with_workers(2));
-        let state = ReplicaState::new(
+        let cfg = Arc::new(ChainConfig::new(specs.clone()).with_workers(workers));
+        ReplicaState::new(
             0,
             cfg,
             specs[0].build(),
             Arc::new(out),
             Arc::new(ChainMetrics::default()),
-        );
+        )
+    }
+
+    /// A two-worker [`replica`] and its NIC with `depth`-deep queues; queue
+    /// 1 is returned undrained (its worker is not running).
+    fn two_worker_replica(
+        out: OutPort,
+        depth: usize,
+    ) -> (Arc<ReplicaState>, Arc<Nic>, Receiver<BytesMut>) {
         let mut nic = Nic::new(2, depth);
         let q1 = nic.take_queue(1);
-        (state, Arc::new(nic), q1)
+        (replica(2, out), Arc::new(nic), q1)
+    }
+
+    /// The leader loop of `state` behind a one-queue NIC, reading `link`.
+    fn link_leader(state: &Arc<ReplicaState>, link: impl FrameRx + 'static) -> Loop {
+        Loop {
+            worker: 0,
+            source: Source::Link(Arc::new(InPort::wired(link))),
+            replica: Some((Arc::clone(state), Arc::new(Nic::new(1, 64)))),
+            out: Arc::clone(&state.out),
+            metrics: Arc::clone(&state.metrics),
+        }
+    }
+
+    fn pkt(ident: u16) -> BytesMut {
+        UdpPacketBuilder::new().ident(ident).build().into_bytes()
+    }
+
+    /// The replica's Monitor counter: frames its transactions ran for.
+    fn counted(state: &ReplicaState) -> u64 {
+        state.own_store.peek_u64(b"mon:packets:g0").unwrap_or(0)
     }
 
     /// A frame whose flow hashes to queue `q` of `nic`.
@@ -447,5 +517,110 @@ mod tests {
         alive.kill();
         h.join().unwrap();
         assert!(resent.is_some(), "the resend timer runs on the paused loop");
+    }
+
+    #[test]
+    fn a_queued_backlog_is_handled_in_order_in_bursts() {
+        let (out_tx, mut out_rx) = link_pair(&Endpoint::in_proc());
+        let state = replica(1, OutPort::wired(out_tx));
+        let (mut tx, rx) = link_pair(&Endpoint::in_proc());
+        for i in 0..100 {
+            tx.send(pkt(i)).unwrap();
+        }
+        let (alive, h) = run_leader(link_leader(&state, rx));
+        let idents: Vec<u16> = (0..100)
+            .map(|_| {
+                let f = out_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+                let p = Packet::from_frame(f.expect("forwarded")).unwrap();
+                p.ipv4().unwrap().ident()
+            })
+            .collect();
+        alive.kill();
+        h.join().unwrap();
+        assert_eq!(idents, (0..100).collect::<Vec<u16>>(), "arrival order");
+        let snap = state.metrics.snapshot();
+        assert_eq!(snap.loop_frames, 100);
+        assert!(snap.loop_bursts <= 5, "{} bursts", snap.loop_bursts);
+    }
+
+    /// Holds the `at`-th forwarded frame until `state` is paused, after
+    /// telling the test it got there: the test pauses mid-burst.
+    struct PauseAt {
+        at: usize,
+        seen: AtomicUsize,
+        reached: channel::Sender<()>,
+        state: std::sync::Weak<ReplicaState>,
+    }
+
+    impl ProtocolProbe for PauseAt {
+        fn on_step(&self, point: ProbePoint) -> ProbeVerdict {
+            if matches!(point, ProbePoint::PostForward { .. })
+                && self.seen.fetch_add(1, Ordering::SeqCst) + 1 == self.at
+            {
+                let _ = self.reached.send(());
+                let state = self.state.upgrade().expect("the test holds the state");
+                wait_for("pause() to be called", || state.is_paused());
+            }
+            ProbeVerdict::Continue
+        }
+    }
+
+    #[test]
+    fn pause_waits_for_the_whole_burst_and_stops_the_next() {
+        let state = replica(1, OutPort::empty());
+        let (mut tx, rx) = link_pair(&Endpoint::in_proc());
+        for i in 0..2 * BURST as u16 {
+            tx.send(pkt(i)).unwrap();
+        }
+        let (reached_tx, reached) = channel::unbounded();
+        state.probe.install(Arc::new(PauseAt {
+            at: 5,
+            seen: AtomicUsize::new(0),
+            reached: reached_tx,
+            state: Arc::downgrade(&state),
+        }));
+        let (alive, h) = run_leader(link_leader(&state, rx));
+        reached
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the first burst is half handled");
+        state.pause();
+        let handled = state.metrics.loop_frames.load(Ordering::Relaxed);
+        assert_eq!(handled, BURST as u64, "one burst pulled");
+        assert_eq!(counted(&state), handled, "pause waited for the whole burst");
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(counted(&state), handled, "nothing runs while paused");
+        state.resume();
+        wait_for("the second burst", || counted(&state) == 2 * BURST as u64);
+        alive.kill();
+        h.join().unwrap();
+    }
+
+    #[test]
+    fn pause_does_not_wait_for_a_blocked_dispatch() {
+        let (state, nic, q1) = two_worker_replica(OutPort::empty(), 1);
+        let (mut tx, rx) = link_pair(&Endpoint::in_proc());
+        let (theirs, ours) = (frame_for_queue(&nic, 1), frame_for_queue(&nic, 0));
+        for frame in [theirs.clone(), theirs, ours] {
+            tx.send(frame).unwrap();
+        }
+        let (alive, h) = run_leader(Loop {
+            worker: 0,
+            source: Source::Link(Arc::new(InPort::wired(rx))),
+            replica: Some((Arc::clone(&state), Arc::clone(&nic))),
+            out: Arc::clone(&state.out),
+            metrics: Arc::clone(&state.metrics),
+        });
+        wait_for("one burst of three", || {
+            state.metrics.loop_frames.load(Ordering::Relaxed) == 3
+        });
+        wait_for("queue 1 full", || q1.len() == 1);
+        std::thread::sleep(Duration::from_millis(5)); // the second dispatch blocks
+        let t0 = Instant::now();
+        state.pause();
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(50), "pause took {took:?}");
+        alive.kill();
+        h.join().unwrap();
+        assert_eq!(counted(&state), 0, "the inline frame waited for resume");
     }
 }

@@ -20,7 +20,7 @@
 //!   packets until commit vectors prove `f+1` replication, and feeds the
 //!   wrapped state updates back to the forwarder.
 //! * [`chain`] — builds and wires a running chain over `ftc-net` servers
-//!   and reliable links, exposing inject/egress endpoints, failure
+//!   and links, exposing inject/egress endpoints, failure
 //!   injection, and per-replica control handles.
 //! * [`control`] — the control-plane RPC surface (heartbeats, state fetch)
 //!   and the swappable link ports used for rerouting during recovery.

@@ -74,6 +74,9 @@ pub struct ChainMetrics {
     /// Frames pulled and handled by data-plane loops ([`crate::dataplane`]),
     /// summed over every loop of the chain.
     pub loop_frames: AtomicU64,
+    /// Wakes of data-plane loops that returned at least one frame;
+    /// `loop_frames / loop_bursts` is the mean burst a wake handles.
+    pub loop_bursts: AtomicU64,
     /// Blocking receives of data-plane loops that returned empty: each is
     /// one wake-up that moved no packet.
     pub loop_idle_polls: AtomicU64,
@@ -122,6 +125,7 @@ impl ChainMetrics {
             piggyback_count: self.piggyback_count.load(Ordering::Relaxed),
             oversize_frames: self.oversize_frames.load(Ordering::Relaxed),
             loop_frames: self.loop_frames.load(Ordering::Relaxed),
+            loop_bursts: self.loop_bursts.load(Ordering::Relaxed),
             loop_idle_polls: self.loop_idle_polls.load(Ordering::Relaxed),
             dataplane_threads: self.dataplane_threads.load(Ordering::Relaxed),
             mean_piggyback_bytes: self.mean_piggyback_bytes().unwrap_or(0.0),
@@ -199,6 +203,8 @@ pub struct MetricsSnapshot {
     pub oversize_frames: u64,
     /// Frames handled by data-plane loops, summed over the chain's loops.
     pub loop_frames: u64,
+    /// Wakes of data-plane loops that returned at least one frame.
+    pub loop_bursts: u64,
     /// Blocking receives of data-plane loops that returned empty;
     /// `loop_idle_polls / released` is the idle-wake cost per packet.
     pub loop_idle_polls: u64,
@@ -226,7 +232,8 @@ impl MetricsSnapshot {
             "{{\"injected\":{},\"released\":{},\"filtered\":{},\"propagating\":{},\
              \"held\":{},\"logs_applied\":{},\"logs_parked\":{},\"logs_stale\":{},\
              \"piggyback_bytes\":{},\"piggyback_count\":{},\"oversize_frames\":{},\
-             \"loop_frames\":{},\"loop_idle_polls\":{},\"dataplane_threads\":{},\
+             \"loop_frames\":{},\"loop_bursts\":{},\"loop_idle_polls\":{},\
+             \"dataplane_threads\":{},\
              \"mean_piggyback_bytes\":{},\"transaction\":{},\"piggyback\":{},\
              \"apply\":{},\"forwarder\":{},\"buffer\":{}}}",
             self.injected,
@@ -241,6 +248,7 @@ impl MetricsSnapshot {
             self.piggyback_count,
             self.oversize_frames,
             self.loop_frames,
+            self.loop_bursts,
             self.loop_idle_polls,
             self.dataplane_threads,
             self.mean_piggyback_bytes,
@@ -305,6 +313,7 @@ mod tests {
         let json = s.to_json();
         assert!(json.contains("\"injected\":7"));
         assert!(json.contains("\"loop_idle_polls\":0,\"dataplane_threads\":0"));
+        assert!(json.contains("\"loop_frames\":0,\"loop_bursts\":0,"));
         assert!(json.contains("\"p999_ns\":"));
     }
 }

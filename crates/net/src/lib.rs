@@ -20,6 +20,9 @@
 //!   paper assumes between replicas ("FTC uses sequence numbers, similar to
 //!   TCP, to handle out-of-order deliveries and packet drops", §4.1); runs
 //!   over any `RawLink`.
+//! * [`link_pair`] — the data-link factory of the threaded chain: a plain
+//!   FIFO channel when the [`Endpoint`] is in-process and declares no
+//!   impairment, the reliable layer otherwise.
 //! * [`sock`] — the tokio TCP/UDS backend.
 //! * [`nic`] — a multi-queue NIC model with receive-side scaling by
 //!   symmetric flow hash, so both directions of a flow reach the same
@@ -46,6 +49,7 @@ pub mod sock;
 pub mod topology;
 pub mod transport;
 
+pub use link::link_pair;
 pub use reliable::{reliable_pair, reliable_pair_on, ReliableReceiver, ReliableSender};
 pub use server::{AliveToken, Server};
 pub use topology::{RegionId, Topology};

@@ -1,12 +1,18 @@
-//! Impaired point-to-point links.
+//! In-process point-to-point links, and the factory that picks one.
 //!
 //! A link delivers byte frames with configurable propagation latency,
 //! jitter, random loss, reordering and serialization delay (bandwidth).
 //! Impairments are applied at the sender; the receiver releases frames no
 //! earlier than their computed delivery time, which is what makes jitter
 //! produce genuine reordering.
+//!
+//! [`link_pair`] is how the threaded chain opens a data link. The reliable
+//! layer exists "to handle out-of-order deliveries and packet drops within
+//! the network" (§4.1); an unimpaired in-process link has neither, so it
+//! gets a plain FIFO channel. Every other endpoint gets
+//! [`crate::reliable_pair`].
 
-use crate::transport::Disconnected;
+use crate::transport::{Disconnected, Endpoint, FrameRx, FrameTx};
 use bytes::BytesMut;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -72,6 +78,61 @@ impl LinkConfig {
             ..Default::default()
         }
     }
+
+    /// True when the link neither delays, drops nor reorders: zero
+    /// latency, jitter, loss and reorder, and no bandwidth cap. The seed is
+    /// irrelevant, since it only drives impairments.
+    pub fn is_ideal(&self) -> bool {
+        self.latency.is_zero()
+            && self.jitter.is_zero()
+            && self.loss == 0.0
+            && self.reorder == 0.0
+            && self.bandwidth_bps.is_none()
+    }
+}
+
+/// Sending half of an unimpaired in-process link: a plain channel.
+struct ChanTx(Sender<BytesMut>);
+
+impl FrameTx for ChanTx {
+    fn send(&mut self, payload: BytesMut) -> Result<(), Disconnected> {
+        self.0.send(payload).map_err(|_| Disconnected)
+    }
+
+    fn poll(&mut self) -> Result<(), Disconnected> {
+        Ok(()) // nothing to retransmit and no acknowledgements to read
+    }
+
+    fn in_flight(&self) -> usize {
+        0 // a sent frame is queued at the receiver: nothing awaits an ACK
+    }
+}
+
+/// Receiving half of an unimpaired in-process link.
+struct ChanRx(Receiver<BytesMut>);
+
+impl FrameRx for ChanRx {
+    fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<BytesMut>, Disconnected> {
+        match self.0.recv_timeout(timeout) {
+            Ok(frame) => Ok(Some(frame)),
+            Err(RecvTimeoutError::Timeout) => Ok(None),
+            Err(RecvTimeoutError::Disconnected) => Err(Disconnected),
+        }
+    }
+}
+
+/// Opens a data link as `ep` describes it. An in-process endpoint that
+/// declares no impairment ([`LinkConfig::is_ideal`]) gets a plain channel:
+/// FIFO, lossless, and nothing to sequence, acknowledge or retransmit.
+/// Every other endpoint gets [`crate::reliable_pair`], exactly as if it
+/// had been called directly.
+pub fn link_pair(ep: &Endpoint) -> (Box<dyn FrameTx>, Box<dyn FrameRx>) {
+    if !ep.is_sock() && ep.link_cfg().is_ideal() {
+        let (tx, rx) = channel::unbounded();
+        return (Box::new(ChanTx(tx)), Box::new(ChanRx(rx)));
+    }
+    let (tx, rx) = crate::reliable_pair(ep);
+    (Box::new(tx), Box::new(rx))
 }
 
 struct TimedFrame {
@@ -393,6 +454,86 @@ mod tests {
                 .unwrap()[0],
             2
         );
+    }
+
+    fn seq(i: u32) -> BytesMut {
+        BytesMut::from(&i.to_be_bytes()[..])
+    }
+
+    fn read_seq(b: &[u8]) -> u32 {
+        u32::from_be_bytes([b[0], b[1], b[2], b[3]])
+    }
+
+    #[test]
+    fn an_ideal_endpoint_gets_a_plain_channel() {
+        let (mut tx, mut rx) = link_pair(&Endpoint::in_proc());
+        for i in 0..1000 {
+            tx.send(seq(i)).unwrap();
+        }
+        // A reliable sender would hold all 1,000 until acknowledged.
+        assert_eq!(tx.in_flight(), 0);
+        tx.poll().unwrap();
+        for i in 0..1000 {
+            let f = rx.recv_timeout(Duration::from_millis(100)).unwrap();
+            assert_eq!(read_seq(&f.expect("delivered")), i);
+        }
+        assert_eq!(rx.recv_timeout(Duration::from_millis(1)), Ok(None));
+        drop(rx);
+        assert_eq!(tx.send(seq(0)), Err(Disconnected));
+
+        let (tx, mut rx) = link_pair(&Endpoint::in_proc().with_seed(9));
+        drop(tx);
+        assert_eq!(rx.recv_timeout(Duration::from_millis(1)), Err(Disconnected));
+    }
+
+    #[test]
+    fn a_lossy_endpoint_keeps_the_reliable_layer() {
+        let (mut tx, mut rx) = link_pair(&Endpoint::lossy(0.25, 0.2, 41));
+        let n = 400u32;
+        let mut got = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut sent = 0;
+        while got.len() < n as usize {
+            assert!(Instant::now() < deadline, "{} of {n}", got.len());
+            if sent < n {
+                tx.send(seq(sent)).unwrap();
+                sent += 1;
+            }
+            tx.poll().unwrap();
+            while let Some(f) = rx.recv_timeout(Duration::from_micros(200)).unwrap() {
+                got.push(read_seq(&f));
+            }
+        }
+        assert_eq!(got, (0..n).collect::<Vec<_>>(), "gapless and in order");
+    }
+
+    #[test]
+    fn a_wan_endpoint_keeps_its_latency() {
+        let (mut tx, mut rx) = link_pair(&Endpoint::wan(Duration::from_millis(2)));
+        let t0 = Instant::now();
+        tx.send(seq(7)).unwrap();
+        let f = rx.recv_timeout(Duration::from_millis(200)).unwrap();
+        assert!(t0.elapsed() >= Duration::from_millis(1));
+        assert_eq!(read_seq(&f.expect("delivered")), 7);
+        assert_eq!(tx.in_flight(), 1, "sequenced and awaiting an ACK");
+    }
+
+    #[test]
+    fn only_an_unimpaired_config_is_ideal() {
+        assert!(LinkConfig::ideal().is_ideal());
+        let capped = Endpoint::in_proc().with_bandwidth(Some(1_000_000_000));
+        assert!(!capped.link_cfg().is_ideal());
+        let (mut tx, _rx) = link_pair(&capped);
+        tx.send(seq(1)).unwrap();
+        assert_eq!(tx.in_flight(), 1, "a capped link is reliable");
+        for ep in [
+            Endpoint::in_proc().with_latency(Duration::from_micros(1)),
+            Endpoint::in_proc().with_jitter(Duration::from_micros(1)),
+            Endpoint::in_proc().with_loss(0.01),
+            Endpoint::in_proc().with_reorder(0.01),
+        ] {
+            assert!(!ep.link_cfg().is_ideal(), "{ep:?}");
+        }
     }
 
     #[test]

@@ -18,6 +18,13 @@
 //! from socket resets: a torn connection degrades into silent frame loss
 //! while the backend redials, and the RTO/NACK path retransmits whatever
 //! the dead connection swallowed.
+//!
+//! Which links carry it: sockets, every impaired in-process link (loss,
+//! reorder, jitter, latency such as a multi-region WAN hop, a bandwidth
+//! cap), [`crate::InProcTransport`], and the stepped `SyncChain` the model
+//! checkers drive. The threaded chain's unimpaired in-process links — the
+//! default single-region deployment — can neither drop nor reorder, so
+//! [`crate::link_pair`] gives them a plain channel instead.
 
 use crate::transport::{Disconnected, Endpoint, FrameRx, FrameTx, RawLink};
 use bytes::BytesMut;

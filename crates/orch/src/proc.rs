@@ -63,7 +63,7 @@ use ftc_mbox::parse_chain;
 use ftc_net::rpc::RpcError;
 use ftc_net::sock::{SockNode, SockTransport};
 use ftc_net::topology::RegionId;
-use ftc_net::{reliable_pair, Endpoint, PeerAddr, RpcCaller, Server, Transport};
+use ftc_net::{link_pair, Endpoint, PeerAddr, RpcCaller, Server, Transport};
 use ftc_packet::Packet;
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
@@ -150,6 +150,8 @@ pub struct NodeStats {
     pub piggyback_count: u64,
     /// Frames handled by this process's data-plane loops.
     pub loop_frames: u64,
+    /// Wakes of those loops that returned at least one frame.
+    pub loop_bursts: u64,
     /// Blocking receives of those loops that returned empty.
     pub loop_idle_polls: u64,
     /// Data-plane loop threads running in this process.
@@ -229,6 +231,7 @@ pub fn encode_node_resp(resp: &NodeResp) -> Bytes {
             buf.put_u64(s.piggyback_bytes);
             buf.put_u64(s.piggyback_count);
             buf.put_u64(s.loop_frames);
+            buf.put_u64(s.loop_bursts);
             buf.put_u64(s.loop_idle_polls);
             buf.put_u64(s.dataplane_threads);
             put_stage(&mut buf, &s.transaction);
@@ -248,7 +251,7 @@ pub fn decode_node_resp(mut b: &[u8]) -> Option<NodeResp> {
         RESP_PONG => Some(NodeResp::Pong),
         RESP_DONE => Some(NodeResp::Done),
         RESP_STATS => {
-            if b.remaining() < 6 * 8 {
+            if b.remaining() < 7 * 8 {
                 return None;
             }
             Some(NodeResp::Stats(NodeStats {
@@ -256,6 +259,7 @@ pub fn decode_node_resp(mut b: &[u8]) -> Option<NodeResp> {
                 piggyback_bytes: b.get_u64(),
                 piggyback_count: b.get_u64(),
                 loop_frames: b.get_u64(),
+                loop_bursts: b.get_u64(),
                 loop_idle_polls: b.get_u64(),
                 dataplane_threads: b.get_u64(),
                 transaction: take_stage(&mut b)?,
@@ -406,7 +410,7 @@ pub fn run_node(opts: &NodeOpts) -> Result<(), String> {
                 }
                 Some(NodeReq::ResetIn) => {
                     node.drain_stream(data_stream(opts.idx));
-                    in_port.install(transport.open_rx(&local_ep, data_stream(opts.idx)));
+                    in_port.install_exclusive(transport.open_rx(&local_ep, data_stream(opts.idx)));
                     NodeResp::Done
                 }
                 Some(NodeReq::Stats) => {
@@ -416,6 +420,7 @@ pub fn run_node(opts: &NodeOpts) -> Result<(), String> {
                         piggyback_bytes: snap.piggyback_bytes,
                         piggyback_count: snap.piggyback_count,
                         loop_frames: snap.loop_frames,
+                        loop_bursts: snap.loop_bursts,
                         loop_idle_polls: snap.loop_idle_polls,
                         dataplane_threads: snap.dataplane_threads,
                         transaction: snap.transaction,
@@ -526,7 +531,7 @@ impl ProcChain {
             transport.open_tx(&Endpoint::sock(node_addr(&pc.dir, 0)), data_stream(0)),
         ));
         let tail_in = Arc::new(InPort::wired(transport.open_rx(&local_ep, tail_stream(n))));
-        let (fb_tx, fb_rx) = reliable_pair(&Endpoint::in_proc());
+        let (fb_tx, fb_rx) = link_pair(&Endpoint::in_proc());
         let feedback_out = Arc::new(OutPort::wired(fb_tx));
         let feedback_in = Arc::new(InPort::wired(fb_rx));
         let (ingress_tx, ingress_rx) = channel::unbounded::<BytesMut>();
@@ -713,7 +718,7 @@ impl ProcChain {
             .map_err(|e| format!("reset-in at {idx}: {e:?}"))?;
         if idx + 1 == n {
             self.node.drain_stream(tail_stream(n));
-            self.tail_in.install(
+            self.tail_in.install_exclusive(
                 self.transport
                     .open_rx(&Endpoint::sock(parent_addr(&self.dir)), tail_stream(n)),
             );
@@ -744,6 +749,7 @@ impl ProcChain {
                 snap.piggyback_bytes += s.piggyback_bytes;
                 snap.piggyback_count += s.piggyback_count;
                 snap.loop_frames += s.loop_frames;
+                snap.loop_bursts += s.loop_bursts;
                 snap.loop_idle_polls += s.loop_idle_polls;
                 snap.dataplane_threads += s.dataplane_threads;
                 merge_stage(&mut snap.transaction, &s.transaction);
@@ -853,6 +859,7 @@ mod tests {
             piggyback_bytes: 1024,
             piggyback_count: 16,
             loop_frames: 99,
+            loop_bursts: 12,
             loop_idle_polls: 3,
             dataplane_threads: 2,
             transaction: StageStats {

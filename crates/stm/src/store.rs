@@ -18,8 +18,7 @@ pub type PartitionId = u16;
 pub struct StoreStats {
     /// Transactions committed.
     pub commits: AtomicU64,
-    /// Transparently re-executed aborts: wound-wait wounds on the 2PL
-    /// engine, failed optimistic validations on the batched engine.
+    /// Transactions transparently re-executed after a wound-wait wound.
     pub wound_aborts: AtomicU64,
     /// Piggyback logs applied via [`StateStore::apply_writes`].
     pub applied_logs: AtomicU64,
@@ -133,8 +132,8 @@ pub struct StateStore {
     pub(crate) ts_gen: AtomicU64,
     /// Statistics.
     pub stats: StoreStats,
-    /// The audit-recorder attachment point (shared across engines; see
-    /// [`crate::StateBackend`]'s tap obligations).
+    /// The audit-recorder attachment point (see [`crate::StateBackend`]'s
+    /// tap obligations).
     tap: RecorderCell,
 }
 

@@ -13,10 +13,14 @@ motivated by a past or feared class of concurrency bug:
                      recording, ...) and must use SeqCst/Acquire/Release;
                      Relaxed is reserved for counters where only the
                      eventual total matters.
-3. ``hot-unwrap``  — ``.unwrap()`` in the packet hot path
-                     (``crates/packet/src``). Parsers handle adversarial
-                     bytes; use ``.expect("why this cannot fail")`` or
-                     propagate the error.
+3. ``hot-unwrap``  — ``.unwrap()`` in the packet hot path: the parsers
+                     (``crates/packet/src``) and the data-plane files that
+                     carry a frame from one receive to the next send
+                     (``HOT_PATH_FILES``). Parsers handle adversarial
+                     bytes, and a panic on a data-plane thread silently
+                     stops a server's packet loop; use
+                     ``.expect("why this cannot fail")`` or propagate the
+                     error.
 4. ``allow-audit`` — ``#[allow(...)]`` in the protocol crates
                      (``crates/{core,stm,orch}``) without an ``// audit:``
                      justification on the same line or the line above.
@@ -102,6 +106,18 @@ def atomic_bool_fields(text):
     return set(re.findall(r"(\w+)\s*:\s*(?:\w+::)*AtomicBool\b", text))
 
 
+# Data-plane files outside crates/packet that the hot-unwrap rule covers.
+HOT_PATH_FILES = {
+    "crates/core/src/dataplane.rs",
+    "crates/core/src/replica.rs",
+    "crates/core/src/forwarder.rs",
+    "crates/core/src/buffer.rs",
+    "crates/net/src/reliable.rs",
+    "crates/net/src/link.rs",
+    "crates/net/src/nic.rs",
+    "crates/net/src/transport.rs",
+}
+
 PROTOCOL_CRATES = {
     ("crates", "core", "src"),
     ("crates", "stm", "src"),
@@ -113,7 +129,9 @@ def check_file(rel, violations):
     text = (ROOT / rel).read_text()
     lines = text.splitlines()
     flags = atomic_bool_fields(text)
-    in_packet_hot_path = rel.parts[:3] == ("crates", "packet", "src")
+    in_packet_hot_path = (
+        rel.parts[:3] == ("crates", "packet", "src") or rel.as_posix() in HOT_PATH_FILES
+    )
     in_protocol_crate = rel.parts[:3] in PROTOCOL_CRATES
     in_sock_module = rel.parts[:3] == ("crates", "net", "src") and rel.name == "sock.rs"
     in_testkit = rel.name == "testkit.rs"
