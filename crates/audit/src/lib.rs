@@ -23,14 +23,13 @@
 //!   release-implies-replication, post-recovery convergence, ring
 //!   re-formation, and `MAX`-vector monotonicity — plus the abstract
 //!   deployment model backing the static/dynamic agreement property.
-//! * [`reconfig`] — the crash-during-reconfiguration model checker:
-//!   executes the scale/migrate/splice handshake of
-//!   [`ftc_core::reconfig`] on the same miniature chain while
+//! * [`reconfig`] — the crash-during-reconfiguration model checker: runs
+//!   the shipped migrate/scale procedure ([`ftc_core::replace`]) on the
+//!   same miniature chain, quiesced and with packets in flight, while
 //!   fail-stopping each participant at each phase, applies the documented
-//!   repair, and checks I1–I4 plus the reconfiguration invariants I5
-//!   (exactly one serviceable owner per flow partition at every
-//!   observable point) and I6 (migrated state equals the sealed
-//!   committed prefix).
+//!   repair, and checks I1–I4 plus the reconfiguration invariants I5 (at
+//!   most one alive, unpaused instance per position at every probe point)
+//!   and I6 (the new owner starts from the f + 1 copies' prefix).
 //! * [`async_check`] — the async-transport model checker: drives the real
 //!   socket backend (`ftc_net::sock`) under the vendored tokio's
 //!   deterministic executor through seeded task-interleaving × fault

@@ -37,7 +37,7 @@
 //! property tests can confirm that every statically rejected spec has a
 //! concrete dynamic counterexample, and every accepted one has none.
 
-use ftc_core::testkit::{CrashPhase, CrashPoint, Step, SyncChain};
+use ftc_core::testkit::{Step, SyncChain};
 use ftc_core::{ChainConfig, ProbePoint, ProbeVerdict, ProtocolProbe, RingMath};
 use ftc_mbox::{DeploySpec, MbSpec};
 use ftc_packet::builder::UdpPacketBuilder;
@@ -55,6 +55,29 @@ const WITNESS_CAP: usize = 64;
 // ---------------------------------------------------------------------------
 // Probe: schedule-controlled crashes + release observations
 // ---------------------------------------------------------------------------
+
+/// Where, within the victim's protocol steps, a crash fires; the phases
+/// mirror [`ProbePoint`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CrashPhase {
+    /// §6(a): the victim's transaction committed but its log never left.
+    PrePiggyback,
+    /// §6(b): the outgoing message was assembled but never sent.
+    PostApplyPreForward,
+    /// §6(c): the frame was sent, then the server died.
+    PostForward,
+    /// The *replacement* dies mid-state-fetch; recovery restarts fresh.
+    DuringRecovery,
+}
+
+/// One step-granular crash: fail-stop `victim` at its `trigger`-th
+/// (0-based) observation of `phase`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CrashPoint {
+    victim: usize,
+    phase: CrashPhase,
+    trigger: usize,
+}
 
 /// Dependency claims attached to one buffer release: per `(mbox, dep
 /// entries)` pair, the sequence numbers the buffer asserts are committed.
@@ -853,7 +876,7 @@ fn run_schedule(
                 trigger: 0,
             });
             match run.chain.try_fail_and_recover(victim, &|_, _| true) {
-                Err(ftc_core::recovery::RecoveryError::Aborted { .. }) => {}
+                Err(ftc_core::RecoveryError::Aborted { .. }) => {}
                 Ok(_) => run.witness(
                     "I3",
                     "recovery completed although the replacement was \

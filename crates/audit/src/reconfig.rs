@@ -1,58 +1,63 @@
 //! Crash-during-reconfiguration model checker.
 //!
 //! [`crate::protocol`] explores crashes during *steady-state* packet
-//! processing and recovery. This module explores the other half of ROADMAP
-//! item 2: crashes during **planned reconfiguration** — the four-phase
-//! scale/migrate/splice handshake of [`ftc_core::reconfig`] — where the
-//! protocol's obligation is not just "traffic resumes" but "ownership of
-//! every flow partition is handed over exactly once".
+//! processing and recovery. This module explores crashes during **planned
+//! handovers** — migrate and scale, run by [`ftc_core::replace::replace`]
+//! through the stepped [`SyncChain`], the procedure the threaded
+//! orchestrator runs too — where the obligation is not just "traffic
+//! resumes" but "the position is handed over exactly once, carrying the
+//! state its f + 1 copies hold".
 //!
-//! Each schedule in the matrix builds a fresh deterministic
-//! [`SyncChain`], warms it with traffic, executes one reconfiguration
-//! operation while a [`ProtocolProbe`] fail-stops a chosen participant
-//! (source, destination, or orchestrator) at a chosen phase — for the
-//! transfer phase, after a chosen number of partitions — then applies the
-//! documented repair for that failure (§5.2 recovery for fail-stopped
-//! positions, a plain retry for rolled-back attempts, nothing for
-//! roll-forward cases), injects post traffic under a permuted actor
-//! interleaving, and checks:
+//! Each schedule builds a fresh chain and warms it with traffic. An
+//! *in-flight* schedule then injects a few more packets and steps
+//! positions `0..=pos` only, so the outgoing instance's own store is ahead
+//! of its successor's copy when the operation starts; a *quiesced* one
+//! does not. The operation runs while a [`ProtocolProbe`] fail-stops a
+//! chosen participant (outgoing instance, replacement, or orchestrator) at
+//! a chosen phase — in the transfer phase, at the `k`-th group — then the
+//! documented repair for that failure is applied (§5.2 recovery for
+//! fail-stopped positions, a plain retry for rolled-back attempts, nothing
+//! for roll-forward cases), post traffic is injected under a permuted
+//! actor interleaving, and the checker asserts:
 //!
 //! * **I1 — release implies replication**: same as the steady-state
-//!   checker; every release observed during warm/post traffic must be
-//!   covered by every live member of the owning replication group.
+//!   checker; every release must be covered by every live member of the
+//!   owning replication group.
 //! * **I2 — group convergence**: at final quiescence every replicated copy
 //!   equals its head's committed prefix, byte for byte.
-//! * **I3 — structure and liveness**: the ring re-forms on the final
-//!   topology, nothing stays fail-stopped or paused, the buffer drains,
-//!   and *every* injected packet egresses exactly once (reconfigurations
-//!   run on a quiesced chain, so unlike mid-traffic crashes no packet may
-//!   be lost).
-//! * **I4 — `MAX`-vector monotonicity**: across a migrate/scale handover
-//!   no surviving position's applied-prefix vector moves backwards.
-//! * **I5 — single serviceable owner**: folding the
-//!   [`ClaimSample`](ftc_core::ClaimSample) trace recorded at every probe
-//!   point, at most one instance is serviceable (alive ∧ claimed ∧
-//!   unsealed) per `(position, partition)` at every observable point, and
-//!   exactly one at final quiescence. The `sabotage-skip-release` fixture
-//!   in `ftc-core` (enabled here through the `reconfig-sabotage` feature)
-//!   re-opens the source's claims after the destination switched and must
-//!   make this invariant fire.
-//! * **I6 — transferred = committed prefix**: after a completed (or
-//!   rolled-forward) migrate/scale, the new owner's own store equals the
-//!   [`SealRecord`](ftc_core::SealRecord) captured when the source sealed
-//!   — nothing lost, nothing duplicated. Checked *before* post traffic
-//!   touches the store. The per-position packet counters of the monitor
-//!   chain extend the same check across splices, where whole-chain state
-//!   carries over by identity.
+//! * **I3 — structure and liveness**: the ring re-forms, nothing stays
+//!   fail-stopped or paused, and the buffer drains. Every packet not in
+//!   flight at the operation egresses exactly once; packets in flight at
+//!   it egress at most once. Each Monitor counter equals the packets
+//!   released (quiesced schedules) or is at least that (in-flight ones,
+//!   whose upstream positions counted the packets the switch dropped).
+//! * **I4 — `MAX`-vector monotonicity**: no surviving instance's
+//!   applied-prefix vector moves backwards across the handover. On
+//!   in-flight schedules the replaced position's own store is excused: the
+//!   commits in flight die with the outgoing instance, as with any
+//!   fail-stop victim.
+//! * **I5 — one serving instance**: at every probe point at most one
+//!   alive, unpaused instance per position, counting the outgoing and the
+//!   incoming instance; exactly one at the end.
+//! * **I6 — transferred = the f + 1-copies prefix**: right after the
+//!   commit, before post traffic, the new owner's own store (sequence
+//!   numbers and content) equals its successor's replicated copy of that
+//!   group — the prefix the transfer must carry, and not the outgoing
+//!   instance's own store.
+//!
+//! The `reconfig-sabotage` feature compiles two faults into the procedure:
+//! the switch resumes the outgoing instance instead of killing it (I5 must
+//! fire), and the own group is restored from the outgoing instance's own
+//! store (I6 must fire on in-flight schedules).
 //!
 //! Witnesses carry the schedule label (`case/permN`); [`replay`] re-runs
 //! exactly that schedule from the label for debugging.
 
 use crate::protocol::{canonical, permutations, Witness};
-use ftc_core::testkit::{Step, SyncChain};
+use ftc_core::testkit::{OwnerSample, Step, SyncChain};
 use ftc_core::{
-    ChainConfig, ClaimSample, ProbePoint, ProbeVerdict, ProtocolProbe, ReconfigActor,
-    ReconfigFailure, ReconfigOp, ReconfigPhase, ReconfigRun,
+    ChainConfig, ProbePoint, ProbeVerdict, ProtocolProbe, ReconfigActor, ReconfigFailure,
+    ReconfigOp, ReconfigPhase, RecoveryError,
 };
 use ftc_mbox::MbSpec;
 use ftc_packet::builder::UdpPacketBuilder;
@@ -61,8 +66,9 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-/// Cap on stored witnesses (the count in the report keeps growing).
-const WITNESS_CAP: usize = 64;
+/// Cap on stored witnesses per invariant (the count in the report keeps
+/// growing), so one noisy invariant cannot crowd out the others.
+const WITNESS_CAP: usize = 32;
 
 /// Bound on clean retries of a rolled-back operation before the checker
 /// calls the retry loop divergent.
@@ -75,75 +81,66 @@ const RETRY_CAP: usize = 3;
 /// What to explore.
 #[derive(Debug, Clone)]
 pub struct ReconfigCheckConfig {
-    /// The chain under test (stateful middleboxes make I6 meaningful; the
-    /// per-position counter check needs `Monitor { sharing_level: 1 }`).
+    /// The chain under test (the Monitor counter checks need
+    /// `Monitor { sharing_level: 1 }`).
     pub specs: Vec<MbSpec>,
     /// Tolerated failures.
     pub f: usize,
-    /// State partitions per store (also the number of transfer chunks).
+    /// State partitions per store.
     pub partitions: usize,
     /// Packets injected and drained before the reconfiguration.
     pub warm: usize,
+    /// In-flight schedules: packets injected right before the operation
+    /// and stepped through positions `0..=pos` only.
+    pub in_flight: usize,
     /// Packets injected after the operation + repair (traffic resumes).
     pub post: usize,
-    /// For transfer-phase crashes: fire after this many partitions moved
-    /// (each entry multiplies the matrix; must be `< partitions`).
+    /// For transfer-phase crashes: fire at the `k`-th group transferred,
+    /// for each `k` here (each entry multiplies the matrix; `< f + 1`).
     pub transfer_triggers: Vec<usize>,
-    /// `false`: migrate at every position but scale/splice only mid-chain
-    /// (the PR gate). `true`: every operation at every position (nightly).
-    pub all_sites: bool,
     /// Cap on actor interleavings (`None` = all permutations of the
     /// replicas + buffer); capped runs stride-sample for diversity.
     pub perm_limit: Option<usize>,
     /// Per-drive round budget; exhausting it is a liveness witness.
     pub max_rounds: usize,
-    /// The middlebox spliced in by `splice-in` cases.
-    pub splice_spec: MbSpec,
 }
 
 impl ReconfigCheckConfig {
-    /// The PR-gate configuration: a 3-monitor, `f = 1` chain; migrations
-    /// at every position plus mid-chain scale and splices, every crash
-    /// variant, all 24 interleavings of the four steppable actors —
-    /// 56 crash cases × 24 interleavings = 1344 schedules.
+    /// The PR-gate configuration: a 3-monitor, `f = 1` chain; migrate and
+    /// scale at every position × every crash variant × {quiesced, in
+    /// flight} × all 24 interleavings of the four steppable actors —
+    /// 6 sites × 10 variants × 2 modes = 120 cases, 2,880 schedules.
     pub fn pr_gate() -> ReconfigCheckConfig {
         ReconfigCheckConfig {
             specs: vec![MbSpec::Monitor { sharing_level: 1 }; 3],
             f: 1,
             partitions: 8,
             warm: 3,
+            in_flight: 2,
             post: 2,
-            transfer_triggers: vec![0, 2],
-            all_sites: false,
+            transfer_triggers: vec![0, 1],
             perm_limit: None,
             max_rounds: 5000,
-            splice_spec: MbSpec::Monitor { sharing_level: 1 },
         }
     }
 
-    /// The nightly configuration (`FTC_RECONFIG_DEEP=1`): every operation
-    /// at every position and a denser transfer-trigger grid — 144 crash
-    /// cases × 24 interleavings = 3456 schedules.
+    /// The nightly configuration (`FTC_RECONFIG_DEEP=1`): the same matrix
+    /// on a 4-monitor chain, whose five steppable actors have 120
+    /// interleavings — 8 sites × 10 variants × 2 modes = 160 cases, 19,200
+    /// schedules.
     pub fn nightly_deep() -> ReconfigCheckConfig {
         ReconfigCheckConfig {
-            transfer_triggers: vec![0, 1, 2, 3, 6],
-            all_sites: true,
+            specs: vec![MbSpec::Monitor { sharing_level: 1 }; 4],
             ..ReconfigCheckConfig::pr_gate()
         }
     }
 }
 
-/// One reconfiguration operation at one chain position.
+/// One handover operation at one chain position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct OpSite {
     op: ReconfigOp,
     pos: usize,
-}
-
-impl OpSite {
-    fn label(&self) -> String {
-        format!("{}@{}", self.op.label(), self.pos)
-    }
 }
 
 /// A participant crash armed for one schedule: fail-stop `role` at its
@@ -155,20 +152,27 @@ struct CrashSpec {
     trigger: usize,
 }
 
-/// One case in the exploration matrix: an operation, optionally crashed.
+/// One case in the exploration matrix: an operation, with or without
+/// packets in flight, optionally crashed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct ReconfigCase {
     site: OpSite,
+    in_flight: bool,
     crash: Option<CrashSpec>,
 }
 
 impl ReconfigCase {
     fn label(&self) -> String {
+        let mode = if self.in_flight {
+            "in-flight"
+        } else {
+            "quiesced"
+        };
+        let site = format!("{}@{}/{mode}", self.site.op.label(), self.site.pos);
         match self.crash {
-            None => format!("{}/clean", self.site.label()),
+            None => format!("{site}/clean"),
             Some(c) => format!(
-                "{}/crash[{}@{}#{}]",
-                self.site.label(),
+                "{site}/crash[{}@{}#{}]",
                 c.role.label(),
                 c.phase.label(),
                 c.trigger
@@ -177,102 +181,48 @@ impl ReconfigCase {
     }
 }
 
-/// Builds the crash matrix for an `n`-middlebox chain.
-///
-/// Handover operations (migrate/scale) get every participant × phase
-/// combination the handshake exposes: orchestrator or source at prepare,
-/// either transfer side after each configured partition count,
-/// orchestrator or destination at the switch commit point, and the
-/// orchestrator at release (the roll-forward case). Splices get the
-/// whole-chain analogues, with the transfer trigger selecting *which* old
-/// instance dies mid-snapshot.
+/// Builds the crash matrix for an `n`-middlebox chain: migrate and scale
+/// at every position, each quiesced and with packets in flight, each
+/// clean or with one participant crash — the orchestrator or the
+/// outgoing instance at prepare, either transfer side at each configured
+/// group, the orchestrator or the replacement at the switch commit point,
+/// and the orchestrator at release (the roll-forward case).
 fn case_matrix(cfg: &ReconfigCheckConfig, n: usize) -> Vec<ReconfigCase> {
-    let mut sites: Vec<OpSite> = (0..n)
-        .map(|pos| OpSite {
-            op: ReconfigOp::Migrate,
-            pos,
-        })
-        .collect();
-    let scale_sites: Vec<usize> = if cfg.all_sites {
-        (0..n).collect()
-    } else {
-        vec![n / 2]
-    };
-    sites.extend(scale_sites.into_iter().map(|pos| OpSite {
-        op: ReconfigOp::Scale,
-        pos,
-    }));
-
-    let handover_fixed = [
+    let mut crashes: Vec<Option<CrashSpec>> = vec![None];
+    let fixed = [
         (ReconfigActor::Orchestrator, ReconfigPhase::Prepare),
         (ReconfigActor::Source, ReconfigPhase::Prepare),
         (ReconfigActor::Orchestrator, ReconfigPhase::Switch),
         (ReconfigActor::Destination, ReconfigPhase::Switch),
         (ReconfigActor::Orchestrator, ReconfigPhase::Release),
     ];
-    let mut cases = Vec::new();
-    for site in sites {
-        cases.push(ReconfigCase { site, crash: None });
-        for (role, phase) in handover_fixed {
-            cases.push(ReconfigCase {
-                site,
-                crash: Some(CrashSpec {
-                    role,
-                    phase,
-                    trigger: 0,
-                }),
-            });
-        }
-        for &t in &cfg.transfer_triggers {
-            for role in [ReconfigActor::Source, ReconfigActor::Destination] {
-                cases.push(ReconfigCase {
-                    site,
-                    crash: Some(CrashSpec {
-                        role,
-                        phase: ReconfigPhase::Transfer,
-                        trigger: t,
-                    }),
-                });
-            }
+    crashes.extend(fixed.into_iter().map(|(role, phase)| {
+        Some(CrashSpec {
+            role,
+            phase,
+            trigger: 0,
+        })
+    }));
+    for &trigger in &cfg.transfer_triggers {
+        for role in [ReconfigActor::Source, ReconfigActor::Destination] {
+            crashes.push(Some(CrashSpec {
+                role,
+                phase: ReconfigPhase::Transfer,
+                trigger,
+            }));
         }
     }
-
-    let splice_positions: Vec<usize> = if cfg.all_sites {
-        (0..n).collect()
-    } else {
-        vec![n / 2]
-    };
-    let splice_fixed = [
-        (ReconfigActor::Orchestrator, ReconfigPhase::Prepare),
-        (ReconfigActor::Orchestrator, ReconfigPhase::Switch),
-        (ReconfigActor::Destination, ReconfigPhase::Switch),
-        (ReconfigActor::Orchestrator, ReconfigPhase::Release),
-    ];
-    for op in [ReconfigOp::SpliceIn, ReconfigOp::SpliceOut] {
-        for &pos in &splice_positions {
-            let site = OpSite { op, pos };
-            cases.push(ReconfigCase { site, crash: None });
-            for (role, phase) in splice_fixed {
-                cases.push(ReconfigCase {
-                    site,
-                    crash: Some(CrashSpec {
-                        role,
-                        phase,
-                        trigger: 0,
-                    }),
-                });
-            }
-            // The splice transfer point fires once per old instance, so
-            // the trigger picks the victim position.
-            for victim in 0..n {
-                cases.push(ReconfigCase {
-                    site,
-                    crash: Some(CrashSpec {
-                        role: ReconfigActor::Source,
-                        phase: ReconfigPhase::Transfer,
-                        trigger: victim,
-                    }),
-                });
+    let mut cases = Vec::new();
+    for pos in 0..n {
+        for op in [ReconfigOp::Migrate, ReconfigOp::Scale] {
+            for in_flight in [false, true] {
+                for &crash in &crashes {
+                    cases.push(ReconfigCase {
+                        site: OpSite { op, pos },
+                        in_flight,
+                        crash,
+                    });
+                }
             }
         }
     }
@@ -383,7 +333,7 @@ pub struct ReconfigReport {
     pub releases: usize,
     /// Total invariant violations found (may exceed `witnesses.len()`).
     pub violations: usize,
-    /// Stored witnesses, capped at [`WITNESS_CAP`].
+    /// Stored witnesses, at most [`WITNESS_CAP`] per invariant.
     pub witnesses: Vec<Witness>,
 }
 
@@ -410,6 +360,31 @@ impl ReconfigReport {
             self.violations,
         )
     }
+
+    /// Adds one schedule's result.
+    fn absorb(&mut self, exec: Exec<'_>) {
+        self.schedules += 1;
+        self.steps += exec.steps;
+        self.retries += exec.retries;
+        self.violations += exec.violations;
+        self.releases += exec.egressed.values().sum::<usize>();
+        self.crashes_fired += usize::from(exec.probe.fired());
+        self.ops_completed += usize::from(exec.completed);
+        for w in exec.witnesses {
+            store_witness(&mut self.witnesses, w);
+        }
+    }
+}
+
+/// Keeps `w` unless its invariant already has [`WITNESS_CAP`] witnesses.
+fn store_witness(witnesses: &mut Vec<Witness>, w: Witness) {
+    let same = witnesses
+        .iter()
+        .filter(|s| s.invariant == w.invariant)
+        .count();
+    if same < WITNESS_CAP {
+        witnesses.push(w);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -421,16 +396,17 @@ struct Exec<'a> {
     chain: SyncChain,
     probe: Arc<ReconfigProbe>,
     label: String,
-    /// Replica count of the initial topology (splices change it).
-    base_n: usize,
     next_ident: u16,
-    released: usize,
+    /// Idents of the packets in flight at the operation.
+    in_flight: std::ops::Range<u16>,
+    /// Egress count per ident.
+    egressed: HashMap<u16, usize>,
     steps: usize,
     retries: usize,
     completed: bool,
     budget_blown: bool,
-    /// Claim samples from every attempt, folded into I5 at the end.
-    trace: Vec<ClaimSample>,
+    /// Serving-instance samples from every replacement, folded into I5.
+    samples: Vec<OwnerSample>,
     /// I4 baseline: `(holder, mbox) → MAX vector` captured before the op.
     baseline: HashMap<(usize, usize), Vec<u64>>,
     witnesses: Vec<Witness>,
@@ -440,13 +416,12 @@ struct Exec<'a> {
 impl Exec<'_> {
     fn witness(&mut self, invariant: &'static str, detail: String) {
         self.violations += 1;
-        if self.witnesses.len() < WITNESS_CAP {
-            self.witnesses.push(Witness {
-                invariant,
-                schedule: self.label.clone(),
-                detail,
-            });
-        }
+        let w = Witness {
+            invariant,
+            schedule: self.label.clone(),
+            detail,
+        };
+        store_witness(&mut self.witnesses, w);
     }
 
     fn inject(&mut self, count: usize) {
@@ -462,9 +437,8 @@ impl Exec<'_> {
     }
 
     /// Checks I1 for every release recorded since the last call and counts
-    /// egressed packets. Releases only happen while the topology is stable
-    /// (reconfigurations run on a quiesced chain), so the ring arithmetic
-    /// of the *current* configuration applies.
+    /// egressed packets by ident. The ring arithmetic is the chain's,
+    /// which a handover does not change.
     fn harvest(&mut self) {
         let ring = self.chain.replicas[0].cfg.ring();
         for reqs in self.probe.drain_releases() {
@@ -506,30 +480,22 @@ impl Exec<'_> {
                 }
             }
         }
-        self.released += self.chain.egress().drain().len();
+        for pkt in self.chain.egress().drain() {
+            let ident = pkt.ipv4().map(|ip| ip.ident()).unwrap_or(0);
+            *self.egressed.entry(ident).or_default() += 1;
+        }
     }
 
-    /// Steps actors in `perm` order (plus any replicas a splice added
-    /// beyond the permuted set, and the forwarder feedback) until
+    /// Steps actors in `perm` order (plus the forwarder feedback) until
     /// quiescence or the round budget runs out.
     fn drive(&mut self, perm: &[Step]) {
         for _ in 0..self.cfg.max_rounds {
             let mut progressed = false;
-            for &actor in perm {
+            for &actor in perm.iter().chain(&[Step::ForwarderFeedback]) {
                 if self.chain.step(actor) {
                     self.steps += 1;
                     progressed = true;
                 }
-            }
-            for i in self.base_n..self.chain.replicas.len() {
-                if self.chain.step(Step::Replica(i)) {
-                    self.steps += 1;
-                    progressed = true;
-                }
-            }
-            if self.chain.step(Step::ForwarderFeedback) {
-                self.steps += 1;
-                progressed = true;
             }
             self.harvest();
             if !progressed {
@@ -559,12 +525,22 @@ impl Exec<'_> {
         }
     }
 
-    fn run_op(&mut self, site: OpSite) -> ReconfigRun {
-        match site.op {
-            ReconfigOp::Migrate => self.chain.migrate_mbox(site.pos),
-            ReconfigOp::Scale => self.chain.scale_mbox(site.pos),
-            ReconfigOp::SpliceIn => self.chain.splice_in(site.pos, self.cfg.splice_spec.clone()),
-            ReconfigOp::SpliceOut => self.chain.splice_out(site.pos),
+    /// Injects the in-flight packets and steps positions `0..=pos` until
+    /// they are all queued behind `pos`: its own store is then ahead of
+    /// its successor's copy.
+    fn leave_in_flight(&mut self, pos: usize) {
+        let first = self.next_ident.wrapping_add(1);
+        self.inject(self.cfg.in_flight);
+        self.in_flight = first..self.next_ident.wrapping_add(1);
+        loop {
+            let mut progressed = false;
+            for i in 0..=pos {
+                progressed |= self.chain.step(Step::Replica(i));
+            }
+            if !progressed {
+                return;
+            }
+            self.steps += 1;
         }
     }
 
@@ -573,7 +549,9 @@ impl Exec<'_> {
     fn recover_dead(&mut self) {
         for i in 0..self.chain.replicas.len() {
             if self.chain.is_dead(i) {
-                if let Err(e) = self.chain.try_fail_and_recover(i, &|_, _| true) {
+                let result = self.chain.try_fail_and_recover(i, &|_, _| true);
+                self.samples.extend(self.chain.take_samples());
+                if let Err(e) = result {
                     self.witness(
                         "I3",
                         format!(
@@ -588,108 +566,110 @@ impl Exec<'_> {
 
     /// Executes the operation and applies the documented repair for its
     /// failure class, retrying rolled-back attempts with the probe
-    /// disarmed. Every attempt's claim trace is kept for the I5 fold.
+    /// disarmed. Every attempt's samples are kept for the I5 fold.
     fn execute_and_repair(&mut self, site: OpSite) {
         for attempt in 0.. {
-            let run = self.run_op(site);
-            self.trace.extend(run.trace.iter().cloned());
-            match run.outcome {
+            let outcome = match site.op {
+                ReconfigOp::Migrate => self.chain.migrate_mbox(site.pos),
+                ReconfigOp::Scale => self.chain.scale_mbox(site.pos),
+            };
+            self.samples.extend(self.chain.take_samples());
+            let failure = match outcome {
                 Ok(_) => {
                     self.completed = true;
-                    self.check_i6(&run);
+                    self.check_i6(site.pos);
                     return;
                 }
-                Err(failure) => {
-                    self.probe.disarm();
-                    match failure {
-                        // The position fail-stopped (pre-commit source
-                        // death on the old topology, or a post-commit
-                        // destination death on the new one): §5.2 repairs.
-                        ReconfigFailure::SourceCrashed { .. }
-                        | ReconfigFailure::DestinationCrashed {
-                            phase: ReconfigPhase::Switch,
-                        } => {
-                            self.recover_dead();
-                            return;
-                        }
-                        // Past the commit point the operation rolls
-                        // forward: the new owner already serves and the
-                        // sealed source is merely never decommissioned.
-                        // I6 must still hold on the state it received.
-                        ReconfigFailure::OrchestratorCrashed {
-                            phase: ReconfigPhase::Release,
-                        } => {
-                            self.completed = true;
-                            self.check_i6(&run);
-                            return;
-                        }
-                        // Rolled back with the old configuration intact:
-                        // the documented recovery is a plain retry.
-                        ReconfigFailure::DestinationCrashed { .. }
-                        | ReconfigFailure::OrchestratorCrashed { .. }
-                        | ReconfigFailure::NotQuiescent => {
-                            if attempt + 1 >= RETRY_CAP {
-                                self.witness(
-                                    "liveness",
-                                    format!(
-                                        "operation still failing after \
-                                         {RETRY_CAP} attempts: {failure}"
-                                    ),
-                                );
-                                return;
-                            }
-                            self.retries += 1;
-                        }
+                Err(RecoveryError::Failed(failure)) => failure,
+                Err(e) => {
+                    self.witness("I3", format!("handover failed with every source live: {e}"));
+                    return;
+                }
+            };
+            self.probe.disarm();
+            match failure {
+                // The position fail-stopped (pre-commit source death on
+                // the old configuration, or a post-commit destination
+                // death on the new one): §5.2 repairs.
+                ReconfigFailure::SourceCrashed { .. }
+                | ReconfigFailure::DestinationCrashed {
+                    phase: ReconfigPhase::Switch,
+                } => {
+                    self.recover_dead();
+                    return;
+                }
+                // Past the commit point the operation rolls forward: the
+                // new owner already serves. I6 must hold on what it got.
+                ReconfigFailure::OrchestratorCrashed {
+                    phase: ReconfigPhase::Release,
+                } => {
+                    self.completed = true;
+                    self.check_i6(site.pos);
+                    return;
+                }
+                // Rolled back with the old configuration intact: the
+                // documented recovery is a plain retry.
+                ReconfigFailure::DestinationCrashed { .. }
+                | ReconfigFailure::OrchestratorCrashed { .. } => {
+                    if attempt + 1 >= RETRY_CAP {
+                        self.witness(
+                            "liveness",
+                            format!(
+                                "operation still failing after {RETRY_CAP} \
+                                 attempts: {failure}"
+                            ),
+                        );
+                        return;
                     }
+                    self.retries += 1;
                 }
             }
         }
     }
 
-    /// I6: the new owner's own store equals the committed prefix sealed at
-    /// the source — nothing lost, nothing duplicated. Runs before post
-    /// traffic. Splices carry state by identity and are covered by the
-    /// counter check in [`Self::check_final`] instead.
-    fn check_i6(&mut self, run: &ReconfigRun) {
-        if !matches!(run.op, ReconfigOp::Migrate | ReconfigOp::Scale) {
+    /// I6: right after the commit, the new owner's own store equals its
+    /// successor's replicated copy — the f + 1-copies prefix. Runs before
+    /// post traffic.
+    fn check_i6(&mut self, pos: usize) {
+        let ring = self.chain.replicas[0].cfg.ring();
+        if ring.f == 0 {
             return;
         }
-        let Some(seal) = &run.seal else {
-            self.witness(
-                "I6",
-                "handover committed without capturing a seal record".into(),
-            );
-            return;
+        let succ = (pos + 1) % ring.n;
+        let owner = &self.chain.replicas[pos].own_store;
+        let (got_seqs, got) = (owner.seq_vector(), canonical(owner.snapshot()));
+        let Some(copy) = self.chain.replicas[succ].replicated.get(&pos) else {
+            return; // structural damage — I3 reports it
         };
-        let dest = &self.chain.replicas[run.position];
-        let got_seqs = dest.own_store.seq_vector();
-        if got_seqs != seal.seqs {
+        let (want_seqs, want) = (copy.max.vector(), canonical(copy.store.snapshot()));
+        if got_seqs != want_seqs {
             self.witness(
                 "I6",
                 format!(
-                    "migrated seq vector {got_seqs:?} differs from the sealed \
-                     committed prefix {:?} at position {}",
-                    seal.seqs, run.position
+                    "the new owner of position {pos} starts at seq vector \
+                     {got_seqs:?}, but its successor r{succ} holds the f+1 \
+                     copies' prefix {want_seqs:?}"
                 ),
             );
-        } else if canonical(dest.own_store.snapshot()) != canonical(seal.snapshot.clone()) {
+        } else if got != want {
             self.witness(
                 "I6",
                 format!(
-                    "migrated store content at position {} diverges from the \
-                     sealed snapshot despite equal seq vectors",
-                    run.position
+                    "the new owner of position {pos} diverges in content from \
+                     its successor r{succ}'s copy despite equal seq vectors"
                 ),
             );
         }
     }
 
-    /// Captures the I4 baseline before a handover (positions are stable
-    /// across migrate/scale; splices renumber them, so I4 is skipped
-    /// there and convergence is covered by I2 + the counter check).
-    fn capture_i4(&mut self) {
+    /// Captures the I4 baseline before a handover. On in-flight schedules
+    /// the replaced position's own store is left out: its in-flight
+    /// commits die with the outgoing instance.
+    fn capture_i4(&mut self, pos: usize, in_flight: bool) {
         for (r, rep) in self.chain.replicas.iter().enumerate() {
-            self.baseline.insert((r, r), rep.own_store.seq_vector());
+            if !(in_flight && r == pos) {
+                self.baseline.insert((r, r), rep.own_store.seq_vector());
+            }
             for (m, g) in &rep.replicated {
                 self.baseline.insert((r, *m), g.max.vector());
             }
@@ -724,70 +704,38 @@ impl Exec<'_> {
         }
     }
 
-    /// I5: fold every recorded claim sample (at most one serviceable owner
-    /// per `(position, partition)` at every observable point) and the
-    /// final claim views (exactly one at completion).
+    /// I5: at most one serving instance per position at every recorded
+    /// probe point, exactly one at final quiescence.
     fn check_i5(&mut self) {
-        let trace = std::mem::take(&mut self.trace);
-        for (si, sample) in trace.iter().enumerate() {
-            let mut positions: Vec<usize> = sample.views.iter().map(|v| v.position).collect();
-            positions.sort_unstable();
-            positions.dedup();
-            let parts = sample
-                .views
-                .iter()
-                .map(|v| v.flags.len())
-                .max()
-                .unwrap_or(0);
-            for &pos in &positions {
-                for p in 0..parts as u16 {
-                    let owners = sample.serviceable_count(pos, p);
-                    if owners > 1 {
-                        self.witness(
-                            "I5",
-                            format!(
-                                "sample {si} ({} {} point at the {}): {owners} \
-                                 serviceable owners of position {pos} \
-                                 partition {p} — ownership was not handed \
-                                 over exactly once",
-                                sample.op.label(),
-                                sample.phase.label(),
-                                sample.role.label(),
-                            ),
-                        );
-                    }
-                }
+        let samples = std::mem::take(&mut self.samples);
+        for s in &samples {
+            for (pos, &n) in s.serving.iter().enumerate().filter(|(_, &n)| n > 1) {
+                self.witness(
+                    "I5",
+                    format!(
+                        "{n} alive, unpaused instances of position {pos} at \
+                         {:?} — the position was not handed over exactly once",
+                        s.point
+                    ),
+                );
             }
         }
-        let views = self.chain.claim_views();
-        for pos in 0..self.chain.replicas.len() {
-            let parts = views
-                .iter()
-                .filter(|v| v.position == pos)
-                .map(|v| v.flags.len())
-                .max()
-                .unwrap_or(0);
-            for p in 0..parts as u16 {
-                let owners = views
-                    .iter()
-                    .filter(|v| v.position == pos && v.serviceable(p))
-                    .count();
-                if owners != 1 {
-                    self.witness(
-                        "I5",
-                        format!(
-                            "at final quiescence position {pos} partition {p} \
-                             has {owners} serviceable owner(s), want exactly 1"
-                        ),
-                    );
-                }
+        for (pos, n) in self.chain.serving().into_iter().enumerate() {
+            if n != 1 {
+                self.witness(
+                    "I5",
+                    format!(
+                        "at final quiescence position {pos} has {n} alive, \
+                         unpaused instance(s), want exactly 1"
+                    ),
+                );
             }
         }
     }
 
-    /// Final checks: I2 convergence, I3 structure/liveness/exact delivery,
-    /// and the cross-operation packet-counter preservation check.
-    fn check_final(&mut self, site: OpSite, total_expected: usize) {
+    /// Final checks: I2 convergence, I3 structure, liveness, delivery and
+    /// the Monitor counters.
+    fn check_final(&mut self) {
         if self.budget_blown {
             return; // liveness witness recorded; state is mid-flight
         }
@@ -802,17 +750,18 @@ impl Exec<'_> {
                 ),
             );
         }
-        if self.released != total_expected {
-            self.witness(
-                "I3",
-                format!(
-                    "released {} packets, expected exactly {total_expected} \
-                     (reconfigurations run quiesced — no in-flight loss is \
-                     possible)",
-                    self.released
-                ),
-            );
+        for ident in 1..=self.next_ident {
+            let got = self.egressed.get(&ident).copied().unwrap_or(0);
+            let in_flight = self.in_flight.contains(&ident);
+            if got > 1 || (got == 0 && !in_flight) {
+                let want = if in_flight { "at most once" } else { "once" };
+                self.witness(
+                    "I3",
+                    format!("packet {ident} egressed {got} times, want {want}"),
+                );
+            }
         }
+        let released: usize = self.egressed.values().sum();
         let ring = self.chain.replicas[0].cfg.ring();
         for i in 0..n {
             if self.chain.is_dead(i) {
@@ -820,10 +769,7 @@ impl Exec<'_> {
                 continue;
             }
             if self.chain.replicas[i].is_paused() {
-                self.witness(
-                    "I3",
-                    format!("position r{i} still paused at the end (seal never lifted)"),
-                );
+                self.witness("I3", format!("position r{i} still paused at the end"));
             }
             let claimed_idx = self.chain.replicas[i].idx;
             if claimed_idx != i {
@@ -842,6 +788,23 @@ impl Exec<'_> {
                     format!(
                         "r{i} replicates groups {got:?} after the \
                          reconfiguration, ring arithmetic requires {want:?}"
+                    ),
+                );
+            }
+            // Every Monitor counts every released packet; on in-flight
+            // schedules upstream ones also count what the switch dropped.
+            let counted = self.chain.replicas[i]
+                .own_store
+                .peek_u64(b"mon:packets:g0")
+                .unwrap_or(0) as usize;
+            let exact = self.in_flight.is_empty();
+            if (exact && counted != released) || counted < released {
+                self.witness(
+                    "I3",
+                    format!(
+                        "position {i}'s packet counter is {counted} after the \
+                         schedule, {released} packets were released — state \
+                         was lost or duplicated across the reconfiguration"
                     ),
                 );
             }
@@ -880,37 +843,6 @@ impl Exec<'_> {
                 }
             }
         }
-        // State preservation across the whole schedule: every monitor
-        // instance that lived through the warm traffic must count all
-        // packets; an instance spliced in afterwards counts only the post
-        // leg. Catches state silently dropped (or double-applied) by any
-        // reconfiguration path, including splices where I6 has no seal.
-        let spliced_in_pos = (n > self.base_n).then_some(site.pos);
-        let specs = self.chain.replicas[0].cfg.effective_middleboxes();
-        for (i, spec) in specs.iter().enumerate() {
-            if !matches!(spec, MbSpec::Monitor { sharing_level: 1 }) {
-                continue;
-            }
-            let expect = if spliced_in_pos == Some(i) {
-                self.cfg.post
-            } else {
-                total_expected
-            } as u64;
-            let got = self.chain.replicas[i]
-                .own_store
-                .peek_u64(b"mon:packets:g0")
-                .unwrap_or(0);
-            if got != expect {
-                self.witness(
-                    "I6",
-                    format!(
-                        "position {i}'s packet counter is {got} after the \
-                         schedule, expected {expect} — state was lost or \
-                         duplicated across the reconfiguration"
-                    ),
-                );
-            }
-        }
     }
 }
 
@@ -924,11 +856,11 @@ fn run_schedule<'a>(
     perm: &[Step],
     perm_idx: usize,
 ) -> Exec<'a> {
-    let chain_cfg = ChainConfig::new(cfg.specs.clone())
-        .with_f(cfg.f)
-        .with_partitions(cfg.partitions);
-    let base_n = chain_cfg.effective_middleboxes().len();
-    let chain = SyncChain::new(chain_cfg);
+    let chain = SyncChain::new(
+        ChainConfig::new(cfg.specs.clone())
+            .with_f(cfg.f)
+            .with_partitions(cfg.partitions),
+    );
     let probe = ReconfigProbe::new();
     chain.install_probe(Arc::clone(&probe) as Arc<dyn ProtocolProbe>);
     let mut exec = Exec {
@@ -936,14 +868,14 @@ fn run_schedule<'a>(
         chain,
         probe,
         label: format!("{}/perm{}", case.label(), perm_idx),
-        base_n,
         next_ident: 0,
-        released: 0,
+        in_flight: 0..0,
+        egressed: HashMap::new(),
         steps: 0,
         retries: 0,
         completed: false,
         budget_blown: false,
-        trace: Vec::new(),
+        samples: Vec::new(),
         baseline: HashMap::new(),
         witnesses: Vec::new(),
         violations: 0,
@@ -951,11 +883,11 @@ fn run_schedule<'a>(
 
     exec.inject(cfg.warm);
     exec.drive(perm);
-
-    let handover = matches!(case.site.op, ReconfigOp::Migrate | ReconfigOp::Scale);
-    if handover {
-        exec.capture_i4();
+    if case.in_flight {
+        exec.leave_in_flight(case.site.pos);
     }
+
+    exec.capture_i4(case.site.pos, case.in_flight);
     if let Some(crash) = case.crash {
         exec.probe.arm(case.site.op, crash);
     }
@@ -975,19 +907,23 @@ fn run_schedule<'a>(
         }
     }
     exec.probe.disarm();
-    if handover {
-        exec.check_i4();
-    }
+    exec.check_i4();
 
     exec.inject(cfg.post);
     exec.drive(perm);
     exec.check_i5();
-    exec.check_final(case.site, cfg.warm + cfg.post);
+    exec.check_final();
     exec
 }
 
-fn interleavings(cfg: &ReconfigCheckConfig, base_n: usize) -> Vec<Vec<Step>> {
-    let mut actors: Vec<Step> = (0..base_n).map(Step::Replica).collect();
+/// The matrix for `cfg`: every crash case and every (sampled) actor
+/// interleaving.
+fn matrix(cfg: &ReconfigCheckConfig) -> (Vec<ReconfigCase>, Vec<Vec<Step>>) {
+    let n = ChainConfig::new(cfg.specs.clone())
+        .with_f(cfg.f)
+        .effective_middleboxes()
+        .len();
+    let mut actors: Vec<Step> = (0..n).map(Step::Replica).collect();
     actors.push(Step::Buffer);
     let mut perms = permutations(&actors);
     if let Some(limit) = cfg.perm_limit {
@@ -1000,20 +936,14 @@ fn interleavings(cfg: &ReconfigCheckConfig, base_n: usize) -> Vec<Vec<Step>> {
                 .collect();
         }
     }
-    perms
+    (case_matrix(cfg, n), perms)
 }
 
 /// Runs the full exploration: every crash case in the reconfiguration
 /// matrix × every (sampled) actor interleaving, with I1–I6 checked on
 /// every schedule.
 pub fn explore_reconfig(cfg: &ReconfigCheckConfig) -> ReconfigReport {
-    let base_n = ChainConfig::new(cfg.specs.clone())
-        .with_f(cfg.f)
-        .effective_middleboxes()
-        .len();
-    let perms = interleavings(cfg, base_n);
-    let cases = case_matrix(cfg, base_n);
-
+    let (cases, perms) = matrix(cfg);
     let mut report = ReconfigReport {
         crash_cases: cases.len(),
         interleavings: perms.len(),
@@ -1021,23 +951,7 @@ pub fn explore_reconfig(cfg: &ReconfigCheckConfig) -> ReconfigReport {
     };
     for case in &cases {
         for (perm_idx, perm) in perms.iter().enumerate() {
-            let exec = run_schedule(cfg, case, perm, perm_idx);
-            report.schedules += 1;
-            report.steps += exec.steps;
-            report.releases += exec.released;
-            report.retries += exec.retries;
-            report.violations += exec.violations;
-            if exec.probe.fired() {
-                report.crashes_fired += 1;
-            }
-            if exec.completed {
-                report.ops_completed += 1;
-            }
-            for w in exec.witnesses {
-                if report.witnesses.len() < WITNESS_CAP {
-                    report.witnesses.push(w);
-                }
-            }
+            report.absorb(run_schedule(cfg, case, perm, perm_idx));
         }
     }
     report
@@ -1048,36 +962,18 @@ pub fn explore_reconfig(cfg: &ReconfigCheckConfig) -> ReconfigReport {
 /// name a schedule of `cfg`'s matrix — labels are only portable between
 /// identical configurations.
 pub fn replay(cfg: &ReconfigCheckConfig, schedule: &str) -> ReconfigReport {
-    let base_n = ChainConfig::new(cfg.specs.clone())
-        .with_f(cfg.f)
-        .effective_middleboxes()
-        .len();
-    let perms = interleavings(cfg, base_n);
-    let cases = case_matrix(cfg, base_n);
+    let (cases, perms) = matrix(cfg);
     for case in &cases {
         for (perm_idx, perm) in perms.iter().enumerate() {
-            if format!("{}/perm{}", case.label(), perm_idx) != schedule {
-                continue;
+            if format!("{}/perm{}", case.label(), perm_idx) == schedule {
+                let mut report = ReconfigReport {
+                    crash_cases: 1,
+                    interleavings: 1,
+                    ..ReconfigReport::default()
+                };
+                report.absorb(run_schedule(cfg, case, perm, perm_idx));
+                return report;
             }
-            let exec = run_schedule(cfg, case, perm, perm_idx);
-            let mut report = ReconfigReport {
-                schedules: 1,
-                crash_cases: 1,
-                interleavings: 1,
-                steps: exec.steps,
-                releases: exec.released,
-                retries: exec.retries,
-                violations: exec.violations,
-                witnesses: exec.witnesses,
-                ..ReconfigReport::default()
-            };
-            if exec.probe.fired() {
-                report.crashes_fired = 1;
-            }
-            if exec.completed {
-                report.ops_completed = 1;
-            }
-            return report;
         }
     }
     panic!("schedule {schedule:?} is not in the matrix of this configuration");
@@ -1097,9 +993,8 @@ mod tests {
     #[test]
     fn pr_gate_matrix_meets_the_schedule_floor() {
         let cfg = ReconfigCheckConfig::pr_gate();
-        let cases = case_matrix(&cfg, 3);
-        let perms = interleavings(&cfg, 3);
-        assert_eq!(cases.len(), 56, "4 handover ops × 10 + 2 splice ops × 8");
+        let (cases, perms) = matrix(&cfg);
+        assert_eq!(cases.len(), 120, "6 sites × 10 variants × 2 modes");
         assert_eq!(perms.len(), 24);
         assert!(
             cases.len() * perms.len() >= 1000,
@@ -1107,6 +1002,8 @@ mod tests {
         );
         let labels: std::collections::BTreeSet<String> = cases.iter().map(|c| c.label()).collect();
         assert_eq!(labels.len(), cases.len(), "case labels must be distinct");
+        let (deep, deep_perms) = matrix(&ReconfigCheckConfig::nightly_deep());
+        assert_eq!(deep.len() * deep_perms.len(), 160 * 120);
     }
 
     #[test]
@@ -1134,7 +1031,7 @@ mod tests {
     #[cfg_attr(feature = "reconfig-sabotage", ignore)]
     fn replay_reproduces_a_clean_schedule() {
         let cfg = mini();
-        let report = replay(&cfg, "migrate@0/clean/perm0");
+        let report = replay(&cfg, "migrate@0/quiesced/clean/perm0");
         assert_eq!(report.schedules, 1);
         assert!(report.ok(), "witnesses: {:#?}", report.witnesses);
         assert_eq!(report.ops_completed, 1);
@@ -1143,6 +1040,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "not in the matrix")]
     fn replay_rejects_unknown_labels() {
-        replay(&mini(), "migrate@9/clean/perm999");
+        replay(&mini(), "migrate@9/quiesced/clean/perm999");
     }
 }

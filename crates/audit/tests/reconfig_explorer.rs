@@ -1,20 +1,21 @@
 //! The reconfiguration model checker's gate tests: the full PR-gate
 //! crash-during-reconfiguration matrix (≥ 1000 schedules) must be
-//! violation-free on the real handover/splice engines, witnesses must be
+//! violation-free on the shipped replacement procedure, witnesses must be
 //! replayable from their labels, and the deep matrix runs nightly
 //! (opt-in via `FTC_RECONFIG_DEEP=1`).
 //!
-//! The `reconfig-sabotage` feature deliberately breaks the release phase,
-//! so these positive gates are compiled out under it — the sabotage
-//! expectation lives in `reconfig_sabotage.rs`, run as a separate cargo
-//! invocation by `check.sh --reconfig-check`.
+//! The `reconfig-sabotage` feature deliberately breaks the switch and the
+//! transfer, so these positive gates are compiled out under it — the
+//! sabotage expectation lives in `reconfig_sabotage.rs`, run as a separate
+//! cargo invocation by `check.sh --reconfig-check`.
 
 #![cfg(not(feature = "reconfig-sabotage"))]
 
 use ftc_audit::{explore_reconfig, replay, ReconfigCheckConfig};
 
-/// The PR gate: every migrate/scale/splice crash case × all 24
-/// interleavings of the steppable actors, checking I1–I6 on each.
+/// The PR gate: migrate and scale at every position × every crash variant
+/// × {quiesced, in flight} × all 24 interleavings of the steppable actors,
+/// checking I1–I6 on each.
 #[test]
 fn pr_gate_reconfig_exploration_is_violation_free() {
     let cfg = ReconfigCheckConfig::pr_gate();
@@ -37,7 +38,8 @@ fn pr_gate_reconfig_exploration_is_violation_free() {
     );
     assert_eq!(report.schedules, report.crash_cases * report.interleavings);
     assert_eq!(report.interleavings, 24);
-    // 50 of the 56 cases arm a crash, and every armed point is reachable
+    assert_eq!(report.crash_cases, 120);
+    // 108 of the 120 cases arm a crash, and every armed point is reachable
     // (the executor records a "coverage" witness otherwise, failing ok()).
     assert!(
         report.crashes_fired > report.schedules / 2,
@@ -62,10 +64,10 @@ fn pr_gate_reconfig_exploration_is_violation_free() {
 fn schedules_replay_from_their_labels() {
     let cfg = ReconfigCheckConfig::pr_gate();
     for label in [
-        "migrate@1/clean/perm3",
-        "scale@1/crash[destination@transfer#2]/perm17",
-        "splice-in@1/crash[orchestrator@release#0]/perm0",
-        "splice-out@1/crash[source@transfer#1]/perm23",
+        "migrate@1/quiesced/clean/perm3",
+        "scale@1/quiesced/crash[destination@transfer#1]/perm17",
+        "migrate@2/in-flight/crash[orchestrator@release#0]/perm0",
+        "scale@0/in-flight/crash[source@transfer#0]/perm23",
     ] {
         let report = replay(&cfg, label);
         assert_eq!(report.schedules, 1, "{label}");
@@ -77,9 +79,10 @@ fn schedules_replay_from_their_labels() {
     }
 }
 
-/// The deep matrix: every operation at every position with a denser
-/// transfer-trigger grid. Heavier than the PR gate, so it only runs when
-/// `FTC_RECONFIG_DEEP=1` (the nightly CI job sets it).
+/// The deep matrix: the gate's matrix on a 4-monitor chain, under all 120
+/// interleavings of its five steppable actors. Heavier than the PR gate,
+/// so it only runs when `FTC_RECONFIG_DEEP=1` (the nightly CI job sets
+/// it).
 #[test]
 fn deep_reconfig_exploration_is_violation_free() {
     if std::env::var("FTC_RECONFIG_DEEP")
@@ -103,7 +106,7 @@ fn deep_reconfig_exploration_is_violation_free() {
             .join("\n")
     );
     assert!(
-        report.schedules > 3000,
+        report.schedules > 2880,
         "deep mode must widen the matrix: {}",
         report.summary()
     );

@@ -1,21 +1,19 @@
-//! Sabotage self-test: with `--features reconfig-sabotage` the handover
-//! engine drops the release phase — the source's failure-assumption
-//! timeout re-opens its claims and resumes it while the destination has
-//! already switched, so two serviceable owners exist for every partition
-//! of the migrated position. The I5 single-owner invariant must catch it
-//! and the witness label must replay to the same violation. Run via
-//! `check.sh --reconfig-check` as a separate cargo invocation — never
-//! alongside the default tests (cargo feature unification would poison
-//! every other ftc-core handover test).
+//! Sabotage self-test: with `--features reconfig-sabotage` the replacement
+//! procedure carries two faults. The switch resumes the outgoing instance
+//! instead of killing it, so two instances serve the position (I5 must
+//! fire); and the own group is restored from the outgoing instance's own
+//! store, which is ahead of its f + 1 copies when packets are in flight
+//! (I6 must fire on an in-flight schedule). Each witness label must replay
+//! to the same violation. Run via `check.sh --reconfig-check` as a separate
+//! cargo invocation — never alongside the default tests (cargo feature
+//! unification would poison every other ftc-core replacement test).
 
 #![cfg(feature = "reconfig-sabotage")]
 
 use ftc_audit::{explore_reconfig, replay, ReconfigCheckConfig};
 
 #[test]
-fn skip_release_sabotage_trips_i5_with_replayable_witness() {
-    // One clean migrate per position suffices: only fully-successful
-    // handovers reach the sabotaged release phase.
+fn sabotage_trips_i5_and_i6_with_replayable_witnesses() {
     let cfg = ReconfigCheckConfig {
         perm_limit: Some(2),
         ..ReconfigCheckConfig::pr_gate()
@@ -24,28 +22,33 @@ fn skip_release_sabotage_trips_i5_with_replayable_witness() {
     eprintln!("reconfig-check sabotage: {}", report.summary());
     assert!(
         !report.ok(),
-        "checker failed to catch the skip-release sabotage: {}",
+        "checker failed to catch the sabotage: {}",
         report.summary()
     );
-    let w = report
-        .witnesses
-        .iter()
-        .find(|w| w.invariant == "I5")
-        .unwrap_or_else(|| panic!("expected an I5 witness, got: {:#?}", report.witnesses));
-    assert!(
-        w.detail.contains("serviceable owner"),
-        "witness must name the double ownership: {w}"
-    );
-    // The label replays to the same violation.
-    let again = replay(&cfg, &w.schedule);
-    assert!(
-        !again.ok(),
-        "witness schedule {} did not reproduce on replay",
-        w.schedule
-    );
-    assert!(
-        again.witnesses.iter().any(|r| r.invariant == "I5"),
-        "replayed schedule lost the I5 witness: {:#?}",
-        again.witnesses
-    );
+    for (invariant, names) in [("I5", "alive, unpaused instances"), ("I6", "f+1 copies")] {
+        let w = report
+            .witnesses
+            .iter()
+            .find(|w| w.invariant == invariant && w.detail.contains(names))
+            .unwrap_or_else(|| {
+                panic!(
+                    "expected an {invariant} witness, got: {:#?}",
+                    report.witnesses
+                )
+            });
+        if invariant == "I6" {
+            assert!(
+                w.schedule.contains("/in-flight/"),
+                "I6 fires on in-flight schedules: {w}"
+            );
+        }
+        // The label replays to the same violation.
+        let again = replay(&cfg, &w.schedule);
+        assert!(
+            again.witnesses.iter().any(|r| r.invariant == invariant),
+            "replayed schedule {} lost the {invariant} witness: {:#?}",
+            w.schedule,
+            again.witnesses
+        );
+    }
 }

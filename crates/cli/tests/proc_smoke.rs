@@ -100,6 +100,29 @@ fn table2_chain_as_processes_survives_replica_kill() {
     );
 }
 
+/// A replacement whose every source is dead cannot recover and exits; the
+/// parent must report that exit promptly instead of pinging the exited
+/// process until its 30 s readiness deadline.
+#[test]
+fn recovery_with_every_source_dead_reports_the_exit_promptly() {
+    let dir = std::env::temp_dir().join(format!("ftc-proc-dead-{}", std::process::id()));
+    let chain = ProcChain::deploy(ProcConfig {
+        chain: "monitor -> monitor".to_string(),
+        f: 1,
+        workers: 1,
+        dir,
+        exe: std::path::PathBuf::from(env!("CARGO_BIN_EXE_ftc")),
+    })
+    .expect("multi-process deploy");
+    chain.kill(0);
+    chain.kill(1);
+    let t0 = std::time::Instant::now();
+    let err = chain.recover(0).expect_err("no source can serve");
+    let took = t0.elapsed();
+    assert!(err.contains("exited"), "the error names the exit: {err}");
+    assert!(took < Duration::from_secs(5), "reported after {took:?}");
+}
+
 /// Two concurrent closed-loop clients share one multi-process chain: both
 /// see their packets egress, and the merged per-node snapshot carries the
 /// transaction and buffer stage samples from across the process boundary.

@@ -330,7 +330,7 @@ impl FtcChain {
     /// Rebuilds the replica at position `idx` on a fresh server in `region`
     /// with *already recovered* state, and rewires the data plane around
     /// it. This is the mechanical part of recovery; the orchestrator drives
-    /// state fetch (see [`crate::recovery`]) and sequencing.
+    /// state fetch and sequencing (see [`crate::replace`]).
     ///
     /// Returns the new slot's control client.
     pub fn respawn(

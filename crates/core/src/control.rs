@@ -144,26 +144,31 @@ fn take_bytes(b: &mut &[u8]) -> Option<Bytes> {
     Some(out)
 }
 
-/// Deserialize a control response; `None` if the bytes are not a response.
+fn take_u32(b: &mut &[u8]) -> Option<usize> {
+    (b.remaining() >= 4).then(|| b.get_u32() as usize)
+}
+
+fn take_u64s(b: &mut &[u8]) -> Option<Vec<u64>> {
+    let n = take_u32(b)?;
+    (b.remaining() / 8 >= n).then(|| (0..n).map(|_| b.get_u64()).collect())
+}
+
+/// Deserialize a control response; `None` if the bytes are not exactly one
+/// response. Hostile counts cannot allocate: every capacity is bounded by
+/// the bytes left (a map needs at least 4 of them, an entry 8).
 pub fn decode_resp(mut b: &[u8]) -> Option<CtrlResp> {
     if !b.has_remaining() {
         return None;
     }
-    match b.get_u8() {
-        RESP_PONG => Some(CtrlResp::Pong),
+    let b = &mut b;
+    let resp = match b.get_u8() {
+        RESP_PONG => CtrlResp::Pong,
         RESP_STATE => {
-            let b = &mut b;
-            if b.remaining() < 4 {
-                return None;
-            }
-            let n_maps = b.get_u32() as usize;
-            let mut maps = Vec::with_capacity(n_maps);
+            let n_maps = take_u32(b)?;
+            let mut maps = Vec::with_capacity(n_maps.min(b.remaining() / 4));
             for _ in 0..n_maps {
-                if b.remaining() < 4 {
-                    return None;
-                }
-                let n = b.get_u32() as usize;
-                let mut map = Vec::with_capacity(n);
+                let n = take_u32(b)?;
+                let mut map = Vec::with_capacity(n.min(b.remaining() / 8));
                 for _ in 0..n {
                     let k = take_bytes(b)?;
                     let v = take_bytes(b)?;
@@ -171,28 +176,18 @@ pub fn decode_resp(mut b: &[u8]) -> Option<CtrlResp> {
                 }
                 maps.push(map);
             }
-            if b.remaining() < 4 {
-                return None;
-            }
-            let n_seqs = b.get_u32() as usize;
-            if b.remaining() < n_seqs * 8 + 4 {
-                return None;
-            }
-            let seqs = (0..n_seqs).map(|_| b.get_u64()).collect();
-            let n_max = b.get_u32() as usize;
-            if b.remaining() < n_max * 8 {
-                return None;
-            }
-            let max = (0..n_max).map(|_| b.get_u64()).collect();
-            Some(CtrlResp::State {
+            let seqs = take_u64s(b)?;
+            let max = take_u64s(b)?;
+            CtrlResp::State {
                 snapshot: StoreSnapshot { maps, seqs },
                 max,
-            })
+            }
         }
-        RESP_NOT_HERE => Some(CtrlResp::NotHere),
-        RESP_RESUMED => Some(CtrlResp::Resumed),
-        _ => None,
-    }
+        RESP_NOT_HERE => CtrlResp::NotHere,
+        RESP_RESUMED => CtrlResp::Resumed,
+        _ => return None,
+    };
+    (!b.has_remaining()).then_some(resp)
 }
 
 // ---- typed RPC wrappers ---------------------------------------------------
@@ -480,6 +475,8 @@ impl InPort {
 mod tests {
     use super::*;
     use ftc_net::{link_pair, reliable_pair, Endpoint};
+    use proptest::collection::vec as pvec;
+    use proptest::prelude::*;
 
     #[test]
     fn ports_relay_frames() {
@@ -632,6 +629,55 @@ mod tests {
         assert!(decode_req(&[]).is_none());
         assert!(decode_req(&[99]).is_none());
         assert!(decode_resp(&[RESP_STATE, 0, 0]).is_none(), "truncated");
+    }
+
+    #[test]
+    fn oversized_state_headers_decode_to_none() {
+        // 2^32 - 1 maps with no bytes behind them, then one map claiming
+        // 2^32 - 1 entries: both must fail without allocating for them.
+        assert!(decode_resp(&[RESP_STATE, 0xff, 0xff, 0xff, 0xff]).is_none());
+        assert!(decode_resp(&[RESP_STATE, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff]).is_none());
+    }
+
+    proptest::proptest! {
+        /// The recovery transfer's codec on hostile bytes: an encoded
+        /// `State` decodes, every strict prefix of it and every padded copy
+        /// decodes to `None`.
+        #[test]
+        fn every_strict_prefix_of_a_state_decodes_to_none(
+            maps in pvec(pvec((pvec(any::<u8>(), 0..6), pvec(any::<u8>(), 0..6)), 0..4), 0..4),
+            seqs in pvec(any::<u64>(), 0..5),
+            max in pvec(any::<u64>(), 0..5),
+        ) {
+            let maps = maps
+                .into_iter()
+                .map(|m| m.into_iter().map(|(k, v)| (Bytes::from(k), Bytes::from(v))).collect())
+                .collect();
+            let enc = encode_resp(&CtrlResp::State {
+                snapshot: StoreSnapshot { maps, seqs },
+                max,
+            });
+            prop_assert!(decode_resp(&enc).is_some());
+            for cut in 0..enc.len() {
+                prop_assert!(decode_resp(&enc[..cut]).is_none(), "prefix of {cut} bytes");
+            }
+            let mut padded = enc.to_vec();
+            padded.push(0);
+            prop_assert!(decode_resp(&padded).is_none(), "trailing byte");
+        }
+
+        /// Arbitrary bytes, most of them behind a `State` tag, never panic
+        /// or abort either decoder.
+        #[test]
+        fn arbitrary_bytes_never_panic_the_decoders(
+            tag in 0u8..6,
+            rest in pvec(any::<u8>(), 0..64),
+        ) {
+            let mut bytes = vec![if tag < 4 { RESP_STATE } else { tag }];
+            bytes.extend(rest);
+            let _ = decode_resp(&bytes);
+            let _ = decode_req(&bytes);
+        }
     }
 
     #[test]

@@ -24,8 +24,10 @@
 //!   injection, and per-replica control handles.
 //! * [`control`] — the control-plane RPC surface (heartbeats, state fetch)
 //!   and the swappable link ports used for rerouting during recovery.
-//! * [`recovery`] — replica-side state transfer: fetching stores and `MAX`
-//!   vectors from group members per the paper's source-selection rule.
+//! * [`replace`] — the one procedure that replaces a replica, for §5.2
+//!   recovery and for a planned migrate or scale ([`reconfig`] names the
+//!   phases): spawn, fetch every group per the paper's source-selection
+//!   rule, switch, resume — over a [`replace::Driver`] that does the IO.
 //! * [`metrics`] — counters and timing breakdowns (Table 2), read
 //!   through [`ChainMetrics::snapshot`].
 //! * [`hist`] — log-bucketed latency histograms (Fig. 11 CDFs and the
@@ -35,9 +37,10 @@
 //! * [`probe`] — step-granular instrumentation hooks: a model checker can
 //!   pause/crash protocol components at exact protocol steps.
 //! * [`testkit`] — a deterministic single-threaded harness over the same
-//!   protocol objects, for schedule-exploring property tests, plus the
-//!   [`testkit::CrashSchedule`] builder shared by integration tests and
-//!   the `ftc-audit` protocol model checker.
+//!   protocol objects (and a [`replace::Driver`]), for schedule-exploring
+//!   property tests, plus the [`testkit::ScenarioChain`] trait one failure
+//!   scenario body runs against on either this harness or the threaded
+//!   orchestrator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -53,7 +56,7 @@ pub mod journal;
 pub mod metrics;
 pub mod probe;
 pub mod reconfig;
-pub mod recovery;
+pub mod replace;
 pub mod replica;
 pub mod testkit;
 
@@ -63,7 +66,5 @@ pub use hist::Histogram;
 pub use journal::{Event, EventKind, EventSource, Journal, RecoveryTimeline};
 pub use metrics::{ChainMetrics, MetricsSnapshot};
 pub use probe::{ProbePoint, ProbeSlot, ProbeVerdict, ProtocolProbe};
-pub use reconfig::{
-    ClaimSample, ClaimView, ReconfigActor, ReconfigFailure, ReconfigOp, ReconfigPhase, ReconfigRun,
-    ReconfigStats, SealRecord,
-};
+pub use reconfig::{ReconfigActor, ReconfigFailure, ReconfigOp, ReconfigPhase};
+pub use replace::{replace, Plan, RecoveryError, ReplaceReport};

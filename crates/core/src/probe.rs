@@ -1,8 +1,9 @@
 //! Step-granular instrumentation hooks for protocol model checking.
 //!
 //! The protocol elements ([`crate::replica::ReplicaState`],
-//! [`crate::buffer::BufferState`], [`crate::forwarder::ForwarderState`] and
-//! the recovery driver in [`crate::recovery`]) each embed a [`ProbeSlot`].
+//! [`crate::buffer::BufferState`], [`crate::forwarder::ForwarderState`])
+//! each embed a [`ProbeSlot`]; the replacement procedure in
+//! [`crate::replace`] reports its points through its driver.
 //! When a probe is installed, every protocol step of interest reports a
 //! [`ProbePoint`] and the probe answers with a [`ProbeVerdict`]: either
 //! continue, or fail-stop the component *at that exact point* — state
@@ -75,13 +76,13 @@ pub enum ProbePoint {
         /// The middlebox whose state is fetched.
         mbox: usize,
     },
-    /// A planned-reconfiguration step (scale/migrate/splice handshake,
+    /// A planned-reconfiguration step (a migrate or scale handover,
     /// [`crate::reconfig`]) reached an observable point. A `Crash` verdict
-    /// fail-stops `role` — the source or destination instance, or the
-    /// orchestrator driving the handshake — at exactly that point, which
+    /// fail-stops `role` — the outgoing instance, the replacement, or the
+    /// orchestrator driving the handover — at exactly that point, which
     /// is the case split of the crash-during-reconfiguration matrix.
-    /// During the transfer phase the point fires once per partition moved,
-    /// so triggers can select "after `k` partitions landed".
+    /// During the transfer phase the point fires once per group restored,
+    /// so triggers can select "at the `k`-th group".
     Reconfig {
         /// The operation in progress.
         op: crate::reconfig::ReconfigOp,

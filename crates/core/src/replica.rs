@@ -17,7 +17,7 @@ use ftc_mbox::{Action, Middlebox, ProcCtx};
 use ftc_packet::ether::MacAddr;
 use ftc_packet::piggyback::{MboxId, PiggybackLog, PiggybackMessage};
 use ftc_packet::{packet, Packet};
-use ftc_stm::{ClaimTable, MaxVector, StateBackend, StateBackendExt};
+use ftc_stm::{MaxVector, StateBackend, StateBackendExt};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -128,14 +128,6 @@ pub struct ReplicaState {
     /// Model-checker hook: reports the protocol steps of [`Self::finish`]
     /// and honors crash verdicts at step granularity.
     pub probe: ProbeSlot,
-    /// This instance's *local* view of which of its middlebox's flow
-    /// partitions it owns ([`crate::reconfig`]). Deliberately not shared:
-    /// divergence between instances' views under crashes is exactly what
-    /// the I5 single-owner invariant observes. A fresh instance claims
-    /// everything (normal operation and §5.2 replacements own their
-    /// position outright); planned handovers seal/claim through
-    /// [`Self::begin_handover`] and friends.
-    pub claims: ClaimTable,
 }
 
 impl ReplicaState {
@@ -148,8 +140,7 @@ impl ReplicaState {
         metrics: Arc<ChainMetrics>,
     ) -> Arc<ReplicaState> {
         let ring = cfg.ring();
-        let partitions = cfg.partitions;
-        let own_store = cfg.engine.build(partitions);
+        let own_store = cfg.engine.build(cfg.partitions);
         let mut replicated = HashMap::new();
         for m in ring.replicated_by(idx) {
             replicated.insert(
@@ -173,7 +164,6 @@ impl ReplicaState {
             quiesce_cv: Condvar::new(),
             metrics,
             probe: ProbeSlot::new(),
-            claims: ClaimTable::new(partitions, true),
         })
     }
 
@@ -429,32 +419,6 @@ impl ReplicaState {
         for g in self.replicated.values() {
             g.max.discard_parked();
         }
-    }
-
-    /// Quiesces this instance as the *source* of a planned handover
-    /// ([`crate::reconfig`]): pause and drop parked packets — the §4.1
-    /// source rule, so everything transferred from here on is a consistent
-    /// committed frontier — then seal the partition claims so the instance
-    /// stops being serviceable while its state is copied off.
-    pub fn begin_handover(&self) {
-        self.pause();
-        self.discard_parked();
-        self.claims.seal_all();
-    }
-
-    /// Aborts a handover on the source: re-opens the sealed claims and
-    /// resumes packet processing. The old configuration is intact and the
-    /// operation can simply be retried.
-    pub fn abort_handover(&self) {
-        self.claims.unseal_all();
-        self.resume();
-    }
-
-    /// Completes a handover on the retiring side: the instance gives up
-    /// every partition claim. It stays paused — a decommissioned instance
-    /// serves nothing.
-    pub fn retire(&self) {
-        self.claims.unclaim_all();
     }
 
     /// Finishes a packet whose piggybacked logs are all applied: runs the

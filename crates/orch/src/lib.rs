@@ -27,4 +27,4 @@ pub mod testkit;
 pub use detector::detect_failures;
 pub use orchestrator::{spawn_monitor, Orchestrator, OrchestratorConfig, RecoveryReport};
 pub use proc::{NodeOpts, ProcChain, ProcConfig};
-pub use reconfig::{ReconfigError, ReconfigReport};
+pub use reconfig::ReconfigReport;

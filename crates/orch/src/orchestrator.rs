@@ -1,16 +1,22 @@
 //! Three-step failure recovery (paper §5.2) and its timing report.
+//!
+//! [`Orchestrator::recover`] and the handovers of [`crate::reconfig`] are
+//! one call each to [`ftc_core::replace::replace`], with the orchestrator
+//! as its threaded driver: it sleeps the modeled spawn delay, fetches a
+//! batch of groups in parallel over the control plane, and reroutes with
+//! [`FtcChain::respawn`].
 
 use crate::detector::FailureDetector;
 use ftc_core::chain::FtcChain;
-use ftc_core::config::RingMath;
+use ftc_core::config::ChainConfig;
 use ftc_core::control::{CtrlClient, CtrlReq, CtrlResp, OutPort};
 use ftc_core::journal::{EventKind, EventSource};
-use ftc_core::recovery::{source_order, RecoveryError};
+use ftc_core::probe::{ProbePoint, ProbeSlot, ProbeVerdict};
+use ftc_core::replace::{replace, Driver, Fetched, Plan, RecoveryError, ReplaceReport};
 use ftc_core::replica::ReplicaState;
 use ftc_net::topology::RegionId;
-use ftc_stm::StoreSnapshot;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Orchestrator tunables.
 #[derive(Debug, Clone)]
@@ -68,13 +74,12 @@ impl RecoveryReport {
 pub struct Orchestrator {
     /// The managed chain.
     pub chain: FtcChain,
-    /// Step-granular hook for the planned-reconfiguration handshake
-    /// ([`crate::reconfig`]): every phase of a handover reports a
-    /// [`ProbePoint::Reconfig`](ftc_core::probe::ProbePoint) here, and a
-    /// `Crash` verdict fail-stops that participant at that exact point.
-    /// Empty in production; tests install probes to exercise the
-    /// rollback/roll-forward paths.
-    pub reconfig_probe: ftc_core::probe::ProbeSlot,
+    /// Step-granular hook for replacements: every recovery fetch attempt
+    /// reports a [`ProbePoint::RecoveryFetch`] here, and every phase of a
+    /// handover a [`ProbePoint::Reconfig`]; a `Crash` verdict fail-stops
+    /// that participant at that exact point. Empty in production; tests
+    /// install probes to exercise the rollback and roll-forward paths.
+    pub probe: ProbeSlot,
     pub(crate) cfg: OrchestratorConfig,
     detector: FailureDetector,
 }
@@ -86,7 +91,7 @@ impl Orchestrator {
         let detector = FailureDetector::new(n, cfg.miss_threshold, cfg.heartbeat_timeout);
         Orchestrator {
             chain,
-            reconfig_probe: ftc_core::probe::ProbeSlot::new(),
+            probe: ProbeSlot::new(),
             cfg,
             detector,
         }
@@ -101,9 +106,9 @@ impl Orchestrator {
         }
         // §5.2: "for simultaneous failures, the orchestrator waits until all
         // new replicas confirm that they have finished their state recovery
-        // procedures before updating routing rules." Our respawn couples
-        // state restore and rewiring per position; positions are processed
-        // in sequence after *all* state has been fetched.
+        // procedures before updating routing rules." This loop does not
+        // wait: it recovers one position completely — spawn, fetch,
+        // reroute, resume — before it starts the next.
         let mut results = Vec::new();
         for idx in dead {
             let region = self.chain.replicas[idx].region;
@@ -123,203 +128,24 @@ impl Orchestrator {
         idx: usize,
         region: RegionId,
     ) -> Result<RecoveryReport, RecoveryError> {
-        let ring = self.chain.cfg.ring();
-        self.journal(EventKind::RespawnIssued {
-            replica: idx as u16,
-        });
-
-        // ---- Step 1: initialization -------------------------------------
-        // Spawn a new middlebox instance + replica on a server in `region`
-        // and inform it about the replication groups of the failed replica.
-        // Cost: an orchestrator↔region round trip plus process start.
-        let t0 = Instant::now();
-        // WAN RTT + spawn-cost emulation (a modeled delay, not a poll).
-        // forbidden-ok: thread-sleep
-        std::thread::sleep(
-            self.chain
-                .topology
-                .rtt(self.cfg.region, region)
-                .saturating_add(self.cfg.spawn_cost),
-        );
-        let spec = &self.chain.cfg.effective_middleboxes()[idx];
-        let state = ReplicaState::new(
-            idx,
-            Arc::clone(&self.chain.cfg),
-            spec.build(),
-            Arc::new(OutPort::empty()),
-            Arc::clone(&self.chain.metrics),
-        );
-        let initialization = t0.elapsed();
-
-        // ---- Step 2: state recovery -------------------------------------
-        // "The control module spawns a thread to fetch state per each
-        // replication group" (§6) — fetches run in parallel; WAN RTT to the
-        // source region dominates. Sources quiesce while serving (§4.1).
-        let t1 = Instant::now();
-        self.journal(EventKind::StateFetchStarted {
-            replica: idx as u16,
-        });
-        let (bytes, sources) = self.parallel_state_recovery(&state, idx, region, ring)?;
-        self.journal(EventKind::StateFetchFinished {
-            replica: idx as u16,
-            bytes: bytes as u64,
-        });
-        let state_recovery = t1.elapsed();
-
-        // ---- Step 3: rerouting ------------------------------------------
-        // Install fresh links around the replacement (the SDN rule update;
-        // the paper observes negligible delay here), then resume the
-        // quiesced recovery sources.
-        let t2 = Instant::now();
-        self.chain.respawn(idx, region, state);
-        self.resume_replicas(&sources);
-        self.journal(EventKind::TrafficResumed {
-            replica: idx as u16,
-        });
-        let rerouting = t2.elapsed();
-
+        let r = self.replace(idx, region, Plan::Recover)?;
         Ok(RecoveryReport {
-            initialization,
-            state_recovery,
-            rerouting,
-            bytes_transferred: bytes,
+            initialization: r.prepare,
+            state_recovery: r.transfer,
+            rerouting: r.switch + r.release,
+            bytes_transferred: r.bytes_transferred,
         })
     }
 
-    /// Sends [`CtrlReq::Resume`] to the given replicas (best effort).
-    pub(crate) fn resume_replicas(&self, sources: &[usize]) {
-        for &src in sources {
-            if let Some(slot) = self.chain.replicas.get(src) {
-                let _ = slot.ctrl.call(CtrlReq::Resume, self.cfg.fetch_timeout);
-            }
-        }
-    }
-
-    /// Vertically rescales the replica at `idx` to `workers` worker threads
-    /// (paper §4.3: dependency vectors "easily support vertical scaling as
-    /// a running middlebox can be replaced with a new instance with a
-    /// different number of CPU cores", and "a middlebox and its replicas
-    /// can also run with a different number of threads").
-    ///
-    /// This is a *planned* replacement, executed as the four-phase
-    /// [`crate::reconfig`] handshake (prepare → transfer → switch →
-    /// release): state is fetched from the group members a §5.2 recovery
-    /// reads, the old server is fail-stopped at the switch commit point,
-    /// and traffic is rerouted through the replacement.
-    /// Packets in flight at the old instance during the switch are
-    /// dropped, exactly as during unplanned recovery.
-    ///
-    /// The phased engine ([`Orchestrator::scale_instance`]) is the real
-    /// implementation; this wrapper keeps the Fig-13-shaped
-    /// [`RecoveryReport`] for callers that time rescales like recoveries.
-    pub fn rescale(&mut self, idx: usize, workers: usize) -> Result<RecoveryReport, RecoveryError> {
-        match self.scale_instance(idx, workers) {
-            Ok(r) => Ok(RecoveryReport {
-                initialization: r.prepare,
-                state_recovery: r.transfer,
-                rerouting: r.switch + r.release,
-                bytes_transferred: r.bytes_transferred,
-            }),
-            Err(crate::reconfig::ReconfigError::Fetch(e)) => Err(e),
-            // Participant crashes only occur with a probe installed; probe
-            // -driven tests call the phased engine directly. Map the
-            // fail-stopped position onto the recovery vocabulary.
-            Err(crate::reconfig::ReconfigError::Failed(_)) => {
-                Err(RecoveryError::Aborted { mbox: idx })
-            }
-        }
-    }
-
-    /// Fetches every group's state in parallel threads, then restores.
-    fn parallel_state_recovery(
-        &self,
-        state: &Arc<ReplicaState>,
+    /// Runs [`replace`] for the instance at `idx`, with its replacement on
+    /// a server in `region`.
+    pub(crate) fn replace(
+        &mut self,
         idx: usize,
         region: RegionId,
-        ring: RingMath,
-    ) -> Result<(usize, Vec<usize>), RecoveryError> {
-        // The groups to repair: the replica's own middlebox plus the f it
-        // replicates.
-        let mut groups: Vec<usize> = Vec::with_capacity(ring.f + 1);
-        if ring.f > 0 {
-            groups.push(idx);
-        }
-        groups.extend(ring.replicated_by(idx));
-
-        type Fetched = (usize, usize, StoreSnapshot, Vec<u64>);
-        let fetch_one = |m: usize| -> Result<Fetched, RecoveryError> {
-            self.fetch_group(idx, m, region)
-                .map(|(src, snapshot, max)| (src, m, snapshot, max))
-                .ok_or(RecoveryError::NoSource { mbox: m })
-        };
-
-        // One fetch per group, in parallel; the last group's runs on this
-        // thread, which would otherwise only wait — one thread start and
-        // one wake-up fewer inside the outage.
-        let results: Vec<Result<Fetched, RecoveryError>> = std::thread::scope(|scope| {
-            let Some((&last, spawned)) = groups.split_last() else {
-                return Vec::new(); // f = 0: nothing is replicated
-            };
-            let fetch_one = &fetch_one;
-            let handles: Vec<_> = spawned
-                .iter()
-                .map(|&m| scope.spawn(move || fetch_one(m)))
-                .collect();
-            let last = fetch_one(last);
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("fetch thread"))
-                .chain(std::iter::once(last))
-                .collect()
-        });
-
-        let mut bytes = 0;
-        let mut sources = Vec::new();
-        let mut fetched = Vec::new();
-        for r in results {
-            match r {
-                Ok(f) => fetched.push(f),
-                Err(e) => {
-                    // Don't leave partial sources quiesced forever.
-                    let touched: Vec<usize> = fetched.iter().map(|(src, _, _, _)| *src).collect();
-                    self.resume_replicas(&touched);
-                    return Err(e);
-                }
-            }
-        }
-        for (src, m, snapshot, max) in fetched {
-            bytes += snapshot.byte_size();
-            sources.push(src);
-            if m == idx {
-                state.restore_own(&snapshot, &max);
-            } else {
-                state.restore_replicated(m, &snapshot, max);
-            }
-        }
-        sources.sort_unstable();
-        sources.dedup();
-        Ok((bytes, sources))
-    }
-
-    /// Fetches group `m`'s state for a replacement of position `idx` in
-    /// `region` from the first member in §5.2 source order that answers,
-    /// skipping `idx` itself. Returns the member, which now quiesces.
-    pub(crate) fn fetch_group(
-        &self,
-        idx: usize,
-        m: usize,
-        region: RegionId,
-    ) -> Option<(usize, StoreSnapshot, Vec<u64>)> {
-        source_order(self.chain.cfg.ring(), idx, m)
-            .into_iter()
-            .filter(|&src| src != idx)
-            .find_map(|src| {
-                let client = self.delayed_client(src, region)?;
-                match client.call(CtrlReq::FetchState { mbox: m }, self.cfg.fetch_timeout) {
-                    Ok(CtrlResp::State { snapshot, max }) => Some((src, snapshot, max)),
-                    _ => None, // dead or does not hold it: try the next one
-                }
-            })
+        plan: Plan,
+    ) -> Result<ReplaceReport, RecoveryError> {
+        replace(&mut Threaded { orch: self, region }, idx, plan)
     }
 
     /// A control client for `src` as seen from `caller_region` (None if the
@@ -333,14 +159,6 @@ impl Orchestrator {
         Some(slot.ctrl.with_delay(delay))
     }
 
-    /// Records a journal event attributed to the orchestrator.
-    pub(crate) fn journal(&self, kind: EventKind) {
-        self.chain
-            .metrics
-            .journal
-            .record(EventSource::Orchestrator, kind);
-    }
-
     /// Derives the Fig-13 recovery timelines from the chain's journal
     /// without draining it (one entry per completed recovery).
     pub fn recovery_timelines(&self) -> Vec<ftc_core::journal::RecoveryTimeline> {
@@ -351,6 +169,121 @@ impl Orchestrator {
     pub fn config(&self) -> &OrchestratorConfig {
         &self.cfg
     }
+}
+
+/// The orchestrator as the threaded [`Driver`] of one replacement, whose
+/// new server lands in `region`.
+struct Threaded<'a> {
+    orch: &'a mut Orchestrator,
+    region: RegionId,
+}
+
+impl Driver for Threaded<'_> {
+    fn spawn(&mut self, idx: usize, workers: Option<usize>) -> Arc<ReplicaState> {
+        let chain = &self.orch.chain;
+        // Spawn a new middlebox instance + replica on a server in `region`
+        // and inform it about the replication groups of the position: an
+        // orchestrator↔region round trip plus process start (a modeled
+        // delay, not a poll).
+        // forbidden-ok: thread-sleep
+        std::thread::sleep(
+            chain
+                .topology
+                .rtt(self.orch.cfg.region, self.region)
+                .saturating_add(self.orch.cfg.spawn_cost),
+        );
+        let current = &chain.replicas[idx].state.cfg;
+        let cfg = match workers {
+            Some(workers) => Arc::new(ChainConfig {
+                workers,
+                ..(**current).clone()
+            }),
+            None => Arc::clone(current),
+        };
+        let mbox = cfg.effective_middleboxes()[idx].build();
+        ReplicaState::new(
+            idx,
+            cfg,
+            mbox,
+            Arc::new(OutPort::empty()),
+            Arc::clone(&chain.metrics),
+        )
+    }
+
+    fn fetch(&mut self, reqs: &[(usize, usize)]) -> Vec<Option<Fetched>> {
+        // WAN RTT to the source region dominates; sources quiesce while
+        // serving (§4.1).
+        let reqs = reqs
+            .iter()
+            .map(|&(src, mbox)| (self.orch.delayed_client(src, self.region), mbox))
+            .collect();
+        fetch_states(reqs, self.orch.cfg.fetch_timeout)
+    }
+
+    fn kill(&mut self, idx: usize) {
+        self.orch.chain.kill(idx);
+    }
+
+    fn install(&mut self, idx: usize, dest: Arc<ReplicaState>) {
+        // The SDN rule update; the paper observes negligible delay here.
+        self.orch.chain.respawn(idx, self.region, dest);
+    }
+
+    fn resume(&mut self, positions: &[usize]) {
+        let chain = &self.orch.chain;
+        for &p in positions.iter().filter(|&&p| chain.is_alive(p)) {
+            let _ = chain.replicas[p]
+                .ctrl
+                .call(CtrlReq::Resume, self.orch.cfg.fetch_timeout);
+        }
+    }
+
+    fn probe(&mut self, point: ProbePoint) -> ProbeVerdict {
+        self.orch.probe.observe(point)
+    }
+
+    fn journal(&mut self, kind: EventKind) {
+        self.orch
+            .chain
+            .metrics
+            .journal
+            .record(EventSource::Orchestrator, kind);
+    }
+}
+
+/// Sends one [`CtrlReq::FetchState`] per `(client, mbox)` and returns the
+/// answers in order: `None` where there is no client, the call fails, or
+/// the answer is not a state. "The control module spawns a thread to
+/// fetch state per each replication group" (§6): every call but the last
+/// runs on its own scoped thread, and the last on the calling thread,
+/// which would otherwise only wait — one thread start and one wake-up
+/// fewer inside the outage.
+pub(crate) fn fetch_states(
+    mut reqs: Vec<(Option<CtrlClient>, usize)>,
+    timeout: Duration,
+) -> Vec<Option<Fetched>> {
+    let fetch = |(client, mbox): (Option<CtrlClient>, usize)| match client?
+        .call(CtrlReq::FetchState { mbox }, timeout)
+    {
+        Ok(CtrlResp::State { snapshot, max }) => Some((snapshot, max)),
+        _ => None,
+    };
+    let Some(last) = reqs.pop() else {
+        return Vec::new();
+    };
+    std::thread::scope(|scope| {
+        let fetch = &fetch;
+        let handles: Vec<_> = reqs
+            .into_iter()
+            .map(|req| scope.spawn(move || fetch(req)))
+            .collect();
+        let last = fetch(last);
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fetch thread"))
+            .chain(std::iter::once(last))
+            .collect()
+    })
 }
 
 /// Runs the orchestrator's monitoring loop on a background thread until
@@ -390,9 +323,12 @@ pub fn spawn_monitor(
 mod tests {
     use super::*;
     use ftc_core::config::ChainConfig;
+    use ftc_core::probe::ProtocolProbe;
     use ftc_mbox::MbSpec;
     use ftc_packet::builder::UdpPacketBuilder;
     use std::net::Ipv4Addr;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Instant;
 
     fn pkt(i: u16) -> ftc_packet::Packet {
         UdpPacketBuilder::new()
@@ -525,7 +461,7 @@ mod tests {
         );
         std::thread::sleep(Duration::from_millis(80));
 
-        let report = o.rescale(1, 2).expect("rescale");
+        let report = o.scale_instance(1, 2).expect("rescale");
         assert!(report.bytes_transferred > 0);
         assert_eq!(o.chain.replicas[1].state.cfg.workers, 2);
         assert_eq!(o.chain.replicas[0].state.cfg.workers, 1, "others untouched");
@@ -578,7 +514,7 @@ mod tests {
             20
         );
         std::thread::sleep(Duration::from_millis(80));
-        o.rescale(0, 1).expect("scale down");
+        o.scale_instance(0, 1).expect("scale down");
         assert_eq!(o.chain.replicas[0].state.cfg.workers, 1);
         for i in 0..20 {
             o.chain.inject(pkt(200 + i));
@@ -650,5 +586,60 @@ mod tests {
         o.chain.kill(1);
         let err = o.recover(0, RegionId(0)).unwrap_err();
         assert!(matches!(err, RecoveryError::NoSource { .. }));
+    }
+
+    /// Crashes the replacement at its first recovery fetch, once.
+    struct CrashFirstFetch(AtomicBool);
+
+    impl ProtocolProbe for CrashFirstFetch {
+        fn on_step(&self, point: ProbePoint) -> ProbeVerdict {
+            match point {
+                ProbePoint::RecoveryFetch { .. } if !self.0.swap(true, Ordering::SeqCst) => {
+                    ProbeVerdict::Crash
+                }
+                _ => ProbeVerdict::Continue,
+            }
+        }
+    }
+
+    #[test]
+    fn threaded_recovery_honours_the_recovery_fetch_probe() {
+        let mut o = orch(3, 1);
+        for i in 0..20 {
+            o.chain.inject(pkt(i));
+        }
+        assert_eq!(
+            o.chain.egress().collect(20, Duration::from_secs(10)).len(),
+            20
+        );
+        std::thread::sleep(Duration::from_millis(80)); // let the ring commit
+
+        o.chain.kill(1);
+        o.probe
+            .install(Arc::new(CrashFirstFetch(AtomicBool::new(false))));
+        let err = o.recover(1, RegionId(0)).unwrap_err();
+        assert!(matches!(err, RecoveryError::Aborted { .. }), "{err:?}");
+        assert!(!o.chain.is_alive(1), "the position stays dead");
+        for i in [0, 2] {
+            assert!(!o.chain.replicas[i].state.is_paused(), "r{i} left paused");
+        }
+
+        o.recover(1, RegionId(0)).expect("the retry recovers");
+        o.probe.clear();
+        let counter = |o: &Orchestrator| {
+            o.chain.replicas[1]
+                .state
+                .own_store
+                .peek_u64(b"mon:packets:g0")
+        };
+        assert_eq!(counter(&o), Some(20), "counters intact");
+        for i in 20..30 {
+            o.chain.inject(pkt(i));
+        }
+        assert_eq!(
+            o.chain.egress().collect(10, Duration::from_secs(10)).len(),
+            10
+        );
+        assert_eq!(counter(&o), Some(30));
     }
 }

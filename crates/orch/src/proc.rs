@@ -40,24 +40,33 @@
 //! [`ProcChain::kill`] SIGKILLs a replica process — a genuine fail-stop.
 //! [`ProcChain::recover`] mirrors the §5.2 three steps across the process
 //! boundary: **initialization** respawns `ftc node … --recover`;
-//! **state recovery** happens inside the replacement, which fetches the
-//! `f + 1` groups from the survivors over their control sockets (quiescing
-//! them, §4.1) before it answers on its management stream; **rerouting**
-//! installs fresh reliable endpoints on the two edges around the
-//! replacement — the predecessor's sender first, then the receivers, with
-//! stale-epoch frames drained in between — and finally resumes every
-//! replica.
+//! **state recovery** happens inside the replacement, which runs
+//! [`ftc_core::replace::replace`] on itself — the same source order,
+//! fallback and restore as every other replacement — fetching each batch
+//! of groups from the survivors over their control sockets (quiescing
+//! them, §4.1) before it answers on its management stream; a replacement
+//! that cannot recover exits, and the parent reports the exit.
+//! **Rerouting** installs fresh reliable endpoints on the two edges around
+//! the replacement — the predecessor's sender first, then the receivers,
+//! with stale-epoch frames drained in between — and finally resumes every
+//! live replica, on success and failure alike.
+//!
+//! Only recovery crosses the process boundary. Migrate and scale would put
+//! two incarnations of one position up at once, and both would bind
+//! `node-<i>.sock`.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crossbeam::channel::{self, Receiver, Sender};
 use ftc_core::buffer::{BufferSink, BufferState};
 use ftc_core::chain::{ChainSystem, Egress};
 use ftc_core::config::ChainConfig;
-use ftc_core::control::{CtrlClient, CtrlReq, CtrlServer, InPort, OutPort};
+use ftc_core::control::{CtrlClient, CtrlReq, CtrlResp, CtrlServer, InPort, OutPort};
 use ftc_core::dataplane::{spawn_dataplane, Source, Stage};
 use ftc_core::forwarder::ForwarderState;
+use ftc_core::journal::{EventKind, EventSource};
 use ftc_core::metrics::{ChainMetrics, MetricsSnapshot, StageStats};
-use ftc_core::recovery::{recover_replica_state, RpcFetcher};
+use ftc_core::probe::{ProbePoint, ProbeVerdict};
+use ftc_core::replace::{replace, Driver, Fetched, Plan};
 use ftc_core::replica::{spawn_ctrl, ReplicaState};
 use ftc_mbox::parse_chain;
 use ftc_net::rpc::RpcError;
@@ -346,7 +355,9 @@ pub fn run_node(opts: &NodeOpts) -> Result<(), String> {
     } else {
         (Endpoint::sock(parent_addr(&opts.dir)), tail_stream(n))
     };
-    let out = Arc::new(OutPort::wired(transport.open_tx(&next_ep, out_stream)));
+    // Wired after a recovery, so that a replacement without sources exits
+    // before it waits out a dead successor's connect budget.
+    let out = Arc::new(OutPort::empty());
     let metrics = Arc::new(ChainMetrics::default());
     let state = ReplicaState::new(
         opts.idx,
@@ -358,29 +369,23 @@ pub fn run_node(opts: &NodeOpts) -> Result<(), String> {
 
     if opts.recover {
         // Replacement: restore the f + 1 groups from the survivors over
-        // their control sockets, following the §4.1 source order. The
-        // sources quiesce themselves on FetchState; the parent resumes
-        // everyone once rerouting is done. Dead peers cost one bounded
-        // connect attempt before the next source is tried.
-        let clients = (0..n)
+        // their control sockets. The sources quiesce themselves on
+        // FetchState; the parent resumes everyone once rerouting is done.
+        let peers = (0..n)
             .map(|i| {
-                if i == opts.idx {
-                    return None;
-                }
-                let ep = Endpoint::sock(node_addr(&opts.dir, i))
-                    .with_connect_timeout(Duration::from_millis(500));
-                Some(CtrlClient::from_caller(
-                    transport.rpc_caller(&ep, repl_ctrl_stream(i)),
-                ))
+                let ep = Endpoint::sock(node_addr(&opts.dir, i)).with_connect_timeout(PEER_TIMEOUT);
+                (i != opts.idx).then(|| {
+                    CtrlClient::from_caller(transport.rpc_caller(&ep, repl_ctrl_stream(i)))
+                })
             })
             .collect();
-        let fetcher = RpcFetcher {
-            clients,
-            timeout: Duration::from_secs(5),
-            _phantom: std::marker::PhantomData,
+        let mut me = Replacement {
+            state: Arc::clone(&state),
+            peers,
         };
-        recover_replica_state(&state, &fetcher).map_err(|e| format!("state recovery: {e}"))?;
+        replace(&mut me, opts.idx, Plan::Recover).map_err(|e| format!("state recovery: {e}"))?;
     }
+    out.install(transport.open_tx(&next_ep, out_stream));
 
     let in_port = Arc::new(InPort::wired(
         transport.open_rx(&local_ep, data_stream(opts.idx)),
@@ -442,6 +447,57 @@ pub fn run_node(opts: &NodeOpts) -> Result<(), String> {
     server.kill();
     server.join();
     Ok(())
+}
+
+/// Budget for reaching a peer replica: one connect attempt, one ping.
+const PEER_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// Budget for one state fetch from a live peer.
+const FETCH_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// `ftc node --recover` as the [`Driver`] of its own recovery: it fetches
+/// and restores; the parent has spawned it and reroutes and resumes
+/// around it afterwards, so spawning, killing, installing and resuming
+/// are no-ops here.
+struct Replacement {
+    state: Arc<ReplicaState>,
+    /// Control clients of the other replicas, by position.
+    peers: Vec<Option<CtrlClient>>,
+}
+
+impl Driver for Replacement {
+    fn spawn(&mut self, _idx: usize, _workers: Option<usize>) -> Arc<ReplicaState> {
+        Arc::clone(&self.state)
+    }
+
+    fn fetch(&mut self, reqs: &[(usize, usize)]) -> Vec<Option<Fetched>> {
+        // A socket call to a dead peer retries until its whole timeout runs
+        // out: a peer that does not answer a ping is skipped instead.
+        let alive =
+            |c: &CtrlClient| matches!(c.call(CtrlReq::Ping, PEER_TIMEOUT), Ok(CtrlResp::Pong));
+        let reqs = reqs
+            .iter()
+            .map(|&(src, mbox)| (self.peers[src].clone().filter(alive), mbox))
+            .collect();
+        crate::orchestrator::fetch_states(reqs, FETCH_TIMEOUT)
+    }
+
+    fn kill(&mut self, _idx: usize) {}
+
+    fn install(&mut self, _idx: usize, _dest: Arc<ReplicaState>) {}
+
+    fn resume(&mut self, _positions: &[usize]) {}
+
+    fn probe(&mut self, point: ProbePoint) -> ProbeVerdict {
+        self.state.probe.observe(point)
+    }
+
+    fn journal(&mut self, kind: EventKind) {
+        self.state
+            .metrics
+            .journal
+            .record(EventSource::Orchestrator, kind);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -628,8 +684,15 @@ impl ProcChain {
         )
     }
 
+    /// Pings replica `idx` until it answers, it exits, or `deadline`.
     fn wait_ready(&self, idx: usize, deadline: Instant) -> Result<(), String> {
         loop {
+            let exited = self.children.lock()[idx]
+                .as_mut()
+                .and_then(|c| c.try_wait().ok().flatten());
+            if let Some(status) = exited {
+                return Err(format!("replica process exited with {status}"));
+            }
             let r = self.node_ctrl.lock()[idx].call(NodeReq::Ping, Duration::from_millis(500));
             match r {
                 Ok(NodeResp::Pong) => return Ok(()),
@@ -681,6 +744,16 @@ impl ProcChain {
     /// Three-step recovery (§5.2) across the process boundary. See the
     /// module docs for the rerouting order and why it matters.
     pub fn recover(&self, idx: usize) -> Result<(), String> {
+        let result = self.respawn_and_reroute(idx);
+        // Resume every live replica (idempotent for those that never
+        // paused): a replacement that failed may have quiesced some.
+        for i in (0..self.len()).filter(|&i| self.is_alive(i)) {
+            let _ = self.repl_ctrl.lock()[i].call(CtrlReq::Resume, MGMT_TIMEOUT);
+        }
+        result
+    }
+
+    fn respawn_and_reroute(&self, idx: usize) -> Result<(), String> {
         let n = self.len();
         // Initialization: respawn the position in replacement mode. The
         // replacement performs its own state recovery before serving.
@@ -726,11 +799,6 @@ impl ProcChain {
             self.node_ctrl.lock()[idx + 1]
                 .call(NodeReq::ResetIn, MGMT_TIMEOUT)
                 .map_err(|e| format!("reset-in at {}: {e:?}", idx + 1))?;
-        }
-
-        // Resume every replica (idempotent for those that never paused).
-        for c in self.repl_ctrl.lock().iter() {
-            let _ = c.call(CtrlReq::Resume, MGMT_TIMEOUT);
         }
         Ok(())
     }

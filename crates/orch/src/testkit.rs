@@ -1,136 +1,61 @@
-//! Integration-test harness over the threaded orchestrator stack.
+//! The threaded orchestrator as a [`ScenarioChain`].
 //!
-//! [`OrchCrashTarget`] implements [`ftc_core::testkit::CrashTarget`] for an
-//! [`Orchestrator`] driving a real (threaded) [`ftc_core::FtcChain`], so the
-//! repo-level failure tests (`tests/failover.rs`,
-//! `tests/failure_under_load.rs`) express their kill-server scenarios in the
-//! same [`CrashSchedule`](ftc_core::testkit::CrashSchedule) vocabulary the
-//! protocol model checker enumerates. One schedule description, two
-//! executors: the model checker runs it step-granularly over `SyncChain`,
-//! this target runs it wall-clock over the threaded stack.
+//! With this impl one failure scenario body runs verbatim on the stepped
+//! [`SyncChain`](ftc_core::testkit::SyncChain) and on a real (threaded)
+//! [`ftc_core::FtcChain`] driven by the [`Orchestrator`]: the repo-level
+//! failure tests (`tests/failover.rs`, `tests/failure_under_load.rs`) and
+//! [`CrashSchedule`](ftc_core::testkit::CrashSchedule) run on either.
 
-use crate::orchestrator::{Orchestrator, RecoveryReport};
-use ftc_core::testkit::{CrashPhase, CrashPoint, CrashTarget};
+use crate::orchestrator::Orchestrator;
+use ftc_core::replace::{Plan, RecoveryError, ReplaceReport};
+use ftc_core::replica::ReplicaState;
+use ftc_core::testkit::ScenarioChain;
 use ftc_net::topology::RegionId;
-use ftc_packet::builder::UdpPacketBuilder;
 use ftc_packet::Packet;
-use std::net::Ipv4Addr;
 use std::time::Duration;
 
-/// [`CrashTarget`] over the threaded [`Orchestrator`] stack: quiesced-kill
-/// execution with real recovery (the three-step protocol, wall-clock
-/// timing, recovery reports).
-pub struct OrchCrashTarget {
-    /// The orchestrator + threaded chain under test.
-    pub orch: Orchestrator,
-    /// `(victim, report)` for every recovery this target executed, in
-    /// order — tests assert on transfer sizes and phase timings here.
-    pub reports: Vec<(usize, RecoveryReport)>,
-    recover_region: RegionId,
-    grace: Duration,
-    ring_grace: Duration,
-    next: u32,
-}
-
-impl OrchCrashTarget {
-    /// Wraps `orch` with default settle timing (750 ms egress silence,
-    /// 100 ms ring-replication grace) and recovery into `RegionId(0)`.
-    pub fn new(orch: Orchestrator) -> OrchCrashTarget {
-        OrchCrashTarget {
-            orch,
-            reports: Vec::new(),
-            recover_region: RegionId(0),
-            grace: Duration::from_millis(750),
-            ring_grace: Duration::from_millis(100),
-            next: 0,
-        }
+impl ScenarioChain for Orchestrator {
+    fn inject(&mut self, pkt: Packet) {
+        self.chain.inject(pkt);
     }
 
-    /// Region replacements are instantiated in (WAN tests recover into a
-    /// remote region to measure RTT-dominated recovery).
-    pub fn recover_region(mut self, region: RegionId) -> OrchCrashTarget {
-        self.recover_region = region;
-        self
-    }
-
-    /// The released-packet counter of `replica`'s head monitor group —
-    /// the consistency witness every failover test asserts on. `None`
-    /// until the first released packet's update lands.
-    pub fn mon_packets(&self, replica: usize) -> Option<u64> {
-        self.orch.chain.replicas[replica]
-            .state
-            .own_store
-            .peek_u64(b"mon:packets:g0")
-    }
-
-    /// Kills every victim first, then recovers them in order — the
-    /// simultaneous multi-failure case (f ≥ 2) that the one-at-a-time
-    /// [`CrashTarget::crash`] path cannot express.
-    pub fn crash_many(&mut self, victims: &[usize]) {
-        for &v in victims {
-            self.orch.chain.kill(v);
-        }
-        for &v in victims {
-            let report = self
-                .orch
-                .recover(v, self.recover_region)
-                .expect("recovery after simultaneous failures");
-            self.reports.push((v, report));
-        }
-    }
-
-    fn fresh_pkt(&mut self) -> Packet {
-        self.next += 1;
-        let i = self.next;
-        UdpPacketBuilder::new()
-            .src(Ipv4Addr::new(10, 7, 0, 1), 1024 + (i % 4096) as u16)
-            .dst(Ipv4Addr::new(10, 99, 0, 1), 443)
-            .ident(i as u16)
-            .build()
-    }
-}
-
-impl CrashTarget for OrchCrashTarget {
-    fn inject(&mut self, n: usize) {
-        for _ in 0..n {
-            let pkt = self.fresh_pkt();
-            self.orch.chain.inject(pkt);
-        }
-    }
-
-    fn settle(&mut self) -> usize {
+    fn settle(&mut self, grace: Duration) -> usize {
+        let egress = self.chain.egress();
         let mut released = 0;
-        while self.orch.chain.egress().recv(self.grace).is_some() {
+        while egress.recv(grace).is_some() {
             released += 1;
         }
         // Egress silence only proves the packets released; give the ring
         // one more beat to finish replicating the tail group's updates
         // before a crash is allowed to fire.
-        std::thread::sleep(self.ring_grace);
+        std::thread::sleep(Duration::from_millis(100));
         released
     }
 
-    fn crash(&mut self, point: &CrashPoint) {
-        match point.phase {
-            CrashPhase::Quiesced => {}
-            CrashPhase::Reconfig { .. } => panic!(
-                "OrchCrashTarget executes quiesced kills; reconfiguration \
-                 crash phases belong to the ftc-audit reconfig checker's \
-                 SyncChain executor — drive the threaded handshake through \
-                 Orchestrator::{{migrate_instance,scale_instance}} with a \
-                 probe on Orchestrator::reconfig_probe instead"
-            ),
-            _ => panic!(
-                "OrchCrashTarget executes quiesced kills; step-granular \
-                 phases belong to the protocol model checker's SyncChain \
-                 executor"
-            ),
+    fn kill_and_recover(
+        &mut self,
+        victims: &[usize],
+        region: RegionId,
+    ) -> Result<Vec<ReplaceReport>, RecoveryError> {
+        for &v in victims {
+            self.chain.kill(v);
         }
-        self.orch.chain.kill(point.victim);
-        let report = self
-            .orch
-            .recover(point.victim, self.recover_region)
-            .expect("recovery");
-        self.reports.push((point.victim, report));
+        victims
+            .iter()
+            .map(|&v| self.replace(v, region, Plan::Recover))
+            .collect()
+    }
+
+    fn migrate(&mut self, idx: usize, region: RegionId) -> Result<ReplaceReport, RecoveryError> {
+        self.replace(idx, region, Plan::Migrate)
+    }
+
+    fn scale(&mut self, idx: usize, workers: usize) -> Result<ReplaceReport, RecoveryError> {
+        let region = self.chain.replicas[idx].region;
+        self.replace(idx, region, Plan::Scale { workers })
+    }
+
+    fn replica(&self, idx: usize) -> &ReplicaState {
+        &self.chain.replicas[idx].state
     }
 }

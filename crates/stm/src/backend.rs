@@ -3,14 +3,13 @@
 //! FTC's transactional packet processing (paper §4.2–§4.3) fixes *what* a
 //! state engine must provide — serializable packet transactions, piggyback
 //! logs with pre-increment dependency vectors, per-partition sequence
-//! accounting, snapshot/export state transfer, and the audit tap.
+//! accounting, snapshot state transfer, and the audit tap.
 //! [`StateBackend`] captures that contract as an object-safe trait, so the
-//! replication, migration, and audit layers hold `Arc<dyn StateBackend>`
+//! replication, recovery, and audit layers hold `Arc<dyn StateBackend>`
 //! and middleboxes process against `&mut dyn StateTxn`. The strict-2PL /
 //! wound-wait [`StateStore`](crate::StateStore) is its one implementation
 //! ([`EngineKind::TwoPl`]).
 
-use crate::migrate::PartitionExport;
 use crate::store::{PartitionId, StateStore, StoreSnapshot};
 use crate::txn::{Txn, TxnError, TxnLog, TxnOutput};
 use crate::{partition_of, DepVector, HistorySink, StateWrite};
@@ -76,8 +75,8 @@ impl StateTxn for Txn<'_> {
 /// A partitioned, transactional state engine.
 ///
 /// Object-safe: replicas hold `Arc<dyn StateBackend>` and the whole
-/// protocol layer (hot path, replication apply, recovery snapshot,
-/// migration export) is engine-agnostic. The contract every
+/// protocol layer (hot path, replication apply, recovery snapshot) is
+/// engine-agnostic. The contract every
 /// implementation must honor (checked by the audit machinery, documented
 /// in DESIGN.md §13):
 ///
@@ -94,9 +93,6 @@ impl StateTxn for Txn<'_> {
 ///   writing transaction reports [`HistorySink::on_commit`] exactly once
 ///   (after its effects are visible) and every applied log reports
 ///   [`HistorySink::on_apply`] exactly once.
-/// * **Export invariants.** [`Self::export_partition`] captures map and
-///   sequence number atomically, key-sorted, so equal state exports
-///   byte-identically regardless of engine; imports replace (idempotent).
 pub trait StateBackend: Send + Sync + std::fmt::Debug {
     /// Number of partitions.
     fn partitions(&self) -> usize;
@@ -141,21 +137,6 @@ pub trait StateBackend: Send + Sync + std::fmt::Debug {
 
     /// Restores only the per-partition sequence numbers (paper §5.2).
     fn restore_seqs(&self, seqs: &[u64]);
-
-    /// Exports one partition in transfer form (key-sorted entries, map and
-    /// sequence number captured atomically).
-    fn export_partition(&self, p: PartitionId) -> PartitionExport;
-
-    /// Replaces one partition's contents from a transfer export
-    /// (idempotent: map and sequence number are replaced, not merged).
-    fn import_partition(&self, ex: &PartitionExport);
-
-    /// Drops one partition's contents (release phase at a migration
-    /// source).
-    fn clear_partition(&self, p: PartitionId);
-
-    /// The sequence number of one partition.
-    fn partition_seq(&self, p: PartitionId) -> u64;
 
     /// Total number of keys across partitions.
     fn len(&self) -> usize;
@@ -230,22 +211,6 @@ impl StateBackend for StateStore {
 
     fn restore_seqs(&self, seqs: &[u64]) {
         StateStore::restore_seqs(self, seqs)
-    }
-
-    fn export_partition(&self, p: PartitionId) -> PartitionExport {
-        StateStore::export_partition(self, p)
-    }
-
-    fn import_partition(&self, ex: &PartitionExport) {
-        StateStore::import_partition(self, ex)
-    }
-
-    fn clear_partition(&self, p: PartitionId) {
-        StateStore::clear_partition(self, p)
-    }
-
-    fn partition_seq(&self, p: PartitionId) -> u64 {
-        StateStore::partition_seq(self, p)
     }
 
     fn len(&self) -> usize {

@@ -17,7 +17,7 @@
 //! partial-order apply rule of paper Fig. 3 and applies the writes to a
 //! replica [`StateStore`].
 //!
-//! The replication, migration, and audit layers program against the
+//! The replication, recovery, and audit layers program against the
 //! object-safe [`StateBackend`] trait, which the 2PL store implements; the
 //! commit-point contract it honors is documented on [`StateBackend`] and
 //! in DESIGN.md §13. [`EngineKind`] names the engine a chain deploys with
@@ -28,7 +28,6 @@
 
 mod backend;
 mod max_vector;
-mod migrate;
 #[cfg(feature = "loom")]
 pub mod model;
 mod recorder;
@@ -37,7 +36,6 @@ mod txn;
 
 pub use backend::{EngineKind, StateBackend, StateBackendExt, StateTxn};
 pub use max_vector::{ApplyOutcome, MaxVector, TryApply};
-pub use migrate::{ClaimTable, InstanceId, MigrateCodecError, PartitionExport};
 pub use recorder::{CommitRecord, HistorySink};
 pub use store::{PartitionId, StateStore, StoreSnapshot, StoreStats};
 pub use txn::{Txn, TxnError, TxnLog, TxnOutput};

@@ -23,9 +23,10 @@
 # FTC_TRANSPORT_DEEP=1 raises the bound — CI runs the deep sweep nightly):
 #   scripts/check.sh --transport-check
 #
-# Reconfiguration model checker (crash matrix over the scale/migrate/
-# splice handshake, I1-I6 with replayable witnesses; ~1000+ schedules at
-# the PR-gate bound, FTC_RECONFIG_DEEP=1 widens the matrix — CI nightly):
+# Reconfiguration model checker (crash matrix over the migrate/scale
+# replacement procedure, quiesced and with packets in flight, I1-I6 with
+# replayable witnesses; 2,880 schedules at the PR-gate bound,
+# FTC_RECONFIG_DEEP=1 widens to 19,200 — CI nightly):
 #   scripts/check.sh --reconfig-check
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -98,10 +99,12 @@ if [[ "$RUN_RECONFIG" == "1" ]]; then
         cargo test -q -p ftc-audit --release \
             --test reconfig_explorer -- --nocapture
     fi
-    # Sabotage self-test: skipping the release step must trip I5 (single
-    # ownership) with a replayable witness. Separate cargo invocation on
-    # purpose — feature unification would poison every other ftc-core test.
-    echo "check.sh: reconfiguration sabotage fixture (I5 must fire)"
+    # Sabotage self-test: a switch that resumes the outgoing instance must
+    # trip I5 (one serving instance), and an own group restored from the
+    # outgoing instance's store must trip I6 on an in-flight schedule, each
+    # with a replayable witness. Separate cargo invocation on purpose —
+    # feature unification would poison every other ftc-core test.
+    echo "check.sh: reconfiguration sabotage fixture (I5 and I6 must fire)"
     cargo test -q -p ftc-audit --release --features reconfig-sabotage \
         --test reconfig_sabotage
 fi

@@ -3,14 +3,12 @@
 //! "the middlebox behavior after a failure recovery is consistent with the
 //! behavior prior to the failure" (§3.1).
 //!
-//! The kill-server scenarios are written in the shared
-//! [`CrashSchedule`] vocabulary from `ftc_core::testkit` and executed by
-//! [`OrchCrashTarget`] over the threaded orchestrator stack — the same
-//! descriptors the `ftc-audit` protocol model checker enumerates
-//! step-granularly over `SyncChain`.
+//! The scenarios are written against [`ScenarioChain`], which the threaded
+//! orchestrator and the stepped `SyncChain` both implement, and both
+//! replace instances through the one procedure in `ftc_core::replace`.
+//! The lifecycle scenario runs verbatim on both.
 
-use ftc::core::testkit::{CrashPhase, CrashPoint, CrashSchedule, CrashTarget};
-use ftc::orch::testkit::OrchCrashTarget;
+use ftc::core::testkit::{scenario_packet, CrashSchedule, ScenarioChain, SyncChain, SETTLE_GRACE};
 use ftc::prelude::*;
 use std::net::Ipv4Addr;
 use std::time::Duration;
@@ -34,29 +32,34 @@ fn orch(n: usize, f: usize) -> Orchestrator {
     )
 }
 
+/// Injects `range`'s scenario packets.
+fn inject(chain: &mut dyn ScenarioChain, range: std::ops::Range<u32>) {
+    for i in range {
+        chain.inject(scenario_packet(i));
+    }
+}
+
 /// Drives traffic, kills `victim`, recovers, then verifies that every
 /// *released* packet's state update survived — the strong-consistency
 /// guarantee (§3.1). The whole scenario is one [`CrashSchedule`].
-fn kill_and_verify(o: Orchestrator, victim: usize) {
-    let mut target = OrchCrashTarget::new(o);
+fn kill_and_verify(mut o: Orchestrator, victim: usize) {
     let outcome = CrashSchedule::new()
         .label(format!("kill r{victim} quiesced"))
         .warm(60)
         .kill(victim)
         .post(40)
-        .run(&mut target);
+        .run(&mut o);
     assert_eq!(outcome.released_before, 60);
     assert_eq!(
         outcome.released_after, 40,
         "post-recovery traffic must flow"
     );
-    let (v, report) = &target.reports[0];
-    assert!(report.bytes_transferred > 0 || victim_padded(&target.orch, *v));
+    assert!(outcome.reports[0].bytes_transferred > 0 || victim_padded(&o, victim));
     // Every released update survived the failure: the counter resumes
     // exactly (60 pre-crash updates recovered + 40 post-crash).
     assert_eq!(
-        target.mon_packets(victim),
-        Some(100),
+        o.counted(victim),
+        100,
         "r{victim}: released updates must survive the failure"
     );
 }
@@ -92,66 +95,62 @@ fn every_position_of_a_5_chain_recovers() {
 
 #[test]
 fn f2_survives_two_simultaneous_failures() {
-    let mut target = OrchCrashTarget::new(orch(4, 2));
-    target.inject(50);
-    assert_eq!(target.settle(), 50);
+    let mut o = orch(4, 2);
+    inject(&mut o, 0..50);
+    assert_eq!(o.settle(SETTLE_GRACE), 50);
 
-    // Kill two adjacent replicas at once (crash_many: both die before
-    // either recovery starts — the case a one-at-a-time schedule cannot
-    // express).
-    target.crash_many(&[1, 2]);
+    // Kill two adjacent replicas at once: both die before either recovery
+    // starts.
+    o.kill_and_recover(&[1, 2], RegionId(0))
+        .expect("recovery after simultaneous failures");
 
     for victim in [1usize, 2] {
         assert_eq!(
-            target.mon_packets(victim),
-            Some(50),
+            o.counted(victim),
+            50,
             "r{victim} state after double failure"
         );
     }
-    target.inject(30);
-    assert_eq!(target.settle(), 30);
+    inject(&mut o, 50..80);
+    assert_eq!(o.settle(SETTLE_GRACE), 30);
 }
 
 #[test]
 fn sequential_failures_of_every_position() {
     // Kill r0, recover; then r1; then r2 — state accumulates correctly
-    // through repeated recoveries. One schedule per round, same target.
-    let mut target = OrchCrashTarget::new(orch(3, 1));
+    // through repeated recoveries. One schedule per round, same chain.
+    let mut o = orch(3, 1);
     let mut expected = 0u64;
     for round in 0..3usize {
         let outcome = CrashSchedule::new()
             .label(format!("round {round}: kill r{round}"))
             .warm(20)
             .kill(round)
-            .run(&mut target);
+            .run(&mut o);
         expected += 20;
         assert_eq!(outcome.released_before, 20, "round {round}");
-        assert_eq!(
-            target.mon_packets(round),
-            Some(expected),
-            "after recovering r{round}"
-        );
+        assert_eq!(o.counted(round), expected, "after recovering r{round}");
     }
 }
 
 #[test]
 fn detector_driven_recovery_loop() {
-    let mut target = OrchCrashTarget::new(orch(3, 1));
-    target.inject(30);
-    assert_eq!(target.settle(), 30);
-    target.orch.chain.kill(1);
+    let mut o = orch(3, 1);
+    inject(&mut o, 0..30);
+    assert_eq!(o.settle(SETTLE_GRACE), 30);
+    o.chain.kill(1);
     // Let the monitor loop find and repair it (no explicit recover call —
-    // this path exercises the detector, not the schedule executor).
+    // this path exercises the detector, not the scenario driver).
     let mut recovered = false;
     for _ in 0..10 {
-        let results = target.orch.monitor_round();
+        let results = o.monitor_round();
         if results.iter().any(|(idx, r)| *idx == 1 && r.is_ok()) {
             recovered = true;
             break;
         }
     }
     assert!(recovered, "monitor loop must detect and repair the failure");
-    assert_eq!(target.mon_packets(1), Some(30));
+    assert_eq!(o.counted(1), 30);
 }
 
 #[test]
@@ -165,28 +164,23 @@ fn recovery_across_wan_regions_is_rtt_dominated() {
         topo.clone(),
         regions.clone(),
     );
-    let o = Orchestrator::new(chain, OrchestratorConfig::default());
-    let mut target = OrchCrashTarget::new(o).recover_region(RegionId(2));
-    target.inject(20);
-    assert_eq!(target.settle(), 20);
+    let mut o = Orchestrator::new(chain, OrchestratorConfig::default());
+    inject(&mut o, 0..20);
+    assert_eq!(o.settle(SETTLE_GRACE), 20);
 
-    // Kill the replica in the remote region.
-    target.crash(&CrashPoint {
-        victim: 1,
-        phase: CrashPhase::Quiesced,
-        trigger: 0,
-    });
-    let report = &target.reports[0].1;
+    // Kill the replica in the remote region and recover it there.
+    let reports = o.kill_and_recover(&[1], RegionId(2)).expect("recovery");
+    let report = &reports[0];
     // Initialization pays at least orchestrator→remote RTT.
-    assert!(report.initialization >= topo.rtt(RegionId(0), RegionId(2)));
+    assert!(report.prepare >= topo.rtt(RegionId(0), RegionId(2)));
     // State recovery pays at least one neighbor RTT (parallel fetches).
     let min_fetch = topo
         .rtt(RegionId(2), RegionId(1))
         .min(topo.rtt(RegionId(2), RegionId(0)));
     assert!(
-        report.state_recovery >= min_fetch,
+        report.transfer >= min_fetch,
         "state recovery {:?} must be WAN-dominated (≥ {:?})",
-        report.state_recovery,
+        report.transfer,
         min_fetch
     );
 }
@@ -204,16 +198,48 @@ fn nf_baseline_loses_everything_ftc_does_not() {
     nf.inject(pkt(9000, 0));
     assert!(nf.egress().recv(Duration::from_millis(200)).is_none());
 
-    let mut target = OrchCrashTarget::new(orch(2, 1));
+    let mut o = orch(2, 1);
     let outcome = CrashSchedule::new()
         .label("nf comparison: kill r0")
         .warm(10)
         .kill(0)
-        .run(&mut target);
+        .run(&mut o);
     assert_eq!(outcome.released_before, 10);
-    assert_eq!(
-        target.mon_packets(0),
-        Some(10),
-        "FTC keeps the state NF lost"
-    );
+    assert_eq!(o.counted(0), 10, "FTC keeps the state NF lost");
+}
+
+/// The lifecycle scenario: traffic, migrate(1), traffic, kill + recover(1),
+/// traffic, scale(1), traffic — migrate → update → evacuate with
+/// forwarding checked between the steps. Every step must deliver its
+/// traffic exactly, and every Monitor must have counted exactly the
+/// packets released. The body runs verbatim on both drivers.
+fn lifecycle(chain: &mut dyn ScenarioChain) {
+    let mut released = 0u64;
+    let mut traffic = |chain: &mut dyn ScenarioChain, after: &str| {
+        inject(chain, released as u32..released as u32 + 20);
+        assert_eq!(chain.settle(SETTLE_GRACE), 20, "delivery after {after}");
+        released += 20;
+        for i in 0..3 {
+            assert_eq!(chain.counted(i), released, "r{i}'s counter after {after}");
+        }
+    };
+    traffic(chain, "warm-up");
+    chain.migrate(1, RegionId(0)).expect("migrate");
+    traffic(chain, "migrate");
+    chain
+        .kill_and_recover(&[1], RegionId(0))
+        .expect("kill + recover");
+    traffic(chain, "kill + recover");
+    chain.scale(1, 2).expect("scale");
+    traffic(chain, "scale");
+}
+
+#[test]
+fn lifecycle_on_the_stepped_chain() {
+    lifecycle(&mut SyncChain::new(ChainConfig::new(monitors(3)).with_f(1)));
+}
+
+#[test]
+fn lifecycle_on_the_threaded_chain() {
+    lifecycle(&mut orch(3, 1));
 }

@@ -3,14 +3,11 @@
 //! packet that was already **released** must have its updates recovered,
 //! and the chain must resume afterwards.
 //!
-//! Kill/recover execution goes through the shared
-//! [`CrashTarget`](ftc::core::testkit::CrashTarget) harness
-//! ([`OrchCrashTarget`]) so the crash vocabulary matches
-//! `tests/failover.rs` and the protocol model checker; the continuous
+//! Kill/recover execution goes through the orchestrator's
+//! [`ScenarioChain`] impl, as in `tests/failover.rs`; the continuous
 //! generator and time-based draining stay local to these tests.
 
-use ftc::core::testkit::{CrashPhase, CrashPoint, CrashTarget};
-use ftc::orch::testkit::OrchCrashTarget;
+use ftc::core::testkit::{scenario_packet, ScenarioChain, SETTLE_GRACE};
 use ftc::prelude::*;
 use std::net::Ipv4Addr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -29,12 +26,11 @@ fn pkt(i: u32) -> Packet {
 fn kill_and_recover_under_continuous_load() {
     for victim in 0..3usize {
         let chain = FtcChain::deploy(ChainConfig::ch_n(3, 1).with_f(1));
-        let orch = Orchestrator::new(chain, OrchestratorConfig::default());
-        let mut target = OrchCrashTarget::new(orch);
+        let mut o = Orchestrator::new(chain, OrchestratorConfig::default());
 
         // A generator thread keeps injecting throughout the failure.
         let stop = Arc::new(AtomicBool::new(false));
-        let ingress = Arc::clone(&target.orch.chain.ingress);
+        let ingress = Arc::clone(&o.chain.ingress);
         let gen_stop = Arc::clone(&stop);
         let generator = std::thread::spawn(move || {
             let mut sent = 0u32;
@@ -48,17 +44,11 @@ fn kill_and_recover_under_continuous_load() {
 
         // Let traffic flow, then fail-stop the victim mid-stream. The
         // drain is time-based (traffic never quiesces under the
-        // generator), so CrashTarget::settle does not apply here.
+        // generator), so ScenarioChain::settle does not apply here.
         let t_warm = std::time::Instant::now();
         let mut released_before_kill = 0u64;
         while t_warm.elapsed() < Duration::from_millis(300) {
-            if target
-                .orch
-                .chain
-                .egress()
-                .recv(Duration::from_millis(2))
-                .is_some()
-            {
+            if o.chain.egress().recv(Duration::from_millis(2)).is_some() {
                 released_before_kill += 1;
             }
         }
@@ -67,27 +57,18 @@ fn kill_and_recover_under_continuous_load() {
             "warm traffic must flow (victim {victim})"
         );
 
-        // Fail-stop + recovery via the shared harness (packets in flight
-        // during the outage are allowed to be lost — fail-stop semantics).
-        target.crash(&CrashPoint {
-            victim,
-            phase: CrashPhase::Quiesced,
-            trigger: 0,
-        });
-        let report = &target.reports.last().expect("recovery report").1;
-        assert!(report.total() > Duration::ZERO);
+        // Fail-stop + recovery (packets in flight during the outage are
+        // allowed to be lost — fail-stop semantics).
+        let reports = o
+            .kill_and_recover(&[victim], RegionId(0))
+            .expect("recovery");
+        assert!(reports[0].total() > Duration::ZERO);
 
         // Post-recovery: traffic must flow again.
         let t_post = std::time::Instant::now();
         let mut post = 0u64;
         while t_post.elapsed() < Duration::from_secs(10) && post < 50 {
-            if target
-                .orch
-                .chain
-                .egress()
-                .recv(Duration::from_millis(5))
-                .is_some()
-            {
+            if o.chain.egress().recv(Duration::from_millis(5)).is_some() {
                 post += 1;
             }
         }
@@ -101,7 +82,7 @@ fn kill_and_recover_under_continuous_load() {
         // The recovered replica's own store must cover at least everything
         // released before the kill (strong consistency for released
         // packets; in-flight ones may exceed this).
-        let own = target.mon_packets(victim).unwrap_or(0);
+        let own = o.counted(victim);
         assert!(
             own >= released_before_kill,
             "victim {victim}: recovered count {own} must cover the {released_before_kill} released"
@@ -112,25 +93,30 @@ fn kill_and_recover_under_continuous_load() {
 #[test]
 fn double_failure_under_load_with_f2() {
     let chain = FtcChain::deploy(ChainConfig::ch_n(4, 1).with_f(2));
-    let orch = Orchestrator::new(chain, OrchestratorConfig::default());
-    let mut target = OrchCrashTarget::new(orch);
+    let mut o = Orchestrator::new(chain, OrchestratorConfig::default());
+    let inject = |o: &mut Orchestrator, range: std::ops::Range<u32>| {
+        for i in range {
+            o.inject(scenario_packet(i));
+        }
+    };
 
-    target.inject(100);
-    assert_eq!(target.settle(), 100);
+    inject(&mut o, 0..100);
+    assert_eq!(o.settle(SETTLE_GRACE), 100);
 
     // Two adjacent failures while more traffic is in flight: inject, then
     // kill both before either recovery starts.
-    target.inject(40);
-    target.crash_many(&[1, 2]);
+    inject(&mut o, 100..140);
+    o.kill_and_recover(&[1, 2], RegionId(0))
+        .expect("recovery after simultaneous failures");
 
-    target.inject(40);
-    let post = target.settle();
+    inject(&mut o, 140..180);
+    let post = o.settle(SETTLE_GRACE);
     assert!(
         post >= 40,
         "chain must survive a double failure under load ({post})"
     );
     for victim in [1usize, 2] {
-        let own = target.mon_packets(victim).unwrap_or(0);
+        let own = o.counted(victim);
         assert!(
             own >= 100,
             "r{victim} must retain at least the quiesced prefix: {own}"
