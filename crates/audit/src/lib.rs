@@ -21,8 +21,7 @@
 //!   chain (real [`ftc_core::testkit::SyncChain`] objects) through every
 //!   interleaving × crash-point schedule in a bounded matrix, checking
 //!   release-implies-replication, post-recovery convergence, ring
-//!   re-formation, and `MAX`-vector monotonicity — plus the abstract
-//!   deployment model backing the static/dynamic agreement property.
+//!   re-formation, and `MAX`-vector monotonicity.
 //! * [`reconfig`] — the crash-during-reconfiguration model checker: runs
 //!   the shipped migrate/scale procedure ([`ftc_core::replace`]) on the
 //!   same miniature chain, quiesced and with packets in flight, while
@@ -66,9 +65,7 @@ pub mod serializability;
 pub use async_check::{AsyncCheckConfig, TransportReport, TransportWitness};
 pub use convergence::ConvergenceReport;
 pub use history::{AppliedLog, CommittedTxn, History, Recorder};
-pub use protocol::{
-    check_abstract_deploy, explore, AbstractWitness, ProtocolCheckConfig, ProtocolReport, Witness,
-};
+pub use protocol::{explore, ProtocolCheckConfig, ProtocolReport, Witness};
 pub use reconfig::{explore_reconfig, replay, ReconfigCheckConfig, ReconfigReport};
 pub use serializability::{SerializabilityReport, Violation};
 

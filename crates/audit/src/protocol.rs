@@ -28,22 +28,14 @@
 //!   buffer drains, and post-recovery traffic releases end to end.
 //! * **I4 — dependency-vector monotonicity**: surviving replicas' `MAX`
 //!   vectors never move backwards across a failover.
-//!
-//! The module also hosts the *dynamic half* of the static/dynamic agreement
-//! check: [`check_abstract_deploy`] explores bounded failure schedules on an
-//! abstract ring model for raw [`DeploySpec`] topologies — including the
-//! structurally infeasible ones that [`ftc_mbox::verify_deploy_spec`]
-//! rejects and that the real chain constructor refuses to build — so
-//! property tests can confirm that every statically rejected spec has a
-//! concrete dynamic counterexample, and every accepted one has none.
 
 use ftc_core::testkit::{Step, SyncChain};
 use ftc_core::{ChainConfig, ProbePoint, ProbeVerdict, ProtocolProbe, RingMath};
-use ftc_mbox::{DeploySpec, MbSpec};
+use ftc_mbox::MbSpec;
 use ftc_packet::builder::UdpPacketBuilder;
 use ftc_stm::StoreSnapshot;
 use parking_lot::Mutex;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -999,146 +991,9 @@ pub fn explore(cfg: &ProtocolCheckConfig) -> ProtocolReport {
     report
 }
 
-// ---------------------------------------------------------------------------
-// Abstract deployment model (dynamic half of static/dynamic agreement)
-// ---------------------------------------------------------------------------
-
-/// A counterexample schedule found on the abstract ring model.
-#[derive(Debug, Clone)]
-pub struct AbstractWitness {
-    /// Failure class (`"under-replication"`, `"processing-gap"`, …).
-    pub code: &'static str,
-    /// The concrete abstract schedule that exhibits it.
-    pub schedule: String,
-}
-
-impl std::fmt::Display for AbstractWitness {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "[{}] {}", self.code, self.schedule)
-    }
-}
-
-/// Bounded failure-schedule exploration on an *abstract* ring model of a
-/// raw [`DeploySpec`] topology.
-///
-/// The real chain constructor cannot build structurally infeasible
-/// topologies (it pads and asserts), so the dynamic checker explores them
-/// on an abstraction instead: one packet traverses ring slots
-/// `0..ring_len`, each chain position `m` emits one state update that is
-/// copied to the `f` following slots, and the buffer at `buffer_pos`
-/// releases the packet subject to the commit evidence reachable there.
-/// Schedules crash up to `f` slots before/after the release and check the
-/// same I1-style survival property the concrete checker enforces.
-///
-/// Each statically rejected shape maps to a concrete dynamic failure:
-///
-/// | static code ([`ftc_mbox::verify_deploy_spec`]) | abstract witness |
-/// |---|---|
-/// | `empty-chain` | `no-delivery` |
-/// | `ring-too-short` | `under-replication` |
-/// | `ring-shorter-than-chain` | `no-replica-slot` |
-/// | `buffer-before-tail` | `processing-gap` / `never-released` |
-/// | `partitions-lt-workers` | `seq-collision` |
-pub fn check_abstract_deploy(spec: &DeploySpec) -> Vec<AbstractWitness> {
-    let mut out = Vec::new();
-    if spec.middleboxes.is_empty() {
-        out.push(AbstractWitness {
-            code: "no-delivery",
-            schedule: "inject one packet: the chain has no stage to process \
-                       or release it"
-                .into(),
-        });
-    }
-    if spec.ring_len > 0 {
-        if spec.buffer_pos + 1 < spec.ring_len {
-            out.push(AbstractWitness {
-                code: "processing-gap",
-                schedule: format!(
-                    "inject one packet: it is released at slot {} and never \
-                     traverses slots {}..={}, whose commit evidence the \
-                     release rule therefore cannot await",
-                    spec.buffer_pos,
-                    spec.buffer_pos + 1,
-                    spec.ring_len - 1
-                ),
-            });
-        } else if spec.buffer_pos >= spec.ring_len {
-            out.push(AbstractWitness {
-                code: "never-released",
-                schedule: format!(
-                    "inject one packet: it leaves the ring at slot {} but \
-                     the buffer sits at position {}, so it is withheld \
-                     forever",
-                    spec.ring_len - 1,
-                    spec.buffer_pos
-                ),
-            });
-        }
-    }
-    for (m, mb) in spec.middleboxes.iter().enumerate() {
-        if m >= spec.ring_len {
-            out.push(AbstractWitness {
-                code: "no-replica-slot",
-                schedule: format!(
-                    "inject one packet: the update from `{}` (position {m}) \
-                     has no ring slot, so zero copies exist when the packet \
-                     egresses",
-                    mb.name()
-                ),
-            });
-            continue;
-        }
-        // Distinct slots in position m's replication group.
-        let group: BTreeSet<usize> = (0..=spec.f).map(|k| (m + k) % spec.ring_len).collect();
-        // Members provably holding the update when the packet is released:
-        // downstream members the packet traversed before the buffer, plus
-        // wrapped members only if the buffer sits at the ring tail (the
-        // feedback loop's commit vectors are awaited there and only there).
-        let holders: BTreeSet<usize> = group
-            .iter()
-            .copied()
-            .filter(|&s| {
-                if s >= m {
-                    s <= spec.buffer_pos
-                } else {
-                    spec.buffer_pos + 1 == spec.ring_len
-                }
-            })
-            .collect();
-        if holders.len() < spec.f + 1 {
-            out.push(AbstractWitness {
-                code: "under-replication",
-                schedule: format!(
-                    "release the packet carrying position {m}'s update, then \
-                     crash slot(s) {holders:?} — {} failure(s) ≤ f = {} — \
-                     and every copy of a released update is gone",
-                    holders.len(),
-                    spec.f
-                ),
-            });
-        }
-    }
-    if spec.partitions < spec.workers {
-        out.push(AbstractWitness {
-            code: "seq-collision",
-            schedule: format!(
-                "run workers 0 and {} concurrently: with {} partition(s) for \
-                 {} worker(s) both draw the same per-partition seq, and a \
-                 replica applies one update while rejecting the other as \
-                 stale",
-                spec.workers - 1,
-                spec.partitions,
-                spec.workers
-            ),
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftc_mbox::verify_deploy_spec;
 
     fn mini_cfg() -> ProtocolCheckConfig {
         ProtocolCheckConfig {
@@ -1183,55 +1038,6 @@ mod tests {
             "expected an I1 witness, got: {:#?}",
             report.witnesses
         );
-    }
-
-    #[test]
-    fn abstract_model_agrees_with_static_verifier_on_canonical_specs() {
-        let mon = || MbSpec::Monitor { sharing_level: 1 };
-        let cases = [
-            DeploySpec::feasible(vec![mon(); 3], 1),
-            DeploySpec {
-                middleboxes: vec![mon()],
-                f: 2,
-                ring_len: 1,
-                buffer_pos: 0,
-                partitions: 8,
-                workers: 1,
-            },
-            DeploySpec {
-                middleboxes: vec![mon(); 4],
-                f: 1,
-                ring_len: 2,
-                buffer_pos: 1,
-                partitions: 8,
-                workers: 1,
-            },
-            DeploySpec {
-                middleboxes: vec![mon(); 3],
-                f: 1,
-                ring_len: 3,
-                buffer_pos: 1,
-                partitions: 8,
-                workers: 1,
-            },
-            DeploySpec {
-                middleboxes: vec![],
-                f: 0,
-                ring_len: 1,
-                buffer_pos: 0,
-                partitions: 1,
-                workers: 4,
-            },
-        ];
-        for spec in &cases {
-            let statically_ok = verify_deploy_spec(spec).is_ok();
-            let dynamic = check_abstract_deploy(spec);
-            assert_eq!(
-                statically_ok,
-                dynamic.is_empty(),
-                "static and dynamic verdicts disagree on {spec:?}: {dynamic:?}"
-            );
-        }
     }
 
     #[test]

@@ -98,7 +98,7 @@ impl FtmbChain {
     /// Deploys FTMB for `cfg.middleboxes`; dedicates 2 servers per
     /// middlebox ("we dedicate twice the number of servers to FTMB", §7.4).
     pub fn deploy(cfg: ChainConfig, snapshot: Option<SnapshotCfg>) -> FtmbChain {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let cfg = Arc::new(cfg);
         let metrics = Arc::new(ChainMetrics::default());
         let n = cfg.middleboxes.len();

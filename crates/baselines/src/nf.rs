@@ -44,7 +44,7 @@ pub struct NfChain {
 impl NfChain {
     /// Deploys the chain; `cfg.f` is ignored (NF tolerates nothing).
     pub fn deploy(cfg: ChainConfig) -> NfChain {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let cfg = Arc::new(cfg);
         let metrics = Arc::new(ChainMetrics::default());
         let n = cfg.middleboxes.len();

@@ -47,18 +47,21 @@ fn cmd_node(args: &ParsedArgs) -> Result<(), String> {
     })
 }
 
-fn specs_of(args: &ParsedArgs) -> Result<Vec<MbSpec>, String> {
-    parse_chain(args.chain()?).map_err(|e| e.to_string())
+/// The chain `--chain`, `--f` (default 1) and `--workers` describe,
+/// checked before anything is deployed or simulated.
+fn config_of(args: &ParsedArgs, default_workers: usize) -> Result<ChainConfig, String> {
+    let specs = parse_chain(args.chain()?).map_err(|e| e.to_string())?;
+    let cfg = ChainConfig::new(specs)
+        .with_f(args.get_usize("f", 1)?)
+        .with_workers(args.get_usize("workers", default_workers)?);
+    cfg.validate()?;
+    Ok(cfg)
 }
 
 fn cmd_run(args: &ParsedArgs) -> Result<(), String> {
-    let specs = specs_of(args)?;
-    let f = args.get_usize("f", 1)?;
-    let workers = args.get_usize("workers", 1)?;
+    let mut cfg = config_of(args, 1)?;
     let packets = args.get_usize("packets", 1000)?;
     let loss = args.get_f64("loss", 0.0)?;
-
-    let mut cfg = ChainConfig::new(specs).with_f(f).with_workers(workers);
     if loss > 0.0 {
         cfg = cfg.with_link(Endpoint::lossy(loss, loss / 2.0, 42));
     }
@@ -68,8 +71,10 @@ fn cmd_run(args: &ParsedArgs) -> Result<(), String> {
         .map(|s| s.name())
         .collect();
     println!(
-        "deploying FTC chain: {} (f = {f}, workers = {workers})",
-        names.join(" -> ")
+        "deploying FTC chain: {} (f = {}, workers = {})",
+        names.join(" -> "),
+        cfg.f,
+        cfg.workers
     );
     let chain = FtcChain::deploy(cfg);
 
@@ -108,12 +113,10 @@ fn cmd_run(args: &ParsedArgs) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &ParsedArgs) -> Result<(), String> {
-    let specs = specs_of(args)?;
-    let f = args.get_usize("f", 1)?;
-    let workers = args.get_usize("workers", 1)?;
+    let cfg = config_of(args, 1)?;
     let packets = args.get_usize("packets", 1000)?;
 
-    let chain = FtcChain::deploy(ChainConfig::new(specs).with_f(f).with_workers(workers));
+    let chain = FtcChain::deploy(cfg);
     let mut wl = Workload::new(WorkloadConfig {
         flows: 64,
         frame_len: 256,
@@ -176,11 +179,10 @@ fn cmd_stats(args: &ParsedArgs) -> Result<(), String> {
 }
 
 fn cmd_trace(args: &ParsedArgs) -> Result<(), String> {
-    let specs = specs_of(args)?;
-    let f = args.get_usize("f", 1)?;
+    let cfg = config_of(args, 1)?;
     let packets = args.get_usize("packets", 200)?;
 
-    let chain = FtcChain::deploy(ChainConfig::new(specs).with_f(f));
+    let chain = FtcChain::deploy(cfg);
     let n = chain.len();
     let mut orch = Orchestrator::new(chain, OrchestratorConfig::default());
     let mut wl = Workload::new(WorkloadConfig::default());
@@ -244,8 +246,7 @@ fn cmd_trace(args: &ParsedArgs) -> Result<(), String> {
 }
 
 fn cmd_compare(args: &ParsedArgs) -> Result<(), String> {
-    let specs = specs_of(args)?;
-    let workers = args.get_usize("workers", 1)?;
+    let cfg = config_of(args, 1)?;
     let seconds = args.get_f64("seconds", 2.0)?;
     let runner = TrafficRunner::new(WorkloadConfig {
         flows: 128,
@@ -268,15 +269,11 @@ fn cmd_compare(args: &ParsedArgs) -> Result<(), String> {
             lat.latency.quantile(0.99).unwrap_or_default(),
         );
     };
-    let nf = NfChain::deploy(ChainConfig::new(specs.clone()).with_workers(workers));
+    let nf = NfChain::deploy(cfg.clone());
     measure("NF", &nf);
-    let ftc = FtcChain::deploy(
-        ChainConfig::new(specs.clone())
-            .with_f(1)
-            .with_workers(workers),
-    );
+    let ftc = FtcChain::deploy(cfg.clone());
     measure("FTC", &ftc);
-    let ftmb = FtmbChain::deploy(ChainConfig::new(specs).with_workers(workers), None);
+    let ftmb = FtmbChain::deploy(cfg, None);
     measure("FTMB", &ftmb);
     println!("(threaded runtime on this machine; paper-scale numbers: `cargo bench`)");
     Ok(())
@@ -302,9 +299,12 @@ fn sim_kind(spec: &MbSpec, workers: usize) -> MbKind {
 }
 
 fn cmd_sim(args: &ParsedArgs) -> Result<(), String> {
-    let specs = specs_of(args)?;
-    let workers = args.get_usize("workers", 8)?;
-    let f = args.get_usize("f", 1)?;
+    let ChainConfig {
+        middleboxes: specs,
+        f,
+        workers,
+        ..
+    } = config_of(args, 8)?;
     let packet_bytes = args.get_usize("packet-bytes", 256)?;
     let system = match args.get("system").unwrap_or("ftc") {
         "ftc" => SystemKind::Ftc { f },
@@ -357,9 +357,7 @@ fn cmd_sim(args: &ParsedArgs) -> Result<(), String> {
 }
 
 fn cmd_drill(args: &ParsedArgs) -> Result<(), String> {
-    let specs = specs_of(args)?;
-    let f = args.get_usize("f", 1)?;
-    let chain = FtcChain::deploy(ChainConfig::new(specs).with_f(f));
+    let chain = FtcChain::deploy(config_of(args, 1)?);
     let n = chain.len();
     let mut orch = Orchestrator::new(chain, OrchestratorConfig::default());
 
@@ -408,16 +406,14 @@ fn cmd_drill(args: &ParsedArgs) -> Result<(), String> {
 /// `--scale W` replaces the replica with a W-worker instance, `--migrate R`
 /// moves it to region R. State carries over; traffic resumes afterwards.
 fn cmd_reconfig(args: &ParsedArgs) -> Result<(), String> {
-    let specs = specs_of(args)?;
-    let f = args.get_usize("f", 1)?;
-    let workers = args.get_usize("workers", 1)?;
+    let cfg = config_of(args, 1)?;
     let packets = args.get_usize("packets", 200)?;
     let idx = args.get_usize("idx", usize::MAX)?;
     if idx == usize::MAX {
         return Err("--idx N is required".to_string());
     }
 
-    let chain = FtcChain::deploy(ChainConfig::new(specs).with_f(f).with_workers(workers));
+    let chain = FtcChain::deploy(cfg);
     let n = chain.len();
     if idx >= n {
         return Err(format!("--idx {idx} out of range (chain has {n} replicas)"));
@@ -551,6 +547,26 @@ mod tests {
         assert!(err.contains("out of range"));
         let err = run_cmd("reconfig --chain monitor --idx 7 --scale 2").unwrap_err();
         assert!(err.contains("out of range"));
+    }
+
+    #[test]
+    fn zero_workers_is_an_error_not_a_panic() {
+        for cmd in [
+            "run",
+            "stats",
+            "compare",
+            "sim",
+            "reconfig --idx 0 --scale 1",
+            "node --idx 0 --dir unused",
+        ] {
+            let err = run_cmd(&format!("{cmd} --chain monitor --workers 0")).unwrap_err();
+            assert!(err.contains("--workers"), "{cmd}: {err}");
+        }
+        let argv: Vec<String> = "run --chain monitor --workers 0"
+            .split_whitespace()
+            .map(String::from)
+            .collect();
+        assert_eq!(crate::run(&argv), 1);
     }
 
     #[test]

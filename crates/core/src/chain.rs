@@ -167,7 +167,7 @@ impl FtcChain {
     /// effective middlebox). Inter-replica link latency gains the
     /// inter-region one-way delay.
     pub fn deploy_in(cfg: ChainConfig, topology: Topology, regions: Vec<RegionId>) -> FtcChain {
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let cfg = Arc::new(cfg);
         let specs = cfg.effective_middleboxes();
         let n = specs.len();

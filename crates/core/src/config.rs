@@ -12,7 +12,8 @@ pub struct ChainConfig {
     pub middleboxes: Vec<MbSpec>,
     /// Number of replica failures to tolerate (replication factor − 1).
     pub f: usize,
-    /// State partitions per middlebox store (must exceed worker count).
+    /// State partitions per middlebox store (at least 1; any number of
+    /// workers may share them, the transaction locks order their updates).
     pub partitions: usize,
     /// Worker threads per replica.
     pub workers: usize,
@@ -154,17 +155,21 @@ impl ChainConfig {
         }
     }
 
-    /// Validates invariants, panicking with a descriptive message otherwise.
-    pub fn validate(&self) {
-        assert!(!self.middleboxes.is_empty(), "chain must have middleboxes");
-        assert!(self.partitions >= 1);
-        assert!(self.workers >= 1);
-        let n = self.effective_middleboxes().len();
-        assert!(
-            self.f < n,
-            "f = {} requires a (padded) chain longer than f ({n})",
-            self.f
-        );
+    /// The one check of a chain description, run by every deployment path.
+    /// The ring needs no check: [`Self::effective_middleboxes`] pads it to
+    /// `f + 1` positions. A message names the `ftc` option that sets its
+    /// field, where there is one, so the CLI can return it as it is.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.middleboxes.is_empty() {
+            return Err("chain must have middleboxes".into());
+        }
+        if self.workers == 0 {
+            return Err("--workers must be at least 1".into());
+        }
+        if self.partitions == 0 {
+            return Err("partitions must be at least 1".into());
+        }
+        Ok(())
     }
 }
 
@@ -286,13 +291,53 @@ mod tests {
         assert_eq!(mbs.len(), 3);
         assert!(matches!(mbs[1], MbSpec::Passthrough));
         assert!(matches!(mbs[2], MbSpec::Passthrough));
-        cfg.validate();
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]
+    fn validate_names_what_is_wrong() {
+        let mon = || vec![MbSpec::Monitor { sharing_level: 1 }];
+        assert!(ChainConfig::new(vec![]).validate().is_err());
+        let err = ChainConfig::new(mon()).with_workers(0).validate();
+        assert!(err.unwrap_err().contains("--workers"));
+        let err = ChainConfig::new(mon()).with_partitions(0).validate();
+        assert!(err.unwrap_err().contains("partitions"));
+    }
+
+    /// Deployment paths that cannot return an error panic with
+    /// [`ChainConfig::validate`]'s message.
+    #[test]
     #[should_panic(expected = "chain must have middleboxes")]
     fn empty_chain_rejected() {
-        ChainConfig::new(vec![]).validate();
+        crate::testkit::SyncChain::new(ChainConfig::new(vec![]));
+    }
+
+    #[test]
+    fn fewer_partitions_than_workers_lose_no_update() {
+        let specs = vec![MbSpec::Monitor { sharing_level: 4 }; 2];
+        let cfg = ChainConfig::new(specs).with_workers(4).with_partitions(2);
+        let chain = crate::FtcChain::deploy(cfg);
+        let n = 200u16;
+        for i in 0..n {
+            chain.inject(
+                ftc_packet::builder::UdpPacketBuilder::new()
+                    .src(std::net::Ipv4Addr::new(10, 0, 0, 1), 1000 + i)
+                    .ident(i)
+                    .build(),
+            );
+        }
+        let released = chain
+            .egress()
+            .collect(n.into(), Duration::from_secs(20))
+            .len() as u64;
+        assert_eq!(released, u64::from(n));
+        let key = b"mon:packets:g0";
+        for (m, succ) in [(0, 1), (1, 0)] {
+            let head = &chain.replicas[m].state.own_store;
+            assert_eq!(head.peek_u64(key), Some(released), "m{m}'s head");
+            let copy = &chain.replicas[succ].state.replicated[&m].store;
+            assert_eq!(copy.peek_u64(key), Some(released), "m{m}'s copy at r{succ}");
+        }
     }
 
     #[test]

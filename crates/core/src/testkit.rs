@@ -94,7 +94,7 @@ impl SyncChain {
     /// ordering instead).
     pub fn new(cfg: ChainConfig) -> SyncChain {
         let cfg = cfg.with_workers(1).with_link(Endpoint::in_proc());
-        cfg.validate();
+        cfg.validate().unwrap_or_else(|e| panic!("{e}"));
         let cfg = Arc::new(cfg);
         let specs = cfg.effective_middleboxes();
         let n = specs.len();

@@ -83,6 +83,6 @@ mod tests {
     fn prelude_is_usable() {
         use crate::prelude::*;
         let cfg = ChainConfig::new(vec![MbSpec::Passthrough]);
-        cfg.validate();
+        cfg.validate().unwrap();
     }
 }

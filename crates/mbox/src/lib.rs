@@ -10,9 +10,9 @@
 //! * [`element`] — a lightweight Click-style push-element graph for
 //!   composing packet-processing pipelines (used by examples and by the
 //!   stateless portions of middleboxes).
-//! * [`spec_lang`] — the chain-description language plus the static
-//!   deployment verifier ([`verify_deploy_spec`]) that rejects topologies
-//!   whose replication invariants are unsatisfiable before anything runs.
+//! * [`spec_lang`] — the chain-description language ([`parse_chain`]).
+//!   Whether a chain can be deployed is checked once, by
+//!   `ChainConfig::validate` in `ftc-core`.
 //! * The Table-1 middleboxes:
 //!   [`nat::MazuNat`] (the core of a commercial NAT — read-heavy),
 //!   [`nat::SimpleNat`] (basic NAT), [`monitor::Monitor`] (read/write-heavy
@@ -40,8 +40,4 @@ pub use lb::LoadBalancer;
 pub use middlebox::{Action, MbSpec, Middlebox, ProcCtx};
 pub use monitor::Monitor;
 pub use nat::{MazuNat, SimpleNat};
-pub use spec_lang::{
-    check_migration_manifest, declared_state_prefixes, migration_manifest, parse_chain,
-    spec_kind_name, verify_deploy_spec, verify_migration_spec, DeploySpec, SpecViolation,
-    DECLARED_STATE_PREFIXES, MIGRATION_MANIFEST,
-};
+pub use spec_lang::parse_chain;

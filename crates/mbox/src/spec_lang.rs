@@ -208,294 +208,6 @@ fn build_spec(name: &str, args: &[(String, String)]) -> Result<MbSpec, ParseErro
     }
 }
 
-// ---------------------------------------------------------------------------
-// Static chain-spec verification
-// ---------------------------------------------------------------------------
-
-/// Declared state-key prefixes per middlebox kind: the partition-ownership
-/// contract of the chain. Checked two ways: `scripts/analyze_state_access.py`
-/// parses the middlebox sources and rejects any state write whose key prefix
-/// is not declared here, and [`verify_deploy_spec`] uses it to decide which
-/// stages are stateful (stateless stages place no replication demands on the
-/// ring). Keep the table in sync with the `name => prefixes` pairs the
-/// analyzer expects.
-pub const DECLARED_STATE_PREFIXES: &[(&str, &[&str])] = &[
-    ("monitor", &["mon:"]),
-    ("gen", &["gen:"]),
-    ("ids", &["ids:"]),
-    ("lb", &["lb:"]),
-    ("mazu_nat", &["mazu:"]),
-    ("simple_nat", &["snat:"]),
-    ("firewall", &[]),
-    ("passthrough", &[]),
-];
-
-/// The spec-language name of a middlebox kind (the key used by
-/// [`DECLARED_STATE_PREFIXES`], [`MIGRATION_MANIFEST`], and the static
-/// analyzers in `scripts/`).
-pub fn spec_kind_name(spec: &MbSpec) -> &'static str {
-    match spec {
-        MbSpec::Monitor { .. } => "monitor",
-        MbSpec::Gen { .. } => "gen",
-        MbSpec::Ids { .. } => "ids",
-        MbSpec::LoadBalancer { .. } => "lb",
-        MbSpec::MazuNat { .. } => "mazu_nat",
-        MbSpec::SimpleNat { .. } => "simple_nat",
-        MbSpec::Firewall { .. } => "firewall",
-        MbSpec::Passthrough => "passthrough",
-    }
-}
-
-/// The declared state-key prefixes for one spec (see
-/// [`DECLARED_STATE_PREFIXES`]). Empty means stateless.
-pub fn declared_state_prefixes(spec: &MbSpec) -> &'static [&'static str] {
-    let name = spec_kind_name(spec);
-    DECLARED_STATE_PREFIXES
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, p)| *p)
-        .unwrap_or(&[])
-}
-
-/// Per-middlebox *migration manifests*: the state-key prefixes a planned
-/// reconfiguration (an `ftc_core::reconfig`-style handover) transfers to
-/// the destination instance. A migration is **complete** only when the
-/// manifest covers every declared state prefix — any declared prefix
-/// missing here is state the handover would silently leave behind on the
-/// retired source, which is exactly the bug class the
-/// migration-completeness lint (`scripts/analyze_migration.py` statically,
-/// [`verify_migration_spec`] at deploy time) exists to reject.
-pub const MIGRATION_MANIFEST: &[(&str, &[&str])] = &[
-    ("monitor", &["mon:"]),
-    ("gen", &["gen:"]),
-    ("ids", &["ids:"]),
-    ("lb", &["lb:"]),
-    ("mazu_nat", &["mazu:"]),
-    ("simple_nat", &["snat:"]),
-    ("firewall", &[]),
-    ("passthrough", &[]),
-];
-
-/// The migration manifest for one spec (see [`MIGRATION_MANIFEST`]).
-/// Empty means the kind migrates no state (stateless stages).
-pub fn migration_manifest(spec: &MbSpec) -> &'static [&'static str] {
-    let name = spec_kind_name(spec);
-    MIGRATION_MANIFEST
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, p)| *p)
-        .unwrap_or(&[])
-}
-
-/// Checks one middlebox kind's migration manifest against its declared
-/// state prefixes. Violations:
-///
-/// * `migration-missing-prefix` — a declared prefix the manifest omits:
-///   migrating this kind would strand that state on the retired source
-///   (the destination starts serving with a partial committed prefix,
-///   violating I6).
-/// * `migration-unknown-prefix` — a manifested prefix nobody declares:
-///   either the manifest is stale or the state escaped the
-///   [`DECLARED_STATE_PREFIXES`] contract.
-///
-/// The table-backed wrapper is [`verify_migration_spec`]; this function
-/// takes the sets explicitly so tests (and the static/dynamic agreement
-/// property) can feed deliberately incomplete fixtures.
-pub fn check_migration_manifest(
-    name: &str,
-    declared: &[&str],
-    manifest: &[&str],
-) -> Vec<SpecViolation> {
-    let mut violations = Vec::new();
-    for p in declared {
-        if !manifest.contains(p) {
-            violations.push(SpecViolation {
-                code: "migration-missing-prefix",
-                message: format!(
-                    "`{name}` declares state under `{p}` but its migration \
-                     manifest omits it: a handover would transfer a partial \
-                     committed prefix and strand `{p}` state on the retired \
-                     source (I6 violation); add `{p}` to `{name}` in \
-                     MIGRATION_MANIFEST"
-                ),
-            });
-        }
-    }
-    for p in manifest {
-        if !declared.contains(p) {
-            violations.push(SpecViolation {
-                code: "migration-unknown-prefix",
-                message: format!(
-                    "`{name}` manifests `{p}` for migration but declares no \
-                     such state prefix: remove the stale manifest entry or \
-                     declare `{p}` in DECLARED_STATE_PREFIXES"
-                ),
-            });
-        }
-    }
-    violations
-}
-
-/// Statically verifies that every middlebox in `specs` has a *complete*
-/// migration manifest: each declared state prefix is covered, no unknown
-/// prefixes are manifested. Run before accepting a chain for deployment —
-/// a chain passing [`verify_deploy_spec`] can still be unsafe to
-/// reconfigure if a stage's manifest lags its declared state.
-pub fn verify_migration_spec(specs: &[MbSpec]) -> Result<(), Vec<SpecViolation>> {
-    let mut violations = Vec::new();
-    for spec in specs {
-        violations.extend(check_migration_manifest(
-            spec_kind_name(spec),
-            declared_state_prefixes(spec),
-            migration_manifest(spec),
-        ));
-    }
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
-}
-
-/// A full deployment description: the chain plus the replication topology
-/// it is asked to run on. Unlike `ChainConfig` (which pads and asserts its
-/// way to a *valid* ring), this is the raw, possibly-infeasible input that
-/// [`verify_deploy_spec`] vets before anything is built.
-#[derive(Debug, Clone)]
-pub struct DeploySpec {
-    /// The middlebox stages, in chain order.
-    pub middleboxes: Vec<MbSpec>,
-    /// Failures to tolerate.
-    pub f: usize,
-    /// Number of replicas on the logical ring.
-    pub ring_len: usize,
-    /// Ring position whose output feeds the buffer. The protocol requires
-    /// the *last* position (`ring_len - 1`): the buffer's release rule only
-    /// sees commit vectors that have traversed every tail.
-    pub buffer_pos: usize,
-    /// State partitions per store.
-    pub partitions: usize,
-    /// Worker threads per replica.
-    pub workers: usize,
-}
-
-impl DeploySpec {
-    /// A feasible deployment for `middleboxes` with failure budget `f`:
-    /// ring padded to `max(len, f+1)`, buffer after the last replica.
-    pub fn feasible(middleboxes: Vec<MbSpec>, f: usize) -> DeploySpec {
-        let ring_len = middleboxes.len().max(f + 1);
-        DeploySpec {
-            middleboxes,
-            f,
-            ring_len,
-            buffer_pos: ring_len.saturating_sub(1),
-            partitions: ftc_stm::DEFAULT_PARTITIONS,
-            workers: 1,
-        }
-    }
-}
-
-/// One reason a [`DeploySpec`] cannot satisfy the protocol invariants, with
-/// a stable machine-checkable `code` and an actionable human message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpecViolation {
-    /// Stable identifier (e.g. `ring-too-short`).
-    pub code: &'static str,
-    /// What is wrong and how to fix it.
-    pub message: String,
-}
-
-impl core::fmt::Display for SpecViolation {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(f, "[{}] {}", self.code, self.message)
-    }
-}
-
-/// Statically verifies that `spec`'s topology can satisfy the paper's
-/// invariants *before anything runs*: every replication group needs `f+1`
-/// distinct ring positions (I1), every middlebox needs a ring slot, the
-/// buffer must sit after the final tail (I1/I4 — a commit vector that skips
-/// a tail proves nothing), and per-partition sequencing needs at least as
-/// many partitions as workers (intra-node serializability, §4.3). Returns
-/// all violations, not just the first.
-pub fn verify_deploy_spec(spec: &DeploySpec) -> Result<(), Vec<SpecViolation>> {
-    let mut violations = Vec::new();
-    let stateful: Vec<&MbSpec> = spec
-        .middleboxes
-        .iter()
-        .filter(|m| !declared_state_prefixes(m).is_empty())
-        .collect();
-
-    if spec.middleboxes.is_empty() {
-        violations.push(SpecViolation {
-            code: "empty-chain",
-            message: "the chain has no middleboxes; declare at least one stage".into(),
-        });
-    }
-    if spec.ring_len < spec.f + 1 {
-        violations.push(SpecViolation {
-            code: "ring-too-short",
-            message: format!(
-                "ring of {} replica(s) cannot hold f+1 = {} copies of a state \
-                 update: a single failure wipes {}; extend the ring to at \
-                 least {} replicas (pad with passthrough) or lower f",
-                spec.ring_len,
-                spec.f + 1,
-                if stateful.is_empty() {
-                    "the group".to_string()
-                } else {
-                    format!("{}'s only copy", stateful[0].name())
-                },
-                spec.f + 1,
-            ),
-        });
-    }
-    if spec.ring_len < spec.middleboxes.len() {
-        violations.push(SpecViolation {
-            code: "ring-shorter-than-chain",
-            message: format!(
-                "{} middleboxes declared but only {} ring position(s): every \
-                 middlebox heads its own replication group, so the ring must \
-                 be at least as long as the chain",
-                spec.middleboxes.len(),
-                spec.ring_len,
-            ),
-        });
-    }
-    if spec.ring_len > 0 && spec.buffer_pos != spec.ring_len - 1 {
-        violations.push(SpecViolation {
-            code: "buffer-before-tail",
-            message: format!(
-                "buffer attached after ring position {} but the ring ends at \
-                 {}: packets would egress without traversing the tails of \
-                 positions {}..{}, so their commit vectors never prove f+1 \
-                 replication; attach the buffer after position {}",
-                spec.buffer_pos,
-                spec.ring_len - 1,
-                spec.buffer_pos + 1,
-                spec.ring_len - 1,
-                spec.ring_len - 1,
-            ),
-        });
-    }
-    if spec.partitions < spec.workers {
-        violations.push(SpecViolation {
-            code: "partitions-lt-workers",
-            message: format!(
-                "{} worker(s) share {} state partition(s): per-partition \
-                 sequence numbers cannot keep concurrent workers' updates \
-                 ordered (§4.3); raise partitions to at least {}",
-                spec.workers, spec.partitions, spec.workers,
-            ),
-        });
-    }
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -584,139 +296,6 @@ mod tests {
             .unwrap_err()
             .message
             .contains("missing ')'"));
-    }
-
-    fn codes(violations: &[SpecViolation]) -> Vec<&'static str> {
-        violations.iter().map(|v| v.code).collect()
-    }
-
-    #[test]
-    fn feasible_spec_passes_verification() {
-        let specs = parse_chain("monitor -> ids(scan_threshold=4) -> gen").unwrap();
-        verify_deploy_spec(&DeploySpec::feasible(specs, 1)).unwrap();
-        let specs = parse_chain("monitor").unwrap();
-        verify_deploy_spec(&DeploySpec::feasible(specs, 2)).unwrap();
-    }
-
-    #[test]
-    fn ring_shorter_than_f_plus_one_is_rejected() {
-        let mut spec = DeploySpec::feasible(parse_chain("monitor -> gen").unwrap(), 1);
-        spec.f = 2; // 2-ring cannot hold 3 copies
-        let violations = verify_deploy_spec(&spec).unwrap_err();
-        assert!(codes(&violations).contains(&"ring-too-short"));
-        let msg = &violations[0].message;
-        assert!(msg.contains("f+1 = 3"), "actionable: {msg}");
-        assert!(msg.contains("passthrough"), "suggests the fix: {msg}");
-    }
-
-    #[test]
-    fn buffer_before_tail_is_rejected() {
-        let mut spec = DeploySpec::feasible(parse_chain("monitor -> ids -> gen").unwrap(), 1);
-        spec.buffer_pos = 1; // buffer between r1 and r2
-        let violations = verify_deploy_spec(&spec).unwrap_err();
-        assert_eq!(codes(&violations), vec!["buffer-before-tail"]);
-        assert!(
-            violations[0]
-                .message
-                .contains("attach the buffer after position 2"),
-            "actionable: {}",
-            violations[0].message
-        );
-    }
-
-    #[test]
-    fn ring_shorter_than_chain_is_rejected() {
-        let mut spec = DeploySpec::feasible(parse_chain("monitor -> ids -> gen").unwrap(), 1);
-        spec.ring_len = 2;
-        spec.buffer_pos = 1;
-        let violations = verify_deploy_spec(&spec).unwrap_err();
-        assert!(codes(&violations).contains(&"ring-shorter-than-chain"));
-    }
-
-    #[test]
-    fn partitions_fewer_than_workers_is_rejected() {
-        let mut spec = DeploySpec::feasible(parse_chain("monitor").unwrap(), 1);
-        spec.workers = 8;
-        spec.partitions = 4;
-        let violations = verify_deploy_spec(&spec).unwrap_err();
-        assert_eq!(codes(&violations), vec!["partitions-lt-workers"]);
-    }
-
-    #[test]
-    fn all_violations_are_reported_at_once() {
-        let spec = DeploySpec {
-            middleboxes: parse_chain("monitor -> gen").unwrap(),
-            f: 3,
-            ring_len: 1,
-            buffer_pos: 5,
-            partitions: 1,
-            workers: 4,
-        };
-        let violations = verify_deploy_spec(&spec).unwrap_err();
-        let cs = codes(&violations);
-        assert!(cs.contains(&"ring-too-short"));
-        assert!(cs.contains(&"ring-shorter-than-chain"));
-        assert!(cs.contains(&"buffer-before-tail"));
-        assert!(cs.contains(&"partitions-lt-workers"));
-    }
-
-    #[test]
-    fn every_spec_kind_has_a_declared_prefix_entry() {
-        let all = parse_chain(
-            "monitor -> gen -> mazu_nat(ext=1.2.3.4) -> simple_nat(ext=1.2.3.4) \
-             -> ids -> lb(backends=10.0.0.1) -> firewall -> passthrough",
-        )
-        .unwrap();
-        assert_eq!(all.len(), DECLARED_STATE_PREFIXES.len());
-        for spec in &all {
-            // Stateless kinds declare an (empty) entry too — a missing row
-            // would silently exempt a middlebox from the analyzer.
-            let name_known = DECLARED_STATE_PREFIXES
-                .iter()
-                .any(|(_, p)| *p == declared_state_prefixes(spec));
-            assert!(name_known, "{} missing from the table", spec.name());
-        }
-        assert_eq!(
-            declared_state_prefixes(&MbSpec::Passthrough),
-            &[] as &[&str]
-        );
-        assert_eq!(
-            declared_state_prefixes(&MbSpec::Monitor { sharing_level: 1 }),
-            &["mon:"]
-        );
-    }
-
-    #[test]
-    fn every_declared_prefix_is_in_the_migration_manifest() {
-        let all = parse_chain(
-            "monitor -> gen -> mazu_nat(ext=1.2.3.4) -> simple_nat(ext=1.2.3.4) \
-             -> ids -> lb(backends=10.0.0.1) -> firewall -> passthrough",
-        )
-        .unwrap();
-        assert_eq!(all.len(), MIGRATION_MANIFEST.len());
-        verify_migration_spec(&all).unwrap();
-    }
-
-    #[test]
-    fn incomplete_manifest_fixture_is_rejected() {
-        // The fixture middlebox: declares two state prefixes, manifests
-        // only one — the skipped `conn:` prefix is exactly the stranded
-        // -state bug the lint exists for.
-        let violations = check_migration_manifest("leaky_nat", &["conn:", "ports:"], &["ports:"]);
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].code, "migration-missing-prefix");
-        assert!(
-            violations[0].message.contains("strand `conn:` state"),
-            "actionable: {}",
-            violations[0].message
-        );
-    }
-
-    #[test]
-    fn unknown_manifest_prefix_is_rejected() {
-        let violations = check_migration_manifest("monitor", &["mon:"], &["mon:", "ghost:"]);
-        assert_eq!(violations.len(), 1);
-        assert_eq!(violations[0].code, "migration-unknown-prefix");
     }
 
     #[test]

@@ -331,7 +331,7 @@ pub fn run_node(opts: &NodeOpts) -> Result<(), String> {
             .with_f(opts.f)
             .with_workers(opts.workers),
     );
-    cfg.validate();
+    cfg.validate()?;
     let eff = cfg.effective_middleboxes();
     let n = eff.len();
     if opts.idx >= n {
@@ -559,7 +559,7 @@ impl ProcChain {
                 .with_f(pc.f)
                 .with_workers(pc.workers),
         );
-        cfg.validate();
+        cfg.validate()?;
         let n = cfg.effective_middleboxes().len();
         std::fs::create_dir_all(&pc.dir).map_err(|e| format!("creating {:?}: {e}", pc.dir))?;
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Lint gate: clippy with warnings denied, formatting, and the
-# forbidden-pattern pass. Referenced from README "Building and testing";
-# CI and pre-commit hooks run this.
+# Lint gate: clippy with warnings denied, formatting, the forbidden-pattern
+# pass (scripts/forbidden_patterns.py) and the async-safety lint
+# (scripts/analyze_async_safety.py, self-test first). Referenced from
+# README "Building and testing"; CI and pre-commit hooks run this.
 #
 # Optional sanitizer jobs (skipped gracefully when the toolchain pieces
 # are not installed; CI runs them as non-blocking matrix entries):
@@ -51,12 +52,8 @@ done
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
 python3 scripts/forbidden_patterns.py
-python3 scripts/analyze_state_access.py --self-test
-python3 scripts/analyze_state_access.py
 python3 scripts/analyze_async_safety.py --self-test
 python3 scripts/analyze_async_safety.py
-python3 scripts/analyze_migration.py --self-test
-python3 scripts/analyze_migration.py
 
 if [[ "$RUN_PROTOCOL" == "1" ]]; then
     echo "check.sh: protocol model checker (f=1 exhaustive)"

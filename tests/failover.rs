@@ -11,6 +11,7 @@
 use ftc::core::testkit::{scenario_packet, CrashSchedule, ScenarioChain, SyncChain, SETTLE_GRACE};
 use ftc::prelude::*;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 use std::time::Duration;
 
 fn pkt(src_port: u16, ident: u16) -> Packet {
@@ -242,4 +243,85 @@ fn lifecycle_on_the_stepped_chain() {
 #[test]
 fn lifecycle_on_the_threaded_chain() {
     lifecycle(&mut orch(3, 1));
+}
+
+/// The `i`-th packet of the per-kind test: eight sources on 64 ports
+/// each, five destination ports (port 81 is firewalled, a source seen on
+/// all five is an IDS scanner), every ninth payload an IDS signature.
+fn mixed_packet(i: u32) -> Packet {
+    UdpPacketBuilder::new()
+        .src(
+            Ipv4Addr::new(10, 5, 0, (i % 8) as u8),
+            1000 + (i % 64) as u16,
+        )
+        .dst(Ipv4Addr::new(10, 88, 0, 1), 80 + (i % 5) as u16)
+        .payload_fill(if i.is_multiple_of(9) { 0xEE } else { 0 })
+        .ident(i as u16)
+        .build()
+}
+
+/// Every middlebox kind's state survives replacement, checked by running
+/// it: at position 0 of a two-position f = 1 chain, traffic → kill +
+/// recover → traffic → migrate → traffic. Each replacement installs a
+/// new instance whose own store equals the outgoing one's, and every
+/// phase releases the same bytes as a twin chain that is never replaced.
+#[test]
+fn every_middlebox_kinds_state_survives_replacement() {
+    // Not a multiple of the balancer's three backends: a round-robin
+    // cursor that restarted on the new instance would pick other backends.
+    const PHASE: u32 = 25;
+    let ext = Ipv4Addr::new(198, 51, 100, 1);
+    let kinds = [
+        MbSpec::Monitor { sharing_level: 1 },
+        MbSpec::Gen { state_size: 32 },
+        MbSpec::MazuNat { external_ip: ext },
+        MbSpec::SimpleNat { external_ip: ext },
+        MbSpec::Ids {
+            scan_threshold: 4,
+            signatures: vec![vec![0xEE; 4]],
+        },
+        MbSpec::LoadBalancer {
+            backends: (1..=3).map(|h| Ipv4Addr::new(10, 1, 0, h)).collect(),
+        },
+        MbSpec::Firewall {
+            rules: vec![ftc::mbox::FirewallRule::deny_dst_ports(81..=81)],
+        },
+        MbSpec::Passthrough,
+    ];
+    for spec in kinds {
+        let name = spec.name();
+        let cfg = || ChainConfig::new(vec![spec.clone(), MbSpec::Passthrough]).with_f(1);
+        let mut chain = SyncChain::new(cfg());
+        let twin = SyncChain::new(cfg());
+        let mut next = 0u32;
+        let mut traffic = |chain: &SyncChain, after: &str| {
+            let run = |c: &SyncChain| {
+                (next..next + PHASE).for_each(|i| c.inject(mixed_packet(i)));
+                c.run_to_quiescence(10_000);
+                c.egress()
+                    .drain()
+                    .iter()
+                    .map(|p| p.bytes().to_vec())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(run(chain), run(&twin), "{name}: egress after {after}");
+            next += PHASE;
+        };
+        traffic(&chain, "warm-up");
+        for what in ["kill + recover", "migrate"] {
+            let before = chain.replicas[0].own_store.snapshot();
+            let has_state = before.maps.iter().any(|m| !m.is_empty());
+            assert_eq!(has_state, spec.build().is_stateful(), "{name}");
+            let outgoing = Arc::clone(&chain.replicas[0]);
+            if what == "migrate" {
+                chain.migrate(0, RegionId(0)).expect(what);
+            } else {
+                chain.kill_and_recover(&[0], RegionId(0)).expect(what);
+            }
+            assert!(!Arc::ptr_eq(&outgoing, &chain.replicas[0]), "{name}");
+            let after = chain.replicas[0].own_store.snapshot();
+            assert_eq!(after, before, "{name}: own store after {what}");
+            traffic(&chain, what);
+        }
+    }
 }
