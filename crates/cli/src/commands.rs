@@ -146,6 +146,10 @@ fn cmd_stats(args: &ParsedArgs) -> Result<(), String> {
         snap.piggyback_count,
     );
     println!(
+        "buffer: held {}, uncommitted {}, resent {}",
+        snap.held, snap.buffer_uncommitted, snap.logs_resent,
+    );
+    println!(
         "data plane: {} loop threads, {} frames handled in {} bursts ({:.2} frames/burst), \
          {} idle polls ({:.2} per released packet)",
         snap.dataplane_threads,

@@ -58,6 +58,10 @@ pub struct ChainMetrics {
     pub propagating: AtomicU64,
     /// Packets currently withheld by the buffer.
     pub held: AtomicU64,
+    /// Wrapped logs in the buffer's resend backlog, not yet committed.
+    pub buffer_uncommitted: AtomicU64,
+    /// Logs re-sent to the forwarder by the buffer's resend timer.
+    pub logs_resent: AtomicU64,
     /// Piggyback logs applied at replicas.
     pub logs_applied: AtomicU64,
     /// Piggyback logs parked waiting for dependencies.
@@ -118,6 +122,8 @@ impl ChainMetrics {
             filtered: self.filtered.load(Ordering::Relaxed),
             propagating: self.propagating.load(Ordering::Relaxed),
             held: self.held.load(Ordering::Relaxed),
+            buffer_uncommitted: self.buffer_uncommitted.load(Ordering::Relaxed),
+            logs_resent: self.logs_resent.load(Ordering::Relaxed),
             logs_applied: self.logs_applied.load(Ordering::Relaxed),
             logs_parked: self.logs_parked.load(Ordering::Relaxed),
             logs_stale: self.logs_stale.load(Ordering::Relaxed),
@@ -189,6 +195,10 @@ pub struct MetricsSnapshot {
     pub propagating: u64,
     /// Packets currently withheld by the buffer.
     pub held: u64,
+    /// Wrapped logs in the buffer's resend backlog, not yet committed.
+    pub buffer_uncommitted: u64,
+    /// Logs re-sent to the forwarder by the buffer's resend timer.
+    pub logs_resent: u64,
     /// Piggyback logs applied at replicas.
     pub logs_applied: u64,
     /// Piggyback logs parked waiting for dependencies.
@@ -230,7 +240,8 @@ impl MetricsSnapshot {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"injected\":{},\"released\":{},\"filtered\":{},\"propagating\":{},\
-             \"held\":{},\"logs_applied\":{},\"logs_parked\":{},\"logs_stale\":{},\
+             \"held\":{},\"buffer_uncommitted\":{},\"logs_resent\":{},\
+             \"logs_applied\":{},\"logs_parked\":{},\"logs_stale\":{},\
              \"piggyback_bytes\":{},\"piggyback_count\":{},\"oversize_frames\":{},\
              \"loop_frames\":{},\"loop_bursts\":{},\"loop_idle_polls\":{},\
              \"dataplane_threads\":{},\
@@ -241,6 +252,8 @@ impl MetricsSnapshot {
             self.filtered,
             self.propagating,
             self.held,
+            self.buffer_uncommitted,
+            self.logs_resent,
             self.logs_applied,
             self.logs_parked,
             self.logs_stale,
@@ -303,6 +316,8 @@ mod tests {
         let m = ChainMetrics::default();
         m.injected.store(7, Ordering::Relaxed);
         m.released.store(5, Ordering::Relaxed);
+        m.buffer_uncommitted.store(3, Ordering::Relaxed);
+        m.logs_resent.store(9, Ordering::Relaxed);
         m.t_transaction.record(Duration::from_micros(10));
         m.t_transaction.record(Duration::from_micros(20));
         let s = m.snapshot();
@@ -312,6 +327,7 @@ mod tests {
         assert!(s.transaction.p99_ns >= s.transaction.p50_ns);
         let json = s.to_json();
         assert!(json.contains("\"injected\":7"));
+        assert!(json.contains("\"held\":0,\"buffer_uncommitted\":3,\"logs_resent\":9,"));
         assert!(json.contains("\"loop_idle_polls\":0,\"dataplane_threads\":0"));
         assert!(json.contains("\"loop_frames\":0,\"loop_bursts\":0,"));
         assert!(json.contains("\"p999_ns\":"));

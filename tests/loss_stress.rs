@@ -36,36 +36,5 @@ fn lossy_links_multi_seed_stress() {
         }
         let got = chain.egress().collect(n as usize, Duration::from_secs(30));
         assert_eq!(got.len(), n as usize, "seed {seed} stalled");
-        if false {
-            let m = chain.metrics.snapshot();
-            eprintln!(
-                "injected={} released={} applied={} parked={} stale={} prop={} held={}",
-                m.injected,
-                m.released,
-                m.logs_applied,
-                m.logs_parked,
-                m.logs_stale,
-                m.propagating,
-                m.held,
-            );
-            for slot in &chain.replicas {
-                eprintln!(
-                    "r{}: own g0={:?} g1={:?} parked={} nic_drops={} in_wired={} out_wired={}",
-                    slot.state.idx,
-                    slot.state.own_store.peek_u64(b"mon:packets:g0"),
-                    slot.state.own_store.peek_u64(b"mon:packets:g1"),
-                    slot.state.parked_len(),
-                    slot.nic.dropped(),
-                    slot.in_port.is_wired(),
-                    slot.out_port.is_wired(),
-                );
-            }
-            eprintln!(
-                "buffer held={} uncommitted={} fwd pending={}",
-                chain.buffer.held_len(),
-                chain.buffer.uncommitted_len(),
-                chain.forwarder.pending_len()
-            );
-        }
     }
 }
