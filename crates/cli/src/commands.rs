@@ -130,7 +130,18 @@ fn cmd_stats(args: &ParsedArgs) -> Result<(), String> {
     let snap = chain.metrics.snapshot();
 
     if args.flag("json") {
-        println!("{}", snap.to_json());
+        // The metrics object, with one engine-counter entry per replica.
+        let stm: Vec<String> = chain
+            .replicas
+            .iter()
+            .map(|slot| {
+                let s = &slot.state;
+                format!("{{\"replica\":{},{}}}", s.idx, s.stm_counts().json_fields())
+            })
+            .collect();
+        let json = snap.to_json();
+        let body = json.strip_suffix('}').expect("a JSON object");
+        println!("{body},\"stm\":[{}]}}", stm.join(","));
         return Ok(());
     }
     println!(
@@ -159,6 +170,10 @@ fn cmd_stats(args: &ParsedArgs) -> Result<(), String> {
         snap.loop_idle_polls,
         snap.loop_idle_polls as f64 / snap.released.max(1) as f64,
     );
+    for slot in &chain.replicas {
+        let s = &slot.state;
+        println!("stm: r{} [{}]: {}", s.idx, s.mbox.name(), s.stm_counts());
+    }
     println!(
         "{:<12} {:>9} {:>12} {:>12} {:>12} {:>12}",
         "stage", "samples", "mean", "p50", "p99", "p999"

@@ -485,6 +485,24 @@ mod tests {
     }
 
     #[test]
+    fn single_worker_heads_commit_once_per_packet_without_lock_waits() {
+        let chain = monitor_chain(2, 1);
+        for i in 0..50 {
+            chain.inject(pkt(i));
+        }
+        assert_eq!(
+            chain.egress().collect(50, Duration::from_secs(10)).len(),
+            50
+        );
+        for slot in &chain.replicas {
+            let head = slot.state.own_store.stats().snapshot();
+            assert_eq!(head.commits, 50, "r{}: {head:?}", slot.state.idx);
+            // One worker per replica: nothing ever holds a lock it wants.
+            assert_eq!(slot.state.stm_counts().lock_waits, 0, "r{}", slot.state.idx);
+        }
+    }
+
+    #[test]
     fn state_is_replicated_f_plus_1_times() {
         let chain = monitor_chain(3, 1);
         for i in 0..10 {

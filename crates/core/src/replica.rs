@@ -17,7 +17,7 @@ use ftc_mbox::{Action, Middlebox, ProcCtx};
 use ftc_packet::ether::MacAddr;
 use ftc_packet::piggyback::{MboxId, PiggybackLog, PiggybackMessage};
 use ftc_packet::{packet, Packet};
-use ftc_stm::{MaxVector, StateBackend, StateBackendExt};
+use ftc_stm::{MaxVector, StateBackend, StateBackendExt, StoreCounts};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -165,6 +165,17 @@ impl ReplicaState {
             metrics,
             probe: ProbeSlot::new(),
         })
+    }
+
+    /// The state engine's counters summed over this replica's own store
+    /// (commits, wound aborts, lock waits) and its replicated stores
+    /// (applied logs).
+    pub fn stm_counts(&self) -> StoreCounts {
+        self.replicated
+            .values()
+            .fold(self.own_store.stats().snapshot(), |sum, g| {
+                sum + g.store.stats().snapshot()
+            })
     }
 
     /// True while the replica is quiesced as a recovery source.

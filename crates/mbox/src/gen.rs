@@ -5,6 +5,7 @@
 //! size on performance" (paper §7.1, used by Fig. 5). Gen performs no reads
 //! and one write of `state_size` bytes per packet.
 
+use crate::key::StateKey;
 use crate::middlebox::{Action, Middlebox, ProcCtx};
 use bytes::Bytes;
 use ftc_packet::Packet;
@@ -26,6 +27,11 @@ impl Gen {
     /// The configured per-packet state size.
     pub fn state_size(&self) -> usize {
         self.state_size
+    }
+
+    /// The key a given worker writes.
+    pub(crate) fn worker_key(worker: usize) -> Bytes {
+        StateKey::new("gen:w").dec(worker as u64).build()
     }
 }
 
@@ -56,8 +62,7 @@ impl Middlebox for Gen {
             value.extend_from_slice(&x.to_be_bytes());
         }
         value.truncate(self.state_size);
-        let key = Bytes::from(format!("gen:w{}", ctx.worker));
-        txn.write(key, Bytes::from(value))?;
+        txn.write(Self::worker_key(ctx.worker), Bytes::from(value))?;
         Ok(Action::Forward)
     }
 }

@@ -13,6 +13,7 @@
 //!   *shared* alert counter (the §2 shared-variable pattern) and drop the
 //!   packet.
 
+use crate::key::StateKey;
 use crate::middlebox::{Action, Middlebox, ProcCtx};
 use bytes::Bytes;
 use ftc_packet::{l4, Packet};
@@ -44,12 +45,12 @@ impl Ids {
         }
     }
 
-    fn ports_key(src: Ipv4Addr) -> Bytes {
-        Bytes::from(format!("ids:ports:{src}"))
+    pub(crate) fn ports_key(src: Ipv4Addr) -> Bytes {
+        StateKey::new("ids:ports:").ip(src).build()
     }
 
-    fn blocked_key(src: Ipv4Addr) -> Bytes {
-        Bytes::from(format!("ids:blocked:{src}"))
+    pub(crate) fn blocked_key(src: Ipv4Addr) -> Bytes {
+        StateKey::new("ids:blocked:").ip(src).build()
     }
 
     /// Decodes the tracked port set (2 bytes per port, big endian).

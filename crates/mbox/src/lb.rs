@@ -7,6 +7,7 @@
 //! middlebox: new connections pick a backend round-robin from a shared
 //! counter; established connections stick to their backend.
 
+use crate::key::StateKey;
 use crate::middlebox::{Action, Middlebox, ProcCtx};
 use crate::nat::rewrite_dst;
 use bytes::Bytes;
@@ -27,8 +28,8 @@ impl LoadBalancer {
         LoadBalancer { backends }
     }
 
-    fn conn_key(key: &FlowKey) -> Bytes {
-        Bytes::from(format!("lb:conn:{key}"))
+    pub(crate) fn conn_key(key: &FlowKey) -> Bytes {
+        StateKey::new("lb:conn:").flow(key).build()
     }
 }
 

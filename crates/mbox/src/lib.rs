@@ -10,6 +10,8 @@
 //! * [`element`] — a lightweight Click-style push-element graph for
 //!   composing packet-processing pipelines (used by examples and by the
 //!   stateless portions of middleboxes).
+//! * [`StateKey`] — the builder every middlebox spells its state keys
+//!   with.
 //! * [`spec_lang`] — the chain-description language ([`parse_chain`]).
 //!   Whether a chain can be deployed is checked once, by
 //!   `ChainConfig::validate` in `ftc-core`.
@@ -27,6 +29,7 @@ pub mod element;
 pub mod firewall;
 pub mod gen;
 pub mod ids;
+mod key;
 pub mod lb;
 pub mod middlebox;
 pub mod monitor;
@@ -36,6 +39,7 @@ pub mod spec_lang;
 pub use firewall::{Firewall, FirewallAction, FirewallRule};
 pub use gen::Gen;
 pub use ids::Ids;
+pub use key::StateKey;
 pub use lb::LoadBalancer;
 pub use middlebox::{Action, MbSpec, Middlebox, ProcCtx};
 pub use monitor::Monitor;

@@ -6,6 +6,7 @@
 //! (paper §7.1). With sharing level 1 no state is shared between threads;
 //! with sharing level = thread count all threads contend on one counter.
 
+use crate::key::StateKey;
 use crate::middlebox::{Action, Middlebox, ProcCtx};
 use bytes::Bytes;
 use ftc_packet::Packet;
@@ -40,13 +41,22 @@ impl Monitor {
 
     /// The counter key a given worker updates.
     pub fn counter_key(&self, worker: usize) -> Bytes {
+        self.group_key("mon:packets:g", worker)
+    }
+
+    /// The byte-counter key a given worker updates.
+    pub(crate) fn bytes_key(&self, worker: usize) -> Bytes {
+        self.group_key("mon:bytes:g", worker)
+    }
+
+    fn group_key(&self, prefix: &str, worker: usize) -> Bytes {
         let group = worker / self.sharing_level;
-        Bytes::from(format!("mon:packets:g{group}"))
+        StateKey::new(prefix).dec(group as u64).build()
     }
 
     /// The per-flow counter key.
     pub fn flow_key_counter(key: &ftc_packet::FlowKey) -> Bytes {
-        Bytes::from(format!("mon:flow:{key}"))
+        StateKey::new("mon:flow:").flow(key).build()
     }
 }
 
@@ -66,7 +76,7 @@ impl Middlebox for Monitor {
         let count = txn.read_u64(&key)?.unwrap_or(0);
         txn.write_u64(key, count + 1)?;
         // Byte counter in the same group variable family.
-        let bytes_key = Bytes::from(format!("mon:bytes:g{}", ctx.worker / self.sharing_level));
+        let bytes_key = self.bytes_key(ctx.worker);
         let total = txn.read_u64(&bytes_key)?.unwrap_or(0);
         txn.write_u64(bytes_key, total + pkt.wire_len() as u64)?;
         // Optional per-flow counter (partitionable state).

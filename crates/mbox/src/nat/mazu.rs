@@ -11,6 +11,7 @@ use super::{
     allocator_key, forward_key, reverse_key, rewrite_dst, rewrite_src, NatMapping, PORT_BASE,
     PORT_SPAN,
 };
+use crate::key::StateKey;
 use crate::middlebox::{Action, Middlebox, ProcCtx};
 use bytes::Bytes;
 use ftc_packet::l4::TcpView;
@@ -35,6 +36,16 @@ impl MazuNat {
     /// The external address.
     pub fn external_ip(&self) -> Ipv4Addr {
         self.external_ip
+    }
+
+    /// Key of the mapping for an internal ping source and identifier.
+    pub(crate) fn ping_key(src: Ipv4Addr, ident: u16) -> Bytes {
+        StateKey::new(TAG)
+            .lit(":ping:")
+            .ip(src)
+            .lit(":")
+            .dec(ident.into())
+            .build()
     }
 
     /// True if the TCP segment ends the connection from the internal side.
@@ -134,7 +145,7 @@ impl MazuNat {
         };
         if is_request && dst != self.external_ip {
             // Outbound ping: allocate (or reuse) an external identifier.
-            let fkey = Bytes::from(format!("{TAG}:ping:{src}:{ident}"));
+            let fkey = Self::ping_key(src, ident);
             let ext_ident = match txn.read(&fkey)? {
                 Some(v) => NatMapping::decode(&v).map(|m| m.ext_port),
                 None => None,

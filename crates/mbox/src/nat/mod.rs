@@ -12,6 +12,7 @@ mod simple;
 pub use mazu::MazuNat;
 pub use simple::SimpleNat;
 
+use crate::key::StateKey;
 use bytes::Bytes;
 use ftc_packet::{ether, ip, l4, FlowKey, Packet, WireError};
 use std::net::Ipv4Addr;
@@ -61,17 +62,25 @@ pub const PORT_SPAN: u16 = 50_000;
 
 /// Key of the forward mapping for an internal flow.
 pub fn forward_key(tag: &str, key: &FlowKey) -> Bytes {
-    Bytes::from(format!("{tag}:fwd:{key}"))
+    StateKey::new(tag).lit(":fwd:").flow(key).build()
 }
 
 /// Key of the reverse mapping for an external port.
 pub fn reverse_key(tag: &str, protocol: u8, ext_port: u16) -> Bytes {
-    Bytes::from(format!("{tag}:rev:{protocol}:{ext_port}"))
+    StateKey::new(tag)
+        .lit(":rev:")
+        .dec(protocol.into())
+        .lit(":")
+        .dec(ext_port.into())
+        .build()
 }
 
 /// Key of the next-port allocator counter.
 pub fn allocator_key(tag: &str, protocol: u8) -> Bytes {
-    Bytes::from(format!("{tag}:nextport:{protocol}"))
+    StateKey::new(tag)
+        .lit(":nextport:")
+        .dec(protocol.into())
+        .build()
 }
 
 /// Rewrites the packet's source address and L4 source port, maintaining the

@@ -10,7 +10,7 @@
 //! wound-wait [`StateStore`](crate::StateStore) is its one implementation
 //! ([`EngineKind::TwoPl`]).
 
-use crate::store::{PartitionId, StateStore, StoreSnapshot};
+use crate::store::{PartitionId, StateStore, StoreSnapshot, StoreStats};
 use crate::txn::{Txn, TxnError, TxnLog, TxnOutput};
 use crate::{partition_of, DepVector, HistorySink, StateWrite};
 use bytes::Bytes;
@@ -152,6 +152,10 @@ pub trait StateBackend: Send + Sync + std::fmt::Debug {
 
     /// Detaches the audit sink, if any.
     fn clear_recorder(&self);
+
+    /// The engine's counters: commits, wound aborts, applied logs and
+    /// lock waits.
+    fn stats(&self) -> &StoreStats;
 }
 
 /// Typed-result convenience over [`StateBackend::transaction_dyn`],
@@ -223,6 +227,10 @@ impl StateBackend for StateStore {
 
     fn clear_recorder(&self) {
         StateStore::clear_recorder(self)
+    }
+
+    fn stats(&self) -> &StoreStats {
+        &self.stats
     }
 }
 

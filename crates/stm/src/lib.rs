@@ -37,7 +37,7 @@ mod txn;
 pub use backend::{EngineKind, StateBackend, StateBackendExt, StateTxn};
 pub use max_vector::{ApplyOutcome, MaxVector, TryApply};
 pub use recorder::{CommitRecord, HistorySink};
-pub use store::{PartitionId, StateStore, StoreSnapshot, StoreStats};
+pub use store::{PartitionId, StateStore, StoreCounts, StoreSnapshot, StoreStats};
 pub use txn::{Txn, TxnError, TxnLog, TxnOutput};
 
 pub use ftc_packet::piggyback::{Applicability, DepVector, SeqNo, StateWrite};

@@ -22,16 +22,65 @@ pub struct StoreStats {
     pub wound_aborts: AtomicU64,
     /// Piggyback logs applied via [`StateStore::apply_writes`].
     pub applied_logs: AtomicU64,
+    /// Lock acquires that parked on a partition condvar because another
+    /// transaction held the lock: the one path where a state access still
+    /// pays a futex.
+    pub lock_waits: AtomicU64,
 }
 
 impl StoreStats {
-    /// Snapshot of the counters as plain integers
-    /// `(commits, wound_aborts, applied_logs)`.
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.commits.load(Ordering::Relaxed),
-            self.wound_aborts.load(Ordering::Relaxed),
-            self.applied_logs.load(Ordering::Relaxed),
+    /// Snapshot of the counters as plain integers.
+    pub fn snapshot(&self) -> StoreCounts {
+        StoreCounts {
+            commits: self.commits.load(Ordering::Relaxed),
+            wound_aborts: self.wound_aborts.load(Ordering::Relaxed),
+            applied_logs: self.applied_logs.load(Ordering::Relaxed),
+            lock_waits: self.lock_waits.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// A point-in-time copy of [`StoreStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreCounts {
+    /// Transactions committed.
+    pub commits: u64,
+    /// Transactions re-executed after a wound.
+    pub wound_aborts: u64,
+    /// Piggyback logs applied.
+    pub applied_logs: u64,
+    /// Lock acquires that parked.
+    pub lock_waits: u64,
+}
+
+impl std::ops::Add for StoreCounts {
+    type Output = StoreCounts;
+    fn add(self, o: StoreCounts) -> StoreCounts {
+        StoreCounts {
+            commits: self.commits + o.commits,
+            wound_aborts: self.wound_aborts + o.wound_aborts,
+            applied_logs: self.applied_logs + o.applied_logs,
+            lock_waits: self.lock_waits + o.lock_waits,
+        }
+    }
+}
+
+impl StoreCounts {
+    /// The counters as JSON object members (no braces).
+    pub fn json_fields(&self) -> String {
+        format!(
+            "\"commits\":{},\"wound_aborts\":{},\"applied_logs\":{},\"lock_waits\":{}",
+            self.commits, self.wound_aborts, self.applied_logs, self.lock_waits
+        )
+    }
+}
+
+impl std::fmt::Display for StoreCounts {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "commits {}, wound aborts {}, applied logs {}, lock waits {}",
+            self.commits, self.wound_aborts, self.applied_logs, self.lock_waits
         )
     }
 }

@@ -3,7 +3,6 @@
 use crate::store::{PartitionId, StateStore};
 use crate::{DepVector, StateWrite};
 use bytes::Bytes;
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -75,15 +74,21 @@ impl TxnRecord {
 ///
 /// Obtained from [`StateStore::transaction`]; reads and writes acquire
 /// partition locks (strict 2PL) that are held until commit or rollback.
+///
+/// A packet transaction touches one to a few keys, so both buffers are
+/// small sorted vectors rather than trees: no allocation beyond their
+/// first push, and a binary search per access.
 pub struct Txn<'a> {
     store: &'a StateStore,
     record: Arc<TxnRecord>,
-    /// Partitions whose 2PL lock we hold, in acquisition order.
-    held: Vec<PartitionId>,
-    /// Every partition read or written (the dependency-vector footprint).
-    touched: BTreeSet<PartitionId>,
-    /// Buffered writes, applied at commit.
-    writes: BTreeMap<Bytes, Bytes>,
+    /// Every partition read or written (the dependency-vector footprint),
+    /// ascending. These are exactly the partitions whose 2PL lock we hold:
+    /// an access locks its partition before it records it here.
+    touched: Vec<PartitionId>,
+    /// Buffered writes (empty value = deletion), applied at commit, sorted
+    /// by `(partition, key)` with at most one entry per key. That is the
+    /// order a [`TxnLog`] lists them in.
+    writes: Vec<StateWrite>,
 }
 
 impl<'a> Txn<'a> {
@@ -91,9 +96,8 @@ impl<'a> Txn<'a> {
         Txn {
             store,
             record,
-            held: Vec::new(),
-            touched: BTreeSet::new(),
-            writes: BTreeMap::new(),
+            touched: Vec::new(),
+            writes: Vec::new(),
         }
     }
 
@@ -101,8 +105,8 @@ impl<'a> Txn<'a> {
     pub fn read(&mut self, key: &[u8]) -> Result<Option<Bytes>, TxnError> {
         let p = self.store.partition_of(key);
         self.acquire(p)?;
-        self.touched.insert(p);
-        if let Some(v) = self.writes.get(key) {
+        if let Ok(i) = self.find_write(p, key) {
+            let v = &self.writes[i].value;
             return Ok(if v.is_empty() { None } else { Some(v.clone()) });
         }
         let st = self.store.part(p).state.lock();
@@ -116,20 +120,36 @@ impl<'a> Txn<'a> {
             !value.is_empty(),
             "empty values encode deletions; use delete()"
         );
-        let p = self.store.partition_of(&key);
-        self.acquire(p)?;
-        self.touched.insert(p);
-        self.writes.insert(key, value);
-        Ok(())
+        self.buffer(key, value)
     }
 
     /// Deletes a state variable (replicated as an empty-value write).
     pub fn delete(&mut self, key: Bytes) -> Result<(), TxnError> {
-        let p = self.store.partition_of(&key);
-        self.acquire(p)?;
-        self.touched.insert(p);
-        self.writes.insert(key, Bytes::new());
+        self.buffer(key, Bytes::new())
+    }
+
+    /// Locks `key`'s partition and buffers `value` as its new value.
+    fn buffer(&mut self, key: Bytes, value: Bytes) -> Result<(), TxnError> {
+        let partition = self.store.partition_of(&key);
+        self.acquire(partition)?;
+        match self.find_write(partition, &key) {
+            Ok(i) => self.writes[i].value = value,
+            Err(i) => self.writes.insert(
+                i,
+                StateWrite {
+                    key,
+                    value,
+                    partition,
+                },
+            ),
+        }
         Ok(())
+    }
+
+    /// Position of `key`'s buffered write, or where it belongs.
+    fn find_write(&self, p: PartitionId, key: &[u8]) -> Result<usize, usize> {
+        self.writes
+            .binary_search_by(|w| (w.partition, w.key.as_ref()).cmp(&(p, key)))
     }
 
     /// Reads a big-endian u64 counter.
@@ -149,38 +169,43 @@ impl<'a> Txn<'a> {
         !self.writes.is_empty()
     }
 
-    /// Acquires the 2PL lock on partition `p` using wound-wait.
+    /// Acquires the 2PL lock on partition `p` using wound-wait, and
+    /// records `p` in the footprint.
     fn acquire(&mut self, p: PartitionId) -> Result<(), TxnError> {
-        if self.held.contains(&p) {
+        let Err(slot) = self.touched.binary_search(&p) else {
             return Ok(());
-        }
+        };
         if self.record.wounded.load(Ordering::SeqCst) {
             self.rollback();
             return Err(TxnError::Wounded);
         }
         let part = self.store.part(p);
         let mut st = part.state.lock();
+        let mut parked = false;
         loop {
             match &st.owner {
                 None => {
                     st.owner = Some(Arc::clone(&self.record));
                     drop(st);
-                    self.held.push(p);
+                    self.touched.insert(slot, p);
                     return Ok(());
                 }
                 Some(owner) if Arc::ptr_eq(owner, &self.record) => {
-                    // Defensive: `held` should have caught this.
+                    // Defensive: `touched` should have caught this.
                     drop(st);
-                    self.held.push(p);
+                    self.touched.insert(slot, p);
                     return Ok(());
                 }
                 Some(owner) => {
                     if self.record.ts < owner.ts {
                         // Wound the younger holder. It notices at its next
                         // state access; if it sleeps on some partition we
-                        // nudge that condvar. The nudge may race with the
-                        // victim entering its wait, so waits below are timed
-                        // as a backstop against the lost-wakeup window.
+                        // nudge that condvar. The nudge sets `wounded`
+                        // outside that partition's mutex, so it can race
+                        // with the victim entering its wait: the condvar
+                        // may see no waiter yet and skip the wake-up. The
+                        // waits below are timed as the backstop for that
+                        // lost-wakeup window.
                         owner.wounded.store(true, Ordering::SeqCst);
                         let w = owner.waiting_on.load(Ordering::SeqCst);
                         if w != NOT_WAITING && w != p as usize {
@@ -194,6 +219,10 @@ impl<'a> Txn<'a> {
                         drop(st);
                         self.rollback();
                         return Err(TxnError::Wounded);
+                    }
+                    if !parked {
+                        parked = true;
+                        self.store.stats.lock_waits.fetch_add(1, Ordering::Relaxed);
                     }
                     let _ = part.cv.wait_for(&mut st, Duration::from_micros(200));
                     self.record.waiting_on.store(NOT_WAITING, Ordering::SeqCst);
@@ -220,48 +249,41 @@ impl<'a> Txn<'a> {
             return None;
         }
         let mut deps = Vec::with_capacity(self.touched.len());
-        let mut writes = Vec::with_capacity(self.writes.len());
-        // Group writes by partition so each internal mutex is taken once.
-        let mut by_part: BTreeMap<PartitionId, Vec<(&Bytes, &Bytes)>> = BTreeMap::new();
-        for (k, v) in &self.writes {
-            by_part
-                .entry(self.store.partition_of(k))
-                .or_default()
-                .push((k, v));
-        }
+        // Both buffers ascend by partition, so each partition's writes are
+        // the next run of `writes` and each internal mutex is taken once.
+        let mut next = 0;
         for &p in &self.touched {
             let mut st = self.store.part(p).state.lock();
             deps.push((p, st.seq));
             st.seq += 1;
-            if let Some(kvs) = by_part.get(&p) {
-                for (k, v) in kvs {
-                    if v.is_empty() {
-                        st.map.remove(*k);
-                    } else {
-                        st.map.insert((*k).clone(), (*v).clone());
-                    }
-                    writes.push(StateWrite {
-                        key: (*k).clone(),
-                        value: (*v).clone(),
-                        partition: p,
-                    });
+            while let Some(w) = self.writes.get(next).filter(|w| w.partition == p) {
+                if w.value.is_empty() {
+                    st.map.remove(&w.key);
+                } else {
+                    st.map.insert(w.key.clone(), w.value.clone());
                 }
+                next += 1;
             }
         }
+        debug_assert_eq!(
+            next,
+            self.writes.len(),
+            "every write's partition is touched"
+        );
         self.release_all();
         let deps = DepVector::from_entries(deps).expect("touched set has unique partitions");
+        let writes = std::mem::take(&mut self.writes);
         Some(TxnLog { deps, writes })
     }
 
     /// Aborts the transaction: drops buffered writes and releases all locks.
     pub(crate) fn rollback(&mut self) {
         self.writes.clear();
-        self.touched.clear();
         self.release_all();
     }
 
     fn release_all(&mut self) {
-        for p in self.held.drain(..) {
+        for p in self.touched.drain(..) {
             let part = self.store.part(p);
             let mut st = part.state.lock();
             debug_assert!(st
@@ -280,7 +302,7 @@ impl Drop for Txn<'_> {
         // Safety net: a body that early-returns via `?` leaves the txn to be
         // rolled back by `StateStore::transaction`; make sure locks never
         // leak even on panic.
-        if !self.held.is_empty() {
+        if !self.touched.is_empty() {
             self.release_all();
         }
     }
@@ -395,8 +417,7 @@ mod tests {
         h2.join().unwrap();
         assert_eq!(store.peek_u64(&ka), Some(200));
         assert_eq!(store.peek_u64(&kb), Some(200));
-        let (commits, _, _) = store.stats.snapshot();
-        assert_eq!(commits, 200);
+        assert_eq!(store.stats.snapshot().commits, 200);
     }
 
     fn two_keys_in_distinct_partitions(store: &StateStore) -> (Bytes, Bytes) {
@@ -442,11 +463,14 @@ mod tests {
     fn wounded_stat_is_tracked_under_contention() {
         let store = Arc::new(StateStore::new(1)); // single partition: max contention
         let key = Bytes::from_static(b"hot");
+        let barrier = Arc::new(Barrier::new(4));
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 let store = Arc::clone(&store);
                 let key = key.clone();
+                let barrier = Arc::clone(&barrier);
                 thread::spawn(move || {
+                    barrier.wait();
                     for _ in 0..200 {
                         store.transaction(|txn| {
                             let c = txn.read_u64(&key)?.unwrap_or(0);
@@ -463,7 +487,9 @@ mod tests {
         assert_eq!(store.peek_u64(&key), Some(800));
         // With a single partition there is no deadlock, so aborts may be 0;
         // the point is the counter stays consistent under heavy contention.
-        let (commits, _wounds, _) = store.stats.snapshot();
-        assert_eq!(commits, 800);
+        let counts = store.stats.snapshot();
+        assert_eq!(counts.commits, 800);
+        // Four threads on one partition must queue for its lock.
+        assert!(counts.lock_waits > 0, "{counts:?}");
     }
 }

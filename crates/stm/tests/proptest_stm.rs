@@ -1,11 +1,12 @@
 //! Property-based tests: serializability and replication equivalence.
 
 use bytes::Bytes;
-use ftc_stm::{MaxVector, StateStore, TxnLog};
+use ftc_stm::{partition_of, DepVector, MaxVector, StateStore, StateWrite, TxnLog};
 use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::thread;
 
@@ -52,8 +53,166 @@ fn run_txn(store: &StateStore, ops: &[Op]) -> Option<TxnLog> {
         .log
 }
 
+/// One state access of a generated transaction body, over key `k` of the
+/// case's key pool.
+#[derive(Debug, Clone, Copy)]
+enum Access {
+    Read(u8),
+    Write(u8, u8),
+    Delete(u8),
+}
+
+/// Bodies built from single accesses and the buffer's interesting pairs:
+/// overwrite, read-own-write, delete-then-write and write-then-delete.
+fn arb_body() -> impl Strategy<Value = Vec<Access>> {
+    let k = || 0u8..6;
+    let v = || 1u8..=255;
+    let pair = prop_oneof![
+        k().prop_map(|k| vec![Access::Read(k)]),
+        (k(), v()).prop_map(|(k, v)| vec![Access::Write(k, v)]),
+        k().prop_map(|k| vec![Access::Delete(k)]),
+        (k(), v(), v()).prop_map(|(k, a, b)| vec![Access::Write(k, a), Access::Write(k, b)]),
+        (k(), v()).prop_map(|(k, v)| vec![Access::Write(k, v), Access::Read(k)]),
+        (k(), v()).prop_map(|(k, v)| vec![Access::Delete(k), Access::Write(k, v), Access::Read(k)]),
+        (k(), v()).prop_map(|(k, v)| vec![Access::Write(k, v), Access::Delete(k), Access::Read(k)]),
+    ];
+    vec(pair, 1..5).prop_map(|pairs| pairs.concat())
+}
+
+/// Key `k` of a pool of `pool` keys. The shapes differ in their flow
+/// component, so keys spread over shards and partitions and sometimes share
+/// one.
+fn pool_key(k: u8, pool: u8) -> Bytes {
+    let k = k % pool;
+    Bytes::from(match k % 3 {
+        0 => format!("t:a:{k}"),
+        1 => format!("t:b:flow{k}"),
+        _ => format!("u{k}"),
+    })
+}
+
+/// The transaction buffer as it was built before the sorted vectors: a
+/// `BTreeSet` footprint and a `BTreeMap` write buffer, grouped into a
+/// per-partition `BTreeMap` at commit. Kept as the reference the shipped
+/// buffer must match byte for byte.
+struct RefStore {
+    maps: Vec<HashMap<Bytes, Bytes>>,
+    seqs: Vec<u64>,
+}
+
+impl RefStore {
+    fn new(partitions: usize) -> RefStore {
+        RefStore {
+            maps: vec![HashMap::new(); partitions],
+            seqs: vec![0; partitions],
+        }
+    }
+
+    fn transaction(&mut self, body: &[Access], pool: u8) -> (Vec<Option<Bytes>>, Option<TxnLog>) {
+        let n = self.maps.len();
+        let mut touched = BTreeSet::new();
+        let mut writes: BTreeMap<Bytes, Bytes> = BTreeMap::new();
+        let mut reads = Vec::new();
+        for &a in body {
+            match a {
+                Access::Read(k) => {
+                    let key = pool_key(k, pool);
+                    let p = partition_of(&key, n);
+                    touched.insert(p);
+                    reads.push(match writes.get(&key) {
+                        Some(v) if v.is_empty() => None,
+                        Some(v) => Some(v.clone()),
+                        None => self.maps[p as usize].get(&key).cloned(),
+                    });
+                }
+                Access::Write(k, v) => {
+                    let key = pool_key(k, pool);
+                    touched.insert(partition_of(&key, n));
+                    writes.insert(key, Bytes::from(vec![v]));
+                }
+                Access::Delete(k) => {
+                    let key = pool_key(k, pool);
+                    touched.insert(partition_of(&key, n));
+                    writes.insert(key, Bytes::new());
+                }
+            }
+        }
+        if writes.is_empty() {
+            return (reads, None);
+        }
+        let mut by_part: BTreeMap<u16, Vec<(&Bytes, &Bytes)>> = BTreeMap::new();
+        for (k, v) in &writes {
+            by_part.entry(partition_of(k, n)).or_default().push((k, v));
+        }
+        let mut deps = Vec::new();
+        let mut log = Vec::new();
+        for &p in &touched {
+            deps.push((p, self.seqs[p as usize]));
+            self.seqs[p as usize] += 1;
+            for (k, v) in by_part.get(&p).into_iter().flatten() {
+                if v.is_empty() {
+                    self.maps[p as usize].remove(*k);
+                } else {
+                    self.maps[p as usize].insert((*k).clone(), (*v).clone());
+                }
+                log.push(StateWrite {
+                    key: (*k).clone(),
+                    value: (*v).clone(),
+                    partition: p,
+                });
+            }
+        }
+        let deps = DepVector::from_entries(deps).unwrap();
+        (reads, Some(TxnLog { deps, writes: log }))
+    }
+}
+
+/// Runs `body` on the shipped store, collecting every read's result.
+fn run_body(store: &StateStore, body: &[Access], pool: u8) -> (Vec<Option<Bytes>>, Option<TxnLog>) {
+    let out = store.transaction(|txn| {
+        let mut reads = Vec::new();
+        for &a in body {
+            match a {
+                Access::Read(k) => reads.push(txn.read(&pool_key(k, pool))?),
+                Access::Write(k, v) => txn.write(pool_key(k, pool), Bytes::from(vec![v]))?,
+                Access::Delete(k) => txn.delete(pool_key(k, pool))?,
+            }
+        }
+        Ok(reads)
+    });
+    (out.value, out.log)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The shipped transaction buffer against the tree-based one it
+    /// replaced: the same read results, the same logs (deps, and writes in
+    /// partition-then-key order), the same final contents and sequence
+    /// vector.
+    #[test]
+    fn txn_buffer_matches_tree_reference(
+        bodies in vec(arb_body(), 1..12),
+        pool in 1u8..=6,
+        partitions in 1usize..=8,
+    ) {
+        let store = StateStore::new(partitions);
+        let mut reference = RefStore::new(partitions);
+        for body in &bodies {
+            let (reads, log) = run_body(&store, body, pool);
+            let (ref_reads, ref_log) = reference.transaction(body, pool);
+            prop_assert_eq!(reads, ref_reads);
+            prop_assert_eq!(log, ref_log);
+        }
+        prop_assert_eq!(store.seq_vector(), reference.seqs.clone());
+        let snap = store.snapshot();
+        for (p, map) in reference.maps.iter().enumerate() {
+            let mut expected: Vec<(Bytes, Bytes)> =
+                map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+            expected.sort();
+            prop_assert_eq!(&snap.maps[p], &expected);
+        }
+    }
 
     /// Concurrently executed transactions commute to SOME serial order:
     /// total additions are conserved for Add-only workloads.
@@ -148,7 +307,7 @@ proptest! {
         let expected: u64 = per_thread.iter().map(|&n| n as u64).sum();
         let total: u64 = (0..hot_keys).map(|k| store.peek_u64(&key(k)).unwrap_or(0)).sum();
         prop_assert_eq!(total, expected, "every txn commits exactly once");
-        let (commits, wounds, _) = store.stats.snapshot();
+        let ftc_stm::StoreCounts { commits, wound_aborts: wounds, .. } = store.stats.snapshot();
         prop_assert_eq!(commits, expected);
         // Wound-wait bounds retries; allow generous slack for scheduling
         // noise but fail on quadratic-or-worse blowups.

@@ -11,6 +11,7 @@
 //! ```
 
 use bytes::Bytes;
+use ftc::mbox::StateKey;
 use ftc::prelude::*;
 use ftc::stm::{StateTxn, TxnError};
 use std::net::Ipv4Addr;
@@ -32,7 +33,7 @@ struct RateLimiter {
 
 impl RateLimiter {
     fn key(ip: Ipv4Addr) -> Bytes {
-        Bytes::from(format!("rl:{ip}"))
+        StateKey::new("rl:").ip(ip).build()
     }
 }
 

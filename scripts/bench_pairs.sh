@@ -14,7 +14,11 @@
 #   benchmark/run.sh --workload W --seed N --seconds 30 --trace 0
 # and its last stdout line (the result object) is kept as
 # target/pairs/<parent|change>_<workload>_<seed>.json, its stderr beside it
-# as .err. A metric's direction comes from its "better" in BENCHMARK.json.
+# as .err, and the full result file the run wrote (benchmark/out/
+# result_<workload>_trace0.json, with every window's raw values) as
+# .result.json. Beside each pair's value the table prints that run's
+# median closed-loop cores_busy, so slow-mode runs (cores_busy near 1)
+# stand out. A metric's direction comes from its "better" in BENCHMARK.json.
 # The claim holds when the working tree wins at least 9 pairs in 10 and
 # its median beats the parent's by more than the parent's quartile
 # distance. Remove the worktree afterwards with
@@ -23,7 +27,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 3 ]; then
-    sed -n '2,21p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent_rev=$1
@@ -74,6 +78,13 @@ run() {
     (cd "$(tree_of "$side")" && CARGO_TARGET_DIR="$(target_of "$side")" \
         bash benchmark/run.sh --workload "$workload" --seed "$seed" --seconds 30 --trace 0 \
         2>"$file.err" | tail -n 1 >"$file.json") || true
+    # Only a result file this run wrote (newer than its .err) is kept.
+    local result
+    result="$(tree_of "$side")/benchmark/out/result_${workload}_trace0.json"
+    rm -f "$file.result.json"
+    if [ "$result" -nt "$file.err" ]; then
+        cp "$result" "$file.result.json"
+    fi
 }
 
 # The value of metric $2 in result file $1 ("nan" when absent): metrics
@@ -99,6 +110,12 @@ quartiles() {
         }'
 }
 
+# Median closed-loop cores_busy of the run that wrote result file $1.
+cores() {
+    grep -o '"closed":{[^}]*' "$1" 2>/dev/null | grep -o '"cores_busy":\[[^]]*' |
+        sed 's/.*\[//' | tr ',' '\n' | quartiles | awk '{ print $1 }'
+}
+
 seeds=()
 for ((i = 0; i < pairs; i++)); do
     seed=$((first + i))
@@ -114,15 +131,17 @@ done
 
 echo
 echo "$workload, $metric ($better is better), $pairs pairs from seed $first, parent $rev"
-printf '%-6s %14s %14s %6s\n' seed parent change win
+printf '%-6s %14s %6s %14s %6s %6s\n' seed parent cores change cores win
 wins=0
 for seed in "${seeds[@]}"; do
     a=$(value "$out/parent_${workload}_${seed}.json" "$metric")
     b=$(value "$out/change_${workload}_${seed}.json" "$metric")
+    ca=$(cores "$out/parent_${workload}_${seed}.result.json")
+    cb=$(cores "$out/change_${workload}_${seed}.result.json")
     win=$(awk -v a="$a" -v b="$b" -v d="$better" \
         'BEGIN { print ((d == "higher" ? b > a : b < a) && a != "nan" && b != "nan") ? "yes" : "no" }')
     [ "$win" = yes ] && wins=$((wins + 1))
-    printf '%-6s %14s %14s %6s\n' "$seed" "$a" "$b" "$win"
+    printf '%-6s %14s %6.2f %14s %6.2f %6s\n' "$seed" "$a" "$ca" "$b" "$cb" "$win"
 done
 read -r pm pq1 pq3 < <(for s in "${seeds[@]}"; do value "$out/parent_${workload}_${s}.json" "$metric"; done | quartiles)
 read -r cm _ _ < <(for s in "${seeds[@]}"; do value "$out/change_${workload}_${s}.json" "$metric"; done | quartiles)
