@@ -4,22 +4,22 @@
 //! fire); and the own group is restored from the outgoing instance's own
 //! store, which is ahead of its f + 1 copies when packets are in flight
 //! (I6 must fire on an in-flight schedule). Each witness label must replay
-//! to the same violation. Run via `check.sh --reconfig-check` as a separate
-//! cargo invocation — never alongside the default tests (cargo feature
+//! to the same violation. Run via `check.sh --explore` as a separate cargo
+//! invocation — never alongside the default tests (cargo feature
 //! unification would poison every other ftc-core replacement test).
 
 #![cfg(feature = "reconfig-sabotage")]
 
-use ftc_audit::{explore_reconfig, replay, ReconfigCheckConfig};
+use ftc_audit::{explore, replay, ProtocolCheckConfig};
 
 #[test]
 fn sabotage_trips_i5_and_i6_with_replayable_witnesses() {
-    let cfg = ReconfigCheckConfig {
+    let cfg = ProtocolCheckConfig {
         perm_limit: Some(2),
-        ..ReconfigCheckConfig::pr_gate()
+        ..ProtocolCheckConfig::f1_gate()
     };
-    let report = explore_reconfig(&cfg);
-    eprintln!("reconfig-check sabotage: {}", report.summary());
+    let report = explore(&cfg);
+    eprintln!("protocol-check reconfig sabotage: {}", report.summary());
     assert!(
         !report.ok(),
         "checker failed to catch the sabotage: {}",

@@ -8,7 +8,8 @@ use ftc_core::ChainConfig;
 use ftc_mbox::MbSpec;
 
 /// Accepted, buildable chains also run clean on the *concrete* model
-/// checker (a small schedule matrix keeps this fast).
+/// checker, every case family included (a small schedule matrix keeps
+/// this fast).
 #[test]
 fn accepted_chains_survive_concrete_exploration() {
     let chains: [Vec<MbSpec>; 2] = [
@@ -26,13 +27,8 @@ fn accepted_chains_survive_concrete_exploration() {
         assert!(chain.validate().is_ok(), "{specs:?} must be accepted");
         let cfg = ProtocolCheckConfig {
             specs,
-            f: 1,
-            warm: 2,
-            post: 1,
-            triggers: 1,
-            perm_limit: Some(4),
-            max_steps: 4000,
-            sabotage_buffer: false,
+            perm_limit: Some(6),
+            ..ProtocolCheckConfig::f1_gate()
         };
         let report = explore(&cfg);
         assert!(

@@ -9,9 +9,14 @@
 #   CHECK_MIRI=1 scripts/check.sh   — Miri over the ftc-stm unit tests
 #   CHECK_TSAN=1 scripts/check.sh   — ThreadSanitizer over ftc-stm tests
 #
-# Protocol model checker (exhaustive failure schedules; a few seconds at
-# f=1, minutes with FTC_PROTOCOL_F2=1 — CI runs f=2 nightly):
-#   scripts/check.sh --protocol
+# Protocol model checker (one explorer, every check on every schedule:
+# the exhaustive f=1 gate — 3,360 steady-state and 14,400 handover
+# schedules — the 672-schedule f=2 matrix and the buffer sabotage, which
+# must trip I1, ~3.5 s in release on 2 vCPUs; then the handover sabotage,
+# which must trip I5 and I6, as its own cargo invocation. With
+# FTC_EXPLORE_DEEP=1 the 4-monitor matrix — 141,840 schedules, handovers
+# under all 720 interleavings — adds ~40 s; CI runs it nightly):
+#   scripts/check.sh --explore
 #
 # Standing-benchmark smoke (benchmark/run.sh --smoke, ~14 s of measuring:
 # all four workloads, both passes; its exit code is its output checks —
@@ -23,25 +28,17 @@
 # schedules over the real socket backend, ~1 second at the PR-gate bound;
 # FTC_TRANSPORT_DEEP=1 raises the bound — CI runs the deep sweep nightly):
 #   scripts/check.sh --transport-check
-#
-# Reconfiguration model checker (crash matrix over the migrate/scale
-# replacement procedure, quiesced and with packets in flight, I1-I6 with
-# replayable witnesses; 2,880 schedules at the PR-gate bound,
-# FTC_RECONFIG_DEEP=1 widens to 19,200 — CI nightly):
-#   scripts/check.sh --reconfig-check
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-RUN_PROTOCOL=0
+RUN_EXPLORE=0
 RUN_BENCH_SMOKE=0
 RUN_TRANSPORT=0
-RUN_RECONFIG=0
 for arg in "$@"; do
     case "$arg" in
-    --protocol) RUN_PROTOCOL=1 ;;
+    --explore) RUN_EXPLORE=1 ;;
     --bench-smoke) RUN_BENCH_SMOKE=1 ;;
     --transport-check) RUN_TRANSPORT=1 ;;
-    --reconfig-check) RUN_RECONFIG=1 ;;
     *)
         echo "check.sh: unknown argument: $arg" >&2
         exit 2
@@ -55,12 +52,18 @@ python3 scripts/forbidden_patterns.py
 python3 scripts/analyze_async_safety.py --self-test
 python3 scripts/analyze_async_safety.py
 
-if [[ "$RUN_PROTOCOL" == "1" ]]; then
-    echo "check.sh: protocol model checker (f=1 exhaustive)"
-    cargo test -q -p ftc-audit --test protocol_explorer --release -- --nocapture
-    if [[ "${FTC_PROTOCOL_F2:-0}" == "1" ]]; then
-        echo "check.sh: protocol model checker already ran the f=2 matrix (FTC_PROTOCOL_F2=1)"
-    fi
+if [[ "$RUN_EXPLORE" == "1" ]]; then
+    echo "check.sh: protocol model checker (f=1 and f=2 gates, buffer sabotage, replays; deep matrix if FTC_EXPLORE_DEEP=1)"
+    cargo test -q -p ftc-audit --release --test protocol_explorer \
+        --test reconfig_explorer -- --nocapture
+    # Handover sabotage: a switch that resumes the outgoing instance must
+    # trip I5 (one serving instance), and an own group restored from the
+    # outgoing instance's store must trip I6 on an in-flight schedule, each
+    # with a replayable witness. Separate cargo invocation on purpose —
+    # feature unification would poison every other ftc-core test.
+    echo "check.sh: handover sabotage fixture (I5 and I6 must fire)"
+    cargo test -q -p ftc-audit --release --features reconfig-sabotage \
+        --test reconfig_sabotage
 fi
 
 if [[ "$RUN_BENCH_SMOKE" == "1" ]]; then
@@ -84,26 +87,6 @@ if [[ "$RUN_TRANSPORT" == "1" ]]; then
     echo "check.sh: async-transport sabotage fixture (T3 must fire)"
     cargo test -q -p ftc-audit --release --features sabotage \
         --test async_sabotage
-fi
-
-if [[ "$RUN_RECONFIG" == "1" ]]; then
-    if [[ "${FTC_RECONFIG_DEEP:-0}" == "1" ]]; then
-        echo "check.sh: reconfiguration model checker (deep nightly matrix)"
-        FTC_RECONFIG_DEEP=1 cargo test -q -p ftc-audit --release \
-            --test reconfig_explorer -- --nocapture
-    else
-        echo "check.sh: reconfiguration model checker (PR gate matrix)"
-        cargo test -q -p ftc-audit --release \
-            --test reconfig_explorer -- --nocapture
-    fi
-    # Sabotage self-test: a switch that resumes the outgoing instance must
-    # trip I5 (one serving instance), and an own group restored from the
-    # outgoing instance's store must trip I6 on an in-flight schedule, each
-    # with a replayable witness. Separate cargo invocation on purpose —
-    # feature unification would poison every other ftc-core test.
-    echo "check.sh: reconfiguration sabotage fixture (I5 and I6 must fire)"
-    cargo test -q -p ftc-audit --release --features reconfig-sabotage \
-        --test reconfig_sabotage
 fi
 
 if [[ "${CHECK_MIRI:-0}" == "1" ]]; then
