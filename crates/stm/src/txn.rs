@@ -313,6 +313,7 @@ mod tests {
     use super::*;
     use std::sync::Barrier;
     use std::thread;
+    use std::time::Instant;
 
     #[test]
     fn concurrent_increments_never_lose_updates() {
@@ -465,15 +466,34 @@ mod tests {
         let key = Bytes::from_static(b"hot");
         let barrier = Arc::new(Barrier::new(4));
         let handles: Vec<_> = (0..4)
-            .map(|_| {
+            .map(|t| {
                 let store = Arc::clone(&store);
                 let key = key.clone();
                 let barrier = Arc::clone(&barrier);
                 thread::spawn(move || {
-                    barrier.wait();
+                    // Short transactions on a busy host can run back to
+                    // back without overlapping, so thread 0 opens the
+                    // barrier only once its first transaction holds the
+                    // lock, and keeps holding it until another thread has
+                    // queued behind it (bounded, so a missing wait fails
+                    // the assertion below).
+                    let mut holding = t == 0;
+                    if !holding {
+                        barrier.wait();
+                    }
                     for _ in 0..200 {
                         store.transaction(|txn| {
                             let c = txn.read_u64(&key)?.unwrap_or(0);
+                            if holding {
+                                holding = false;
+                                barrier.wait();
+                                let deadline = Instant::now() + Duration::from_secs(5);
+                                while store.stats.lock_waits.load(Ordering::Relaxed) == 0
+                                    && Instant::now() < deadline
+                                {
+                                    thread::yield_now();
+                                }
+                            }
                             txn.write_u64(key.clone(), c + 1)?;
                             Ok(())
                         });
