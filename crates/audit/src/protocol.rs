@@ -38,8 +38,8 @@
 //!   §5.1). Dead members are excused: their replacement re-fetches state
 //!   from a live member this same invariant shows to be dominating.
 //! * **I2 — convergence**: at final quiescence every replicated copy holds
-//!   its head's committed prefix, byte for byte (snapshots are canonicalized
-//!   before comparison).
+//!   its head's committed prefix, byte for byte (snapshots compare by
+//!   content, whatever their entry order).
 //! * **I3 — structure, liveness and delivery**: the ring re-forms with the
 //!   groups [`RingMath::replicated_by`] names, nothing stays fail-stopped
 //!   or paused, and the buffer drains. Per packet ident, no packet egresses
@@ -78,7 +78,6 @@ use ftc_core::{
 };
 use ftc_mbox::MbSpec;
 use ftc_packet::builder::UdpPacketBuilder;
-use ftc_stm::StoreSnapshot;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -1084,11 +1083,11 @@ impl<'a> Exec<'a> {
             return;
         }
         let owner = &self.chain.replicas[pos].own_store;
-        let (got_seqs, got) = (owner.seq_vector(), canonical(owner.snapshot()));
+        let (got_seqs, got) = (owner.seq_vector(), owner.snapshot());
         let Some(copy) = self.chain.replicas[succ].replicated.get(&pos) else {
             return; // structural damage — I3 reports it
         };
-        let (want_seqs, want) = (copy.max.vector(), canonical(copy.store.snapshot()));
+        let (want_seqs, want) = (copy.max.vector(), copy.store.snapshot());
         if got_seqs != want_seqs {
             self.witness(
                 "I6",
@@ -1248,7 +1247,7 @@ impl<'a> Exec<'a> {
         // I2: every member converged to the head's committed prefix.
         for m in 0..self.ring.n {
             let head_vec = self.chain.replicas[m].own_store.seq_vector();
-            let head_snap = canonical(self.chain.replicas[m].own_store.snapshot());
+            let head_snap = self.chain.replicas[m].own_store.snapshot();
             for r in self.ring.group(m) {
                 if r == m {
                     continue;
@@ -1268,7 +1267,7 @@ impl<'a> Exec<'a> {
                              {member_vec:?}, head committed {head_vec:?}"
                         ),
                     );
-                } else if canonical(member_snap) != head_snap {
+                } else if member_snap != head_snap {
                     self.witness(
                         "I2",
                         format!(
@@ -1280,15 +1279,6 @@ impl<'a> Exec<'a> {
             }
         }
     }
-}
-
-/// Sorts each partition's entries so snapshot comparison is independent of
-/// `HashMap` iteration order.
-fn canonical(mut snap: StoreSnapshot) -> StoreSnapshot {
-    for part in &mut snap.maps {
-        part.sort();
-    }
-    snap
 }
 
 // ---------------------------------------------------------------------------

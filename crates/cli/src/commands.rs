@@ -397,11 +397,14 @@ fn cmd_drill(args: &ParsedArgs) -> Result<(), String> {
         orch.chain.kill(idx);
         match orch.recover(idx, ftc::net::RegionId(0)) {
             Ok(r) => println!(
-                "recovered in {:.1?} (init {:.1?}, state {:.1?} / {} B, reroute {:.1?})",
+                "recovered in {:.1?} (init {:.1?}, state {:.1?} / {} B \
+                 [fetch {:.1?}, restore {:.1?}], reroute {:.1?})",
                 r.total(),
                 r.initialization,
                 r.state_recovery,
                 r.bytes_transferred,
+                r.fetch,
+                r.restore,
                 r.rerouting
             ),
             Err(e) => return Err(format!("recovery of r{idx} failed: {e}")),

@@ -131,17 +131,16 @@ pub fn encode_resp(resp: &CtrlResp) -> Bytes {
     b.freeze()
 }
 
-fn take_bytes(b: &mut &[u8]) -> Option<Bytes> {
-    if b.remaining() < 4 {
-        return None;
-    }
-    let len = b.get_u32() as usize;
+/// The next length-prefixed field of `frame`, whose unread tail is `b`,
+/// as a slice of the frame: no copy.
+fn take_bytes(frame: &Bytes, b: &mut &[u8]) -> Option<Bytes> {
+    let len = take_u32(b)?;
     if b.remaining() < len {
         return None;
     }
-    let out = Bytes::copy_from_slice(&b[..len]);
+    let start = frame.len() - b.remaining();
     b.advance(len);
-    Some(out)
+    Some(frame.slice(start..start + len))
 }
 
 fn take_u32(b: &mut &[u8]) -> Option<usize> {
@@ -155,8 +154,11 @@ fn take_u64s(b: &mut &[u8]) -> Option<Vec<u64>> {
 
 /// Deserialize a control response; `None` if the bytes are not exactly one
 /// response. Hostile counts cannot allocate: every capacity is bounded by
-/// the bytes left (a map needs at least 4 of them, an entry 8).
-pub fn decode_resp(mut b: &[u8]) -> Option<CtrlResp> {
+/// the bytes left (a map needs at least 4 of them, an entry 8). A state's
+/// keys and values are slices of `frame`, which stays allocated until the
+/// last of them is dropped.
+pub fn decode_resp(frame: &Bytes) -> Option<CtrlResp> {
+    let mut b = frame.as_ref();
     if !b.has_remaining() {
         return None;
     }
@@ -170,8 +172,8 @@ pub fn decode_resp(mut b: &[u8]) -> Option<CtrlResp> {
                 let n = take_u32(b)?;
                 let mut map = Vec::with_capacity(n.min(b.remaining() / 8));
                 for _ in 0..n {
-                    let k = take_bytes(b)?;
-                    let v = take_bytes(b)?;
+                    let k = take_bytes(frame, b)?;
+                    let v = take_bytes(frame, b)?;
                     map.push((k, v));
                 }
                 maps.push(map);
@@ -227,7 +229,7 @@ impl CtrlClient {
         let resp = self.inner.call_bytes(encode_req(&req), timeout)?;
         // An undecodable response means the peer speaks a different
         // protocol revision — indistinguishable from a dead peer.
-        decode_resp(resp.as_ref()).ok_or(RpcError::Disconnected)
+        decode_resp(&resp).ok_or(RpcError::Disconnected)
     }
 }
 
@@ -623,20 +625,55 @@ mod tests {
             CtrlResp::Resumed,
         ] {
             let enc = encode_resp(&resp);
-            let dec = decode_resp(enc.as_ref()).unwrap();
+            let dec = decode_resp(&enc).unwrap();
             assert_eq!(format!("{resp:?}"), format!("{dec:?}"));
         }
         assert!(decode_req(&[]).is_none());
         assert!(decode_req(&[99]).is_none());
-        assert!(decode_resp(&[RESP_STATE, 0, 0]).is_none(), "truncated");
+        assert!(
+            decode_resp(&Bytes::from_static(&[RESP_STATE, 0, 0])).is_none(),
+            "truncated"
+        );
+    }
+
+    #[test]
+    fn decoded_state_entries_are_slices_of_the_frame() {
+        let entry = |k: &str, v: &str| (Bytes::from(k.to_owned()), Bytes::from(v.to_owned()));
+        let snapshot = StoreSnapshot {
+            maps: vec![
+                vec![entry("nat:flow:a", "1234"), entry("k", "v")],
+                vec![],
+                vec![entry("mon:packets", "\0\0\0\0\0\0\0\x07")],
+            ],
+            seqs: vec![4, 0, 1],
+        };
+        let frame = encode_resp(&CtrlResp::State {
+            snapshot: snapshot.clone(),
+            max: vec![4, 0, 1],
+        });
+        let Some(CtrlResp::State { snapshot: got, .. }) = decode_resp(&frame) else {
+            panic!("a state decodes");
+        };
+        assert_eq!(got, snapshot);
+        let inside = frame.as_ptr_range();
+        for (k, v) in got.maps.iter().flatten() {
+            for field in [k, v] {
+                let r = field.as_ptr_range();
+                assert!(
+                    inside.start <= r.start && r.end <= inside.end,
+                    "{field:?} was copied out of the frame"
+                );
+            }
+        }
     }
 
     #[test]
     fn oversized_state_headers_decode_to_none() {
         // 2^32 - 1 maps with no bytes behind them, then one map claiming
         // 2^32 - 1 entries: both must fail without allocating for them.
-        assert!(decode_resp(&[RESP_STATE, 0xff, 0xff, 0xff, 0xff]).is_none());
-        assert!(decode_resp(&[RESP_STATE, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff]).is_none());
+        let decode = |b: &'static [u8]| decode_resp(&Bytes::from_static(b));
+        assert!(decode(&[RESP_STATE, 0xff, 0xff, 0xff, 0xff]).is_none());
+        assert!(decode(&[RESP_STATE, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff]).is_none());
     }
 
     proptest::proptest! {
@@ -659,11 +696,11 @@ mod tests {
             });
             prop_assert!(decode_resp(&enc).is_some());
             for cut in 0..enc.len() {
-                prop_assert!(decode_resp(&enc[..cut]).is_none(), "prefix of {cut} bytes");
+                prop_assert!(decode_resp(&enc.slice(..cut)).is_none(), "prefix of {cut} bytes");
             }
             let mut padded = enc.to_vec();
             padded.push(0);
-            prop_assert!(decode_resp(&padded).is_none(), "trailing byte");
+            prop_assert!(decode_resp(&Bytes::from(padded)).is_none(), "trailing byte");
         }
 
         /// Arbitrary bytes, most of them behind a `State` tag, never panic
@@ -675,8 +712,8 @@ mod tests {
         ) {
             let mut bytes = vec![if tag < 4 { RESP_STATE } else { tag }];
             bytes.extend(rest);
-            let _ = decode_resp(&bytes);
             let _ = decode_req(&bytes);
+            let _ = decode_resp(&Bytes::from(bytes));
         }
     }
 

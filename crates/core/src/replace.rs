@@ -145,6 +145,12 @@ pub struct ReplaceReport {
     pub prepare: Duration,
     /// Fetching and restoring every group.
     pub transfer: Duration,
+    /// The part of `transfer` spent waiting for sources' answers, summed
+    /// over retry rounds.
+    pub fetch: Duration,
+    /// The part of `transfer` spent restoring answers into the
+    /// replacement, summed over retry rounds.
+    pub restore: Duration,
     /// Killing the outgoing instance (handovers only), installing the
     /// replacement and resuming the quiesced members.
     pub switch: Duration,
@@ -205,6 +211,8 @@ pub fn replace(d: &mut dyn Driver, idx: usize, plan: Plan) -> Result<ReplaceRepo
         idx,
         op: plan.op(),
         quiesced: Vec::new(),
+        fetch: Duration::ZERO,
+        restore: Duration::ZERO,
     };
 
     // ---- Prepare: seal the outgoing instance, spawn the replacement ------
@@ -296,6 +304,8 @@ pub fn replace(d: &mut dyn Driver, idx: usize, plan: Plan) -> Result<ReplaceRepo
     Ok(ReplaceReport {
         prepare,
         transfer,
+        fetch: run.fetch,
+        restore: run.restore,
         switch,
         release: t3.elapsed(),
         bytes_transferred: bytes,
@@ -310,6 +320,9 @@ struct Run<'a> {
     /// Every instance the procedure paused (the sealed source and every
     /// member asked for state), to resume on whichever path it exits.
     quiesced: Vec<usize>,
+    /// Time spent in fetches and in restores so far.
+    fetch: Duration,
+    restore: Duration,
 }
 
 impl Run<'_> {
@@ -396,7 +409,9 @@ impl Run<'_> {
                 }
                 batch.push((src, m));
             }
+            let t = Instant::now();
             let answers = self.d.fetch(&batch);
+            self.fetch += t.elapsed();
             assert_eq!(answers.len(), batch.len(), "one answer per request");
             // A source that answered has paused itself; one that did not
             // may have, too, before it died or timed out.
@@ -420,11 +435,13 @@ impl Run<'_> {
                     }));
                 }
                 bytes += snapshot.byte_size();
+                let t = Instant::now();
                 if m == idx {
-                    dest.restore_own(&snapshot, &max);
+                    dest.restore_own(snapshot, &max);
                 } else {
-                    dest.restore_replicated(m, &snapshot, max);
+                    dest.restore_replicated(m, snapshot, max);
                 }
+                self.restore += t.elapsed();
                 if self.crashed(ReconfigPhase::Transfer, Destination) {
                     // The half-built replacement is discarded.
                     return Err(RecoveryError::Failed(ReconfigFailure::DestinationCrashed {

@@ -566,18 +566,13 @@ impl ReplicaState {
     /// restores the dependency matrix of the failed head by setting each of
     /// its rows to the retrieved MAX" (§5.2) — here, the per-partition
     /// sequence counters are set from the fetched `MAX` vector.
-    pub fn restore_own(&self, snapshot: &ftc_stm::StoreSnapshot, max: &[u64]) {
+    pub fn restore_own(&self, snapshot: ftc_stm::StoreSnapshot, max: &[u64]) {
         self.own_store.restore(snapshot);
         self.own_store.restore_seqs(max);
     }
 
     /// Restores a replicated group's store and `MAX` vector.
-    pub fn restore_replicated(
-        &self,
-        mbox: usize,
-        snapshot: &ftc_stm::StoreSnapshot,
-        max: Vec<u64>,
-    ) {
+    pub fn restore_replicated(&self, mbox: usize, snapshot: ftc_stm::StoreSnapshot, max: Vec<u64>) {
         let g = self
             .replicated
             .get(&mbox)

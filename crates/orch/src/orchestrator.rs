@@ -57,6 +57,12 @@ pub struct RecoveryReport {
     pub initialization: Duration,
     /// Fetching and restoring state from group members (WAN-dominated).
     pub state_recovery: Duration,
+    /// The part of `state_recovery` spent waiting for the members'
+    /// answers, summed over retry rounds.
+    pub fetch: Duration,
+    /// The part of `state_recovery` spent restoring the answers into the
+    /// replacement.
+    pub restore: Duration,
     /// Updating routing rules to steer traffic through the replacement.
     pub rerouting: Duration,
     /// Total state bytes transferred.
@@ -132,6 +138,8 @@ impl Orchestrator {
         Ok(RecoveryReport {
             initialization: r.prepare,
             state_recovery: r.transfer,
+            fetch: r.fetch,
+            restore: r.restore,
             rerouting: r.switch + r.release,
             bytes_transferred: r.bytes_transferred,
         })

@@ -129,11 +129,11 @@ pub trait StateBackend: Send + Sync + std::fmt::Debug {
     /// The current per-partition sequence vector.
     fn seq_vector(&self) -> Vec<u64>;
 
-    /// Deep-copies the store for recovery state transfer.
+    /// Copies the store for recovery state transfer.
     fn snapshot(&self) -> StoreSnapshot;
 
     /// Replaces the store contents from a snapshot (recovery restore).
-    fn restore(&self, snap: &StoreSnapshot);
+    fn restore(&self, snap: StoreSnapshot);
 
     /// Restores only the per-partition sequence numbers (paper §5.2).
     fn restore_seqs(&self, seqs: &[u64]);
@@ -209,7 +209,7 @@ impl StateBackend for StateStore {
         StateStore::snapshot(self)
     }
 
-    fn restore(&self, snap: &StoreSnapshot) {
+    fn restore(&self, snap: StoreSnapshot) {
         StateStore::restore(self, snap)
     }
 

@@ -347,7 +347,7 @@ pub fn check_max_vector_permutations(
         ref_applied += ref_max.offer(deps, writes, &ref_store).applied;
     }
     assert_eq!(ref_applied, logs.len(), "reference batch must be complete");
-    let reference = canonical(&ref_store);
+    let reference = ref_store.snapshot();
     let ref_vec = ref_max.vector();
 
     let mut orders = 0;
@@ -369,7 +369,7 @@ pub fn check_max_vector_permutations(
         assert_eq!(max.parked_len(), 0, "order {order:?} left logs parked");
         assert_eq!(max.vector(), ref_vec, "order {order:?}: MAX diverged");
         assert_eq!(
-            canonical(&store),
+            store.snapshot(),
             reference,
             "order {order:?}: state diverged"
         );
@@ -389,19 +389,6 @@ fn permute(v: &mut [usize], k: usize, f: &mut impl FnMut(&[usize])) {
         permute(v, k + 1, f);
         v.swap(k, i);
     }
-}
-
-/// Store contents with per-partition pairs sorted, for order-insensitive
-/// comparison.
-fn canonical(store: &StateStore) -> Vec<Vec<(bytes::Bytes, bytes::Bytes)>> {
-    let snap = store.snapshot();
-    snap.maps
-        .into_iter()
-        .map(|mut m| {
-            m.sort();
-            m
-        })
-        .collect()
 }
 
 #[cfg(test)]

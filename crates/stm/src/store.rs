@@ -128,15 +128,34 @@ pub(crate) struct Shard {
     pub parts: Vec<Partition>,
 }
 
-/// A deep copy of a store's contents, transferred during failure recovery
+/// A copy of a store's contents, transferred during failure recovery
 /// (paper §4.1: "the new replica retrieves the state store … and sequence
-/// number").
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// number"). Entries within a partition come in no particular order;
+/// equality compares each partition's key/value set and the sequence
+/// numbers.
+#[derive(Debug, Clone, Eq)]
 pub struct StoreSnapshot {
-    /// Per-partition key/value maps.
+    /// Per-partition key/value pairs.
     pub maps: Vec<Vec<(Bytes, Bytes)>>,
     /// Per-partition sequence numbers.
     pub seqs: Vec<u64>,
+}
+
+impl PartialEq for StoreSnapshot {
+    fn eq(&self, other: &StoreSnapshot) -> bool {
+        fn sorted(m: &[(Bytes, Bytes)]) -> Vec<&(Bytes, Bytes)> {
+            let mut m: Vec<_> = m.iter().collect();
+            m.sort_unstable();
+            m
+        }
+        self.seqs == other.seqs
+            && self.maps.len() == other.maps.len()
+            && self
+                .maps
+                .iter()
+                .zip(&other.maps)
+                .all(|(a, b)| sorted(a) == sorted(b))
+    }
 }
 
 impl StoreSnapshot {
@@ -362,34 +381,35 @@ impl StateStore {
         self.tap.record_apply(deps, writes);
     }
 
-    /// Deep-copies the store for recovery state transfer.
+    /// Copies the store for recovery state transfer: one presized vector
+    /// per partition, in map order.
     pub fn snapshot(&self) -> StoreSnapshot {
         let mut maps = Vec::with_capacity(self.n_partitions);
         let mut seqs = Vec::with_capacity(self.n_partitions);
         for p in self.parts() {
             let st = p.state.lock();
-            let mut entries: Vec<(Bytes, Bytes)> =
-                st.map.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-            // Deterministic transfer form: hash-map iteration order differs
-            // between otherwise-identical stores.
-            entries.sort_unstable_by(|a, b| a.0.as_ref().cmp(b.0.as_ref()));
+            let mut entries = Vec::with_capacity(st.map.len());
+            entries.extend(st.map.iter().map(|(k, v)| (k.clone(), v.clone())));
             maps.push(entries);
             seqs.push(st.seq);
         }
         StoreSnapshot { maps, seqs }
     }
 
-    /// Replaces the store contents from a snapshot (recovery restore).
-    pub fn restore(&self, snap: &StoreSnapshot) {
+    /// Replaces the store contents from a snapshot (recovery restore),
+    /// moving its entries into presized maps.
+    pub fn restore(&self, snap: StoreSnapshot) {
         assert_eq!(
-            snap.maps.len(),
-            self.n_partitions,
+            (snap.maps.len(), snap.seqs.len()),
+            (self.n_partitions, self.n_partitions),
             "partition count mismatch"
         );
-        for (i, p) in self.parts().enumerate() {
+        for ((p, entries), seq) in self.parts().zip(snap.maps).zip(snap.seqs) {
+            let mut map = HashMap::with_capacity(entries.len());
+            map.extend(entries);
             let mut st = p.state.lock();
-            st.map = snap.maps[i].iter().cloned().collect();
-            st.seq = snap.seqs[i];
+            st.map = map;
+            st.seq = seq;
         }
     }
 
@@ -540,10 +560,41 @@ mod tests {
         let snap = store.snapshot();
         assert!(snap.byte_size() > 0);
         let other = StateStore::new(8);
-        other.restore(&snap);
+        other.restore(snap);
         assert_eq!(other.len(), 50);
         assert_eq!(other.seq_vector(), store.seq_vector());
         assert_eq!(other.peek(b"k17"), Some(Bytes::from_static(b"v17")));
+    }
+
+    #[test]
+    fn restore_over_a_non_empty_store_leaves_only_the_snapshot() {
+        let source = StateStore::new(8);
+        let target = StateStore::new(8);
+        for i in 0..20 {
+            source.transaction(|txn| {
+                txn.write(Bytes::from(format!("k{i}")), Bytes::from(format!("v{i}")))?;
+                Ok(())
+            });
+        }
+        for i in 10..40 {
+            for _ in 0..3 {
+                target.transaction(|txn| {
+                    txn.write(Bytes::from(format!("k{i}")), Bytes::from_static(b"stale"))?;
+                    Ok(())
+                });
+            }
+        }
+        let snap = source.snapshot();
+        target.restore(snap.clone());
+        assert_eq!(target.len(), 20);
+        assert_eq!(target.seq_vector(), source.seq_vector());
+        assert_eq!(target.snapshot(), snap);
+        assert_eq!(target.peek(b"k15"), Some(Bytes::from_static(b"v15")));
+        assert_eq!(
+            target.peek(b"k30"),
+            None,
+            "a key the snapshot lacks is gone"
+        );
     }
 
     #[test]

@@ -116,14 +116,14 @@ fn main() {
 
     // The same state survives a simulated failover: snapshot → restore.
     let snapshot = store.snapshot();
+    let bytes = snapshot.byte_size();
     let recovered = StateStore::new(32);
-    recovered.restore(&snapshot);
+    recovered.restore(snapshot);
     let heavy_key = RateLimiter::key(heavy);
     assert_eq!(store.peek(&heavy_key), recovered.peek(&heavy_key));
     println!(
-        "state snapshot/restore verified: {} bytes of limiter state would be \
-         recovered on failover",
-        snapshot.byte_size()
+        "state snapshot/restore verified: {bytes} bytes of limiter state would be \
+         recovered on failover"
     );
 
     // And it runs inside a real chain too, sandwiched by stock middleboxes.

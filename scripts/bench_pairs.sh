@@ -21,13 +21,16 @@
 # stand out. A metric's direction comes from its "better" in BENCHMARK.json.
 # The claim holds when the working tree wins at least 9 pairs in 10 and
 # its median beats the parent's by more than the parent's quartile
-# distance. Remove the worktree afterwards with
+# distance. Where result files exist, it also prints each side's median
+# init_ms, state_ms, reroute_ms and bytes over all fail-stop cycles of
+# all its runs, so a recovery_ms change shows which step it sits in.
+# Remove the worktree afterwards with
 #   git worktree remove --force target/pairs/parent
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 3 ]; then
-    sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent_rev=$1
@@ -154,6 +157,14 @@ awk -v w="$wins" -v n="$pairs" -v a="$pm" -v b="$cm" -v q1="$pq1" -v q3="$pq3" -
         (w * 10 >= 9 * n && gain > q3 - q1) ? "holds" : "does not hold"
 }'
 
+# One row: name, parent median, change median, relative change.
+row() {
+    awk -v n="$1" -v a="$2" -v b="$3" 'BEGIN {
+        d = (a != "nan" && b != "nan" && a != 0) ? sprintf("%+.1f%%", 100 * (b - a) / a) : "-"
+        printf "%-20s %14s %14s %9s\n", n, a, b, d
+    }'
+}
+
 echo
 echo "end-to-end medians"
 printf '%-20s %14s %14s %9s\n' metric parent change delta
@@ -161,11 +172,24 @@ while read -r name _ e2e; do
     [ "$e2e" = 1 ] || continue
     read -r a _ _ < <(for s in "${seeds[@]}"; do value "$out/parent_${workload}_${s}.json" "$name"; done | quartiles)
     read -r b _ _ < <(for s in "${seeds[@]}"; do value "$out/change_${workload}_${s}.json" "$name"; done | quartiles)
-    awk -v n="$name" -v a="$a" -v b="$b" 'BEGIN {
-        d = (a != "nan" && b != "nan" && a != 0) ? sprintf("%+.1f%%", 100 * (b - a) / a) : "-"
-        printf "%-20s %14s %14s %9s\n", n, a, b, d
-    }'
+    row "$name" "$a" "$b"
 done <<<"$declared"
+# Median of one per-cycle column of the failover table ($2), pooled over
+# every run of side $1 that left a result file.
+cycle_median() {
+    for s in "${seeds[@]}"; do
+        grep -o '"failover":{[^}]*' "$out/${1}_${workload}_${s}.result.json" 2>/dev/null |
+            grep -o "\"$2\":\[[^]]*" | sed 's/.*\[//' | tr ',' '\n'
+    done | quartiles | awk '{ print $1 }'
+}
+if ls "$out"/*_"$workload"_*.result.json >/dev/null 2>&1; then
+    echo
+    echo "recovery steps, median over fail-stop cycles"
+    printf '%-20s %14s %14s %9s\n' step parent change delta
+    for col in init_ms state_ms reroute_ms bytes; do
+        row "$col" "$(cycle_median parent "$col" || true)" "$(cycle_median change "$col" || true)"
+    done
+fi
 for side in parent change; do
     ok=0 failed=0
     for s in "${seeds[@]}"; do
