@@ -6,7 +6,7 @@ use ftc::mbox::parse_chain;
 use ftc::prelude::*;
 use ftc::sim::{simulate, MbKind, SimConfig, SystemKind};
 use ftc::traffic::WorkloadConfig;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Runs the selected subcommand.
 pub fn dispatch(args: &ParsedArgs) -> Result<(), String> {
@@ -394,7 +394,9 @@ fn cmd_drill(args: &ParsedArgs) -> Result<(), String> {
 
     for idx in 0..n {
         print!("killing r{idx}… ");
+        let t_kill = Instant::now();
         orch.chain.kill(idx);
+        let killed = t_kill.elapsed();
         match orch.recover(idx, ftc::net::RegionId(0)) {
             Ok(r) => println!(
                 "recovered in {:.1?} (init {:.1?}, state {:.1?} / {} B \
@@ -409,14 +411,17 @@ fn cmd_drill(args: &ParsedArgs) -> Result<(), String> {
             ),
             Err(e) => return Err(format!("recovery of r{idx} failed: {e}")),
         }
+        // The outage beyond the three steps: the kill (its threads' join)
+        // before them and the first release after them.
+        let t_recovered = Instant::now();
         for _ in 0..50 {
             orch.chain.inject(wl.next_packet());
         }
-        let got = orch
-            .chain
-            .egress()
-            .collect(50, Duration::from_secs(30))
-            .len();
+        let egress = orch.chain.egress();
+        let first = egress.recv(Duration::from_secs(30));
+        let first_release = t_recovered.elapsed();
+        let got = usize::from(first.is_some()) + egress.collect(49, Duration::from_secs(30)).len();
+        println!("  kill and join {killed:.1?}, first release {first_release:.1?} after recovery");
         println!("  post-recovery traffic: {got}/50 released");
         std::thread::sleep(Duration::from_millis(100));
     }

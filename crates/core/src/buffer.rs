@@ -467,9 +467,9 @@ impl BufferState {
 /// last replica's [`OutPort`] is wired with this sink and the worker that
 /// finished the packet runs the buffer on the same thread. `send` is
 /// [`BufferState::handle_frame`]; `poll` — which the server's data-plane
-/// loop calls every iteration, also while the replica is quiesced — runs
-/// [`BufferState::tick`] once `resend_period` has passed, so the resend
-/// timer needs no thread either.
+/// leader calls after every wait, also while the replica is quiesced, and
+/// whose `deadline` bounds that wait — runs [`BufferState::tick`] once
+/// `resend_period` has passed, so the resend timer needs no thread either.
 ///
 /// Lock order, on the send and on the tick path alike: tail `OutPort` →
 /// buffer state → feedback `OutPort`.
@@ -502,6 +502,10 @@ impl FrameTx for BufferSink {
             self.last_tick = Instant::now();
         }
         Ok(())
+    }
+
+    fn deadline(&self) -> Option<Instant> {
+        Some(self.last_tick + self.resend_period)
     }
 
     fn in_flight(&self) -> usize {
@@ -954,6 +958,10 @@ mod tests {
 
         fn poll(&mut self) -> Result<(), Disconnected> {
             Ok(())
+        }
+
+        fn deadline(&self) -> Option<Instant> {
+            None
         }
 
         fn in_flight(&self) -> usize {

@@ -113,7 +113,7 @@ impl Egress {
             if left.is_zero() {
                 break;
             }
-            match self.rx.recv_timeout(left.min(Duration::from_millis(5))) {
+            match self.rx.recv_timeout(left) {
                 Ok(p) => out.push(p),
                 Err(channel::RecvTimeoutError::Timeout) => continue,
                 Err(channel::RecvTimeoutError::Disconnected) => break,
@@ -332,13 +332,16 @@ impl FtcChain {
     /// it. This is the mechanical part of recovery; the orchestrator drives
     /// state fetch and sequencing (see [`crate::replace`]).
     ///
-    /// Returns the new slot's control client.
+    /// Returns the slot it replaced. Dropping it frees the dead instance's
+    /// stores, an allocation per key and value, so a caller that times the
+    /// switch drops it after traffic has resumed.
+    #[must_use = "dropping the old slot frees the dead instance's stores"]
     pub fn respawn(
         &mut self,
         idx: usize,
         region: RegionId,
         state: Arc<ReplicaState>,
-    ) -> CtrlClient {
+    ) -> ReplicaSlot {
         let n = self.len();
         let mut server = Server::new(format!("server{idx}r"), region);
 
@@ -420,15 +423,17 @@ impl FtcChain {
         spawn_ctrl(&mut server, Arc::clone(&state), ctrl_server);
 
         self.servers[idx] = Some(server);
-        self.replicas[idx] = ReplicaSlot {
-            state,
-            ctrl: ctrl_client.clone(),
-            in_port,
-            out_port,
-            nic,
-            region,
-        };
-        ctrl_client
+        std::mem::replace(
+            &mut self.replicas[idx],
+            ReplicaSlot {
+                state,
+                ctrl: ctrl_client,
+                in_port,
+                out_port,
+                nic,
+                region,
+            },
+        )
     }
 }
 
@@ -463,6 +468,41 @@ mod tests {
             .dst(Ipv4Addr::new(10, 9, 9, 9), 80)
             .ident(i)
             .build()
+    }
+
+    /// A three-monitor chain whose protocol timers (propagate, resend) are
+    /// 10 s, left quiet: only a frame, a kill or a rewiring can end a wait
+    /// of its threads before those timers.
+    fn quiet_chain() -> FtcChain {
+        let specs = vec![MbSpec::Monitor { sharing_level: 1 }; 3];
+        let cfg = ChainConfig::new(specs)
+            .with_propagate_timeout(Duration::from_secs(10))
+            .with_resend_period(Duration::from_secs(10));
+        let chain = FtcChain::deploy(cfg);
+        std::thread::sleep(Duration::from_millis(50)); // every thread parks
+        chain
+    }
+
+    #[test]
+    fn kill_ends_every_wait_of_a_quiet_chain() {
+        let mut chain = quiet_chain();
+        for idx in 0..chain.len() {
+            let t0 = std::time::Instant::now();
+            chain.kill(idx);
+            let took = t0.elapsed();
+            assert!(took < Duration::from_secs(1), "kill({idx}) took {took:?}");
+            assert!(!chain.is_alive(idx));
+        }
+        assert_eq!(chain.thread_count(), 0);
+    }
+
+    #[test]
+    fn a_quiet_chain_sleeps_until_its_timers() {
+        let chain = quiet_chain();
+        let before = chain.metrics.snapshot().loop_idle_polls;
+        std::thread::sleep(Duration::from_millis(200));
+        let idle = chain.metrics.snapshot().loop_idle_polls - before;
+        assert!(idle <= 3, "{idle} idle wake-ups in 200 ms");
     }
 
     #[test]

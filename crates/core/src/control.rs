@@ -9,7 +9,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ftc_net::rpc::RpcError;
-use ftc_net::transport::{FrameRx, FrameTx, RpcCaller, RpcResponder};
+use ftc_net::transport::{FrameRx, FrameTx, RpcCaller, RpcResponder, Wake};
 use ftc_stm::StoreSnapshot;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::sync::Arc;
@@ -244,8 +244,15 @@ impl CtrlServer {
         CtrlServer { inner }
     }
 
+    /// A handle that ends the current or next wait of
+    /// [`CtrlServer::serve_next`].
+    pub fn waker(&self) -> Wake {
+        self.inner.waker()
+    }
+
     /// Serves at most one pending request using `handler`, waiting up to
-    /// `timeout` for one to arrive. Returns whether a request was served.
+    /// `timeout` (`Duration::MAX`: no deadline) for one to arrive. Returns
+    /// whether a request was served.
     pub fn serve_next(
         &mut self,
         timeout: Duration,
@@ -282,56 +289,96 @@ pub fn ctrl_pair(one_way: Duration) -> (CtrlClient, CtrlServer) {
 /// around a failed successor. An empty slot (mid-recovery) drops frames —
 /// exactly the packet loss a rewired physical network would exhibit, and
 /// recovered the same way (end-to-end retransmission / buffer resend).
+///
+/// One thread, the port's *poller*, runs the sender's timers: it calls
+/// [`OutPort::poll`] after every wait and waits no longer than the
+/// deadline that returns. While the sender has no deadline the poller
+/// waits for its own frames only, so a send by another thread that gives
+/// the sender one (a first unacknowledged frame) runs the poller's wake.
 pub struct OutPort {
-    slot: Mutex<Option<Box<dyn FrameTx>>>,
+    slot: Mutex<OutSlot>,
+}
+
+struct OutSlot {
+    tx: Option<Box<dyn FrameTx>>,
+    /// Ends the poller's wait ([`OutPort::set_poller`]).
+    poller: Option<Wake>,
+    /// The last poll found no deadline and the poller waits without one.
+    poller_idle: bool,
 }
 
 impl OutPort {
+    fn with(tx: Option<Box<dyn FrameTx>>) -> OutPort {
+        OutPort {
+            slot: Mutex::new(OutSlot {
+                tx,
+                poller: None,
+                poller_idle: false,
+            }),
+        }
+    }
+
     /// Creates an unwired port (drops frames until [`install`]ed).
     ///
     /// [`install`]: OutPort::install
     pub fn empty() -> OutPort {
-        OutPort {
-            slot: Mutex::new(None),
-        }
+        OutPort::with(None)
     }
 
     /// Creates a port pre-wired with `sender`.
     pub fn wired(sender: impl FrameTx + 'static) -> OutPort {
-        OutPort {
-            slot: Mutex::new(Some(Box::new(sender))),
-        }
+        OutPort::with(Some(Box::new(sender)))
     }
 
     /// Sends a frame through the current link, if any.
     pub fn send(&self, frame: BytesMut) {
         let mut slot = self.slot.lock();
-        if let Some(tx) = slot.as_mut() {
-            if tx.send(frame).is_err() {
-                // Successor is gone; drop until rerouted.
-                *slot = None;
+        let OutSlot {
+            tx,
+            poller,
+            poller_idle,
+        } = &mut *slot;
+        let Some(link) = tx.as_mut() else { return };
+        if link.send(frame).is_err() {
+            // Successor is gone; drop until rerouted.
+            *tx = None;
+        } else if *poller_idle && link.deadline().is_some() {
+            *poller_idle = false;
+            if let Some(wake) = poller {
+                wake();
             }
         }
     }
 
-    /// Runs the sender's retransmission/ACK processing.
-    pub fn poll(&self) {
+    /// Runs the sender's retransmission/ACK processing and returns when it
+    /// next has work ([`FrameTx::deadline`]).
+    pub fn poll(&self) -> Option<Instant> {
         let mut slot = self.slot.lock();
-        if let Some(tx) = slot.as_mut() {
-            if tx.poll().is_err() {
-                *slot = None;
+        let deadline = match slot.tx.as_mut().map(|tx| tx.poll().map(|()| tx.deadline())) {
+            Some(Ok(deadline)) => deadline,
+            Some(Err(_)) => {
+                slot.tx = None;
+                None
             }
-        }
+            None => None,
+        };
+        slot.poller_idle = deadline.is_none() && slot.poller.is_some();
+        deadline
+    }
+
+    /// Makes the caller this port's poller: `wake` ends its wait.
+    pub fn set_poller(&self, wake: Wake) {
+        self.slot.lock().poller = Some(wake);
     }
 
     /// Installs a new link (rerouting).
     pub fn install(&self, sender: impl FrameTx + 'static) {
-        *self.slot.lock() = Some(Box::new(sender));
+        self.slot.lock().tx = Some(Box::new(sender));
     }
 
     /// True if a live link is installed.
     pub fn is_wired(&self) -> bool {
-        self.slot.lock().is_some()
+        self.slot.lock().tx.is_some()
     }
 }
 
@@ -341,33 +388,45 @@ impl OutPort {
 /// [`install`] from the orchestrator never waits behind a receive (the
 /// `parking_lot` stand-in is an unfair mutex: a reader that re-locks back
 /// to back can starve an installer for tens of milliseconds). A second
-/// concurrent reader would find the slot empty and read nothing.
+/// concurrent reader would find the slot empty and read nothing. The slot
+/// keeps the receiver's [`FrameRx::waker`], so an `install` ends the
+/// reader's receive on the link it replaces and [`InPort::wake`] ends it
+/// for the reader's own thread's sake (a kill).
 ///
 /// [`install`]: InPort::install
 pub struct InPort {
     slot: Mutex<InSlot>,
-    /// Signalled when a reader lets go of a receiver `install` replaced.
-    retired: Condvar,
+    /// Signalled by `install` and `wake` (an unwired reader waits for
+    /// them) and when a reader lets go of a receiver `install` replaced
+    /// (`install_exclusive` waits for that).
+    changed: Condvar,
 }
 
 struct InSlot {
     rx: Option<Box<dyn FrameRx>>,
+    /// Ends a receive on the current generation's receiver, wherever it is.
+    wake: Option<Wake>,
     /// Bumped by every [`InPort::install`]: a reader puts its receiver
     /// back only if no install happened while it was blocked.
     generation: u64,
     /// The generation of the receiver a reader has taken out, if any.
     held: Option<u64>,
+    /// A [`InPort::wake`] that found no reader blocked: the next receive
+    /// returns at once.
+    woken: bool,
 }
 
 impl InPort {
     fn with(rx: Option<Box<dyn FrameRx>>) -> InPort {
         InPort {
             slot: Mutex::new(InSlot {
+                wake: rx.as_ref().map(|rx| rx.waker()),
                 rx,
                 generation: 0,
                 held: None,
+                woken: false,
             }),
-            retired: Condvar::new(),
+            changed: Condvar::new(),
         }
     }
 
@@ -390,29 +449,41 @@ impl InPort {
         got
     }
 
-    /// Receives up to `max` frames into `sink`: waits up to `timeout` for
-    /// the first, then takes only frames that are already there. The slot
-    /// is locked twice per call, not per frame.
+    /// Receives up to `max` frames into `sink`: waits up to `timeout`
+    /// (`Duration::MAX`: no deadline) for the first, then takes only
+    /// frames that are already there. An unwired port waits for
+    /// [`install`](InPort::install); an install during a receive and
+    /// [`InPort::wake`] end the wait early. The slot is locked twice per
+    /// receive, not per frame.
     pub(crate) fn recv_burst(&self, timeout: Duration, max: usize, mut sink: impl FnMut(BytesMut)) {
-        let (mut rx, generation) = {
-            let mut slot = self.slot.lock();
-            match slot.rx.take() {
-                Some(rx) => {
-                    slot.held = Some(slot.generation);
-                    (rx, slot.generation)
+        let mut slot = self.slot.lock();
+        // The deadline, read off the clock only if the port is unwired.
+        let mut until = None;
+        let mut rx = loop {
+            if std::mem::take(&mut slot.woken) {
+                return;
+            }
+            if let Some(rx) = slot.rx.take() {
+                break rx;
+            }
+            // Unwired (predecessor died): nothing to read until `install`.
+            match *until.get_or_insert_with(|| Instant::now().checked_add(timeout)) {
+                Some(d) => {
+                    if self.changed.wait_until(&mut slot, d).timed_out() {
+                        return;
+                    }
                 }
-                None => {
-                    // Unwired (predecessor died): emulate the blocking recv's
-                    // bounded wait so callers don't spin. Not a polling loop
-                    // — there is no event source to wait on until `install`.
-                    drop(slot);
-                    // forbidden-ok: thread-sleep
-                    std::thread::sleep(timeout.min(Duration::from_millis(1)));
-                    return;
-                }
+                None => self.changed.wait(&mut slot),
             }
         };
-        let mut wait = timeout;
+        let generation = slot.generation;
+        slot.held = Some(generation);
+        drop(slot);
+        let mut wait = match until {
+            Some(Some(d)) => d.saturating_duration_since(Instant::now()),
+            Some(None) => Duration::MAX,
+            None => timeout,
+        };
         let mut live = true;
         for _ in 0..max {
             match rx.recv_timeout(wait) {
@@ -430,14 +501,31 @@ impl InPort {
         if slot.generation != generation {
             // Replaced meanwhile: `rx` is dropped, exactly as `install`
             // drops a receiver nobody holds.
-            self.retired.notify_all();
+            self.changed.notify_all();
         } else if live {
             slot.rx = Some(rx);
-        } // else a dead link stays unwired
+        } else {
+            slot.wake = None; // a dead link stays unwired
+        }
+    }
+
+    /// Ends the reader's current receive, or its next one if none is
+    /// blocked: the reader's thread has something else to see to.
+    pub fn wake(&self) {
+        let mut slot = self.slot.lock();
+        match &slot.wake {
+            Some(wake) if slot.held == Some(slot.generation) => wake(),
+            _ => {
+                slot.woken = true;
+                self.changed.notify_all();
+            }
+        }
     }
 
     /// Installs a new link (rerouting). Never waits for a blocked reader:
-    /// the receiver it replaces is dropped when that reader's receive ends.
+    /// it ends the reader's receive on the link it replaces, and that
+    /// receiver is dropped as the reader lets go of it; the reader's next
+    /// receive reads the new link.
     pub fn install(&self, receiver: impl FrameRx + 'static) {
         self.swap(Box::new(receiver));
     }
@@ -446,14 +534,14 @@ impl InPort {
     /// receiver it replaced. Socket receivers of one stream share the
     /// node's per-stream queue, so a socket edge is rerouted with this:
     /// once it returns, no frame of the new epoch can reach the old
-    /// receiver. The wait lasts at most the reader's current receive (one
-    /// 1 ms slice on every data-plane loop); past a 1 s budget it gives up,
+    /// receiver. The install ends the reader's receive, so the wait is
+    /// the reader's way back to the slot; past a 1 s budget it gives up,
     /// as [`crate::replica::ReplicaState::pause`] does.
     pub fn install_exclusive(&self, receiver: impl FrameRx + 'static) {
         let mut slot = self.swap(Box::new(receiver));
         let deadline = Instant::now() + Duration::from_secs(1);
         while slot.held.is_some_and(|g| g != slot.generation) {
-            if self.retired.wait_until(&mut slot, deadline).timed_out() {
+            if self.changed.wait_until(&mut slot, deadline).timed_out() {
                 break;
             }
         }
@@ -461,8 +549,15 @@ impl InPort {
 
     fn swap(&self, rx: Box<dyn FrameRx>) -> MutexGuard<'_, InSlot> {
         let mut slot = self.slot.lock();
+        if slot.held == Some(slot.generation) {
+            if let Some(wake) = &slot.wake {
+                wake();
+            }
+        }
+        slot.wake = Some(rx.waker());
         slot.rx = Some(rx);
         slot.generation += 1;
+        self.changed.notify_all();
         slot
     }
 
@@ -524,6 +619,10 @@ mod tests {
             let _ = self.1.send(());
             self.0.recv_timeout(timeout)
         }
+
+        fn waker(&self) -> Wake {
+            self.0.waker()
+        }
     }
 
     /// A port whose reader, on its own thread, is parked in a 50 ms
@@ -559,6 +658,73 @@ mod tests {
         tx.send(BytesMut::from(&b"new"[..])).unwrap();
         let f = port.recv_timeout(Duration::from_millis(100));
         assert_eq!(&f.expect("read from the new link")[..], b"new");
+    }
+
+    #[test]
+    fn install_moves_a_parked_reader_to_the_new_link() {
+        let (old_tx, old_rx) = link_pair(&Endpoint::in_proc());
+        let (entered_tx, entered) = crossbeam::channel::unbounded();
+        let port = Arc::new(InPort::wired(Announcing(old_rx, entered_tx)));
+        // A data-plane reader: receive after receive, each up to 10 s.
+        let reader = {
+            let port = Arc::clone(&port);
+            std::thread::spawn(move || {
+                let _keep_the_old_link_open = old_tx;
+                loop {
+                    if let Some(frame) = port.recv_timeout(Duration::from_secs(10)) {
+                        return (frame, Instant::now());
+                    }
+                }
+            })
+        };
+        entered.recv().expect("the reader blocks on the old link");
+        std::thread::sleep(Duration::from_millis(10));
+        let (mut tx, rx) = link_pair(&Endpoint::in_proc());
+        let t0 = Instant::now();
+        port.install(rx);
+        tx.send(BytesMut::from(&b"new"[..])).unwrap();
+        let (frame, got_at) = reader.join().unwrap();
+        assert_eq!(&frame[..], b"new");
+        let took = got_at - t0;
+        assert!(took < Duration::from_secs(1), "the reader took {took:?}");
+    }
+
+    #[test]
+    fn wake_ends_a_parked_read_and_an_unwired_wait() {
+        let (_tx, rx) = link_pair(&Endpoint::in_proc());
+        for port in [InPort::wired(rx), InPort::empty()] {
+            let port = Arc::new(port);
+            let reader = {
+                let port = Arc::clone(&port);
+                std::thread::spawn(move || {
+                    let t0 = Instant::now();
+                    assert!(port.recv_timeout(Duration::from_secs(10)).is_none());
+                    t0.elapsed()
+                })
+            };
+            std::thread::sleep(Duration::from_millis(10));
+            port.wake();
+            let took = reader.join().unwrap();
+            assert!(took < Duration::from_secs(1), "the read lasted {took:?}");
+        }
+    }
+
+    #[test]
+    fn a_send_that_arms_an_idle_port_wakes_its_poller() {
+        let (tx, _rx) = reliable_pair(&Endpoint::in_proc());
+        let out = OutPort::wired(tx);
+        let wakes = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let count = Arc::clone(&wakes);
+        out.set_poller(Box::new(move || {
+            count.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }));
+        let woken = || wakes.load(std::sync::atomic::Ordering::SeqCst);
+        assert_eq!(out.poll(), None, "nothing awaits an acknowledgement");
+        out.send(BytesMut::from(&b"a"[..]));
+        assert_eq!(woken(), 1, "the first unacknowledged frame arms the RTO");
+        out.send(BytesMut::from(&b"b"[..]));
+        assert_eq!(woken(), 1, "an armed port needs no wake");
+        assert!(out.poll().is_some(), "the RTO is the poller's deadline");
     }
 
     #[test]

@@ -14,18 +14,26 @@
 //! Thread layout per server: `cfg.workers` data-plane loops (this module)
 //! plus one control thread ([`crate::replica::spawn_ctrl`]).
 //!
-//! * **Every wake handles a burst.** A loop does one bounded blocking
-//!   receive and then takes, without blocking, whatever else is already
-//!   there, up to `BURST` (32) frames. The pause check, the busy claim
-//!   and the leader's port poll are paid once per burst, not per frame.
+//! * **Every wake handles a burst.** A loop does one blocking receive and
+//!   then takes, without blocking, whatever else is already there, up to
+//!   `BURST` (32) frames. The pause check, the busy claim and the leader's
+//!   port poll are paid once per burst, not per frame.
+//! * **A wait ends on its event, not on a poll.** A receive ends when a
+//!   frame arrives, when [`Server::kill`] runs the loop's kill wake, or,
+//!   on an [`InPort`], when [`InPort::install`] rewires it; a quiesced
+//!   wait ends on resume; a backpressured dispatch ends when the queue has
+//!   room. The only timeouts are the protocol's timers: `propagate_timeout`
+//!   on server 0 and the outgoing port's next deadline
+//!   ([`OutPort::poll`]: the buffer's resend timer, a reliable link's RTO)
+//!   on the leader. A quiet server's threads sleep until one of these.
 //! * **Worker 0 is the receive leader.** It blocks on the server's
-//!   [`Source`] in slices of at most 1 ms (`propagate_timeout` on server 0)
-//!   and computes each frame's RSS queue. Frames of other queues are handed
-//!   to that worker's [`Nic`] queue: with backpressure when they came off a
-//!   link (piggyback logs may not be dropped), drop-and-count when they came
-//!   from the ingress (an RX-ring overrun). Its own flows it then runs
-//!   inline, in arrival order — with `workers = 1` nothing is queued at all.
-//!   A flow maps to one queue, so per-flow order is kept.
+//!   [`Source`] and computes each frame's RSS queue. Frames of other
+//!   queues are handed to that worker's [`Nic`] queue: with backpressure
+//!   when they came off a link (piggyback logs may not be dropped),
+//!   drop-and-count when they came from the ingress (an RX-ring overrun).
+//!   Its own flows it then runs inline, in arrival order — with
+//!   `workers = 1` nothing is queued at all. A flow maps to one queue, so
+//!   per-flow order is kept.
 //! * **Workers 1.. drain their NIC queue** ([`Source::Queue`]) with the
 //!   same loop.
 //! * **Quiescing (§4.1)**: while the replica is paused no loop pulls —
@@ -50,13 +58,10 @@ use bytes::BytesMut;
 use crossbeam::channel::{Receiver, RecvTimeoutError};
 use ftc_net::nic::Nic;
 use ftc_net::server::AliveToken;
-use ftc_net::Server;
+use ftc_net::{Server, Wake};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// Longest a loop blocks before it re-checks liveness and pause state.
-const SLICE: Duration = Duration::from_millis(1);
+use std::time::{Duration, Instant};
 
 /// Most frames one wake of a loop pulls and handles (the reliable layer's
 /// `ACK_EVERY` and the piggyback codec's `MAX_LOGS_PER_PACKET` are 32 too).
@@ -65,12 +70,12 @@ const BURST: usize = 32;
 /// Where a loop takes its frames from.
 pub enum Source {
     /// Server 0 (and the multi-process gateway): the chain ingress, with the
-    /// forwarder run inline. The receive blocks for `propagate_timeout`;
-    /// when it fires, pending feedback leaves in a propagating packet
-    /// (§5.1). The feedback link is drained, without blocking, once per
-    /// wake, before the burst's first frame is prepared: feedback is only
-    /// ever used when logs are staged for an ingress packet and when the
-    /// time-out fires.
+    /// forwarder run inline. After `propagate_timeout` without an ingress
+    /// frame, pending feedback leaves in a propagating packet (§5.1). The
+    /// feedback link is drained, without blocking, once per wake, before
+    /// the burst's first frame is prepared: feedback is only ever used
+    /// when logs are staged for an ingress packet and when the time-out
+    /// fires.
     Ingress {
         /// External traffic.
         ingress: Receiver<BytesMut>,
@@ -88,11 +93,19 @@ pub enum Source {
 }
 
 impl Source {
-    /// One bounded blocking receive, then non-blocking ones until `burst`
-    /// holds `BURST` frames or the source has nothing more; counts the
-    /// blocking receives that come back empty. Returns `false` when the
-    /// source is gone for good.
-    fn pull(&self, burst: &mut Vec<BytesMut>, metrics: &ChainMetrics) -> bool {
+    /// One blocking receive of at most `wait` (`Duration::MAX`: none),
+    /// then non-blocking ones until `burst` holds `BURST` frames or the
+    /// source has nothing more; counts the blocking receives that come back
+    /// empty. `propagate_at` is the ingress's propagate timer, armed by
+    /// the first wait after a frame. Returns `false` when the source is
+    /// gone for good.
+    fn pull(
+        &self,
+        burst: &mut Vec<BytesMut>,
+        wait: Duration,
+        propagate_at: &mut Option<Instant>,
+        metrics: &ChainMetrics,
+    ) -> bool {
         let idle = match self {
             Source::Ingress {
                 ingress,
@@ -100,7 +113,10 @@ impl Source {
                 feedback,
                 propagate_timeout,
             } => {
-                let first = match ingress.recv_timeout(*propagate_timeout) {
+                let now = Instant::now();
+                let due = *propagate_at.get_or_insert(now + *propagate_timeout);
+                let until = now.checked_add(wait).map_or(due, |w| w.min(due));
+                let first = match ingress.recv_deadline(until) {
                     Ok(frame) => Some(frame),
                     Err(RecvTimeoutError::Timeout) => None,
                     Err(RecvTimeoutError::Disconnected) => return false,
@@ -110,6 +126,7 @@ impl Source {
                 });
                 match first {
                     Some(frame) => {
+                        *propagate_at = None;
                         burst.extend(forwarder.prepare_ingress(frame));
                         while burst.len() < BURST {
                             let Ok(frame) = ingress.try_recv() else { break };
@@ -118,16 +135,19 @@ impl Source {
                         false
                     }
                     None => {
-                        burst.extend(forwarder.prepare_propagating());
+                        if Instant::now() >= due {
+                            *propagate_at = None;
+                            burst.extend(forwarder.prepare_propagating());
+                        }
                         true
                     }
                 }
             }
             Source::Link(port) => {
-                port.recv_burst(SLICE, BURST, |frame| burst.push(frame));
+                port.recv_burst(wait, BURST, |frame| burst.push(frame));
                 burst.is_empty()
             }
-            Source::Queue(queue) => match queue.recv_timeout(SLICE) {
+            Source::Queue(queue) => match queue.recv_timeout(wait) {
                 Ok(frame) => {
                     burst.push(frame);
                     while burst.len() < BURST {
@@ -146,6 +166,24 @@ impl Source {
             metrics.loop_idle_polls.fetch_add(1, Ordering::Relaxed);
         }
         true
+    }
+
+    /// Ends the current or next blocking receive of [`Source::pull`].
+    fn waker(&self) -> Wake {
+        match self {
+            Source::Ingress { ingress, .. } => {
+                let ingress = ingress.clone();
+                Box::new(move || ingress.interrupt())
+            }
+            Source::Link(port) => {
+                let port = Arc::clone(port);
+                Box::new(move || port.wake())
+            }
+            Source::Queue(queue) => {
+                let queue = queue.clone();
+                Box::new(move || queue.interrupt())
+            }
+        }
     }
 
     /// Link frames carry piggyback logs the link has already delivered
@@ -249,14 +287,32 @@ impl Loop {
         // Only the leader drives the outgoing port's timers; one poller per
         // port is enough and keeps the port's lock uncontended.
         let leader = !matches!(self.source, Source::Queue(_));
+        alive.on_kill(self.waker());
+        let mut deadline = if leader {
+            if let Some((_, nic)) = &self.replica {
+                alive.on_kill(nic.waker()); // a backpressured dispatch
+            }
+            self.out.set_poller(self.waker());
+            self.out.poll()
+        } else {
+            None
+        };
+        let mut propagate_at = None;
         let mut burst = Vec::with_capacity(BURST);
         while alive.is_alive() {
+            // The out-port's timer is the only deadline of the wait.
+            let wait = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
             let paused = self.replica.as_ref().filter(|(s, _)| s.is_paused());
             if let Some((state, _)) = paused {
                 // Recovery-source quiescing (§4.1): stop admitting packets.
-                state.wait_while_paused(SLICE);
+                state.wait_while_paused(wait);
             } else {
-                if !self.source.pull(&mut burst, &self.metrics) {
+                if !self
+                    .source
+                    .pull(&mut burst, wait, &mut propagate_at, &self.metrics)
+                {
                     break;
                 }
                 if !burst.is_empty() {
@@ -270,12 +326,31 @@ impl Loop {
                 }
             }
             if leader {
-                self.out.poll();
+                deadline = self.out.poll();
             }
         }
         self.metrics
             .dataplane_threads
             .fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Ends whatever this loop waits in: its source's receive, or a
+    /// quiesced wait or busy claim. The state is held weakly: the wake is
+    /// also kept by the state's own out-port.
+    fn waker(&self) -> Wake {
+        let source = self.source.waker();
+        match &self.replica {
+            Some((state, _)) => {
+                let state = Arc::downgrade(state);
+                Box::new(move || {
+                    source();
+                    if let Some(state) = state.upgrade() {
+                        state.kick();
+                    }
+                })
+            }
+            None => source,
+        }
     }
 
     /// Runs a burst to completion: frames of other workers' flows are
@@ -300,7 +375,7 @@ impl Loop {
                 }
                 let frame = std::mem::take(frame);
                 if self.source.lossless() {
-                    nic.dispatch_backpressure(q, frame, SLICE, || alive.is_alive());
+                    nic.dispatch_backpressure(q, frame, || alive.is_alive());
                 } else {
                     nic.dispatch_to(q, frame);
                 }
@@ -426,7 +501,7 @@ mod tests {
                 ingress,
                 forwarder: ForwarderState::new(Arc::clone(&metrics)),
                 feedback: Arc::new(InPort::empty()),
-                propagate_timeout: SLICE,
+                propagate_timeout: Duration::from_millis(1),
             },
             replica: Some((Arc::clone(&state), Arc::clone(&nic))),
             out: Arc::clone(&state.out),

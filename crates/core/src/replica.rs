@@ -86,6 +86,9 @@ struct QuiesceState {
     paused: bool,
     /// Workers currently inside `handle_frame` (drained before snapshots).
     busy: usize,
+    /// Set by [`ReplicaState::kick`]: the next (or current)
+    /// [`ReplicaState::wait_while_paused`] returns.
+    kicked: bool,
 }
 
 /// Indexed parking lot: all apply bookkeeping happens under this one lock,
@@ -210,35 +213,50 @@ impl ReplicaState {
         self.quiesce_cv.notify_all();
     }
 
-    /// Bounded wait while quiesced, without pulling work: returns as soon as
-    /// the replica resumes or `slice` elapses, whichever is first. Callers
-    /// (the data-plane loops) re-check liveness between slices.
-    pub fn wait_while_paused(&self, slice: Duration) {
+    /// Waits while quiesced, without pulling work: returns as soon as the
+    /// replica resumes, [`Self::kick`] is called or `timeout` elapses
+    /// (`Duration::MAX`: no deadline), whichever is first. The caller (a
+    /// data-plane leader, whose `timeout` is its out-port's timer) looks
+    /// at its liveness and its port after each return.
+    pub fn wait_while_paused(&self, timeout: Duration) {
+        let deadline = Instant::now().checked_add(timeout);
         let mut q = self.quiesce.lock();
-        if q.paused {
-            let deadline = Instant::now() + slice;
-            while q.paused {
-                if self.quiesce_cv.wait_until(&mut q, deadline).timed_out() {
-                    break;
+        while q.paused && !std::mem::take(&mut q.kicked) {
+            match deadline {
+                Some(d) => {
+                    if self.quiesce_cv.wait_until(&mut q, d).timed_out() {
+                        break;
+                    }
                 }
+                None => self.quiesce_cv.wait(&mut q),
             }
         }
+    }
+
+    /// Ends every quiesce wait so its thread re-checks what it waits on:
+    /// the current or next [`Self::wait_while_paused`] returns, and a
+    /// blocked [`Self::claim_busy`] re-evaluates `keep_waiting`.
+    pub fn kick(&self) {
+        let mut q = self.quiesce.lock();
+        q.kicked = true;
+        self.quiesce_cv.notify_all();
     }
 
     /// Claims a busy slot for processing one frame. The claim and the pause
     /// check happen under one lock, so [`Self::pause`] can never observe an
     /// idle worker that is about to process (the snapshot-vs-straggler
     /// race). While quiesced the caller's frame is held — its piggyback logs
-    /// must not be lost — and the claim blocks in bounded condvar waits,
-    /// re-checking `keep_waiting` between them; returns `false` (no slot
-    /// claimed) when `keep_waiting` reports shutdown.
+    /// must not be lost — and the claim waits for [`Self::resume`],
+    /// evaluating `keep_waiting` under the lock before every wait and after
+    /// every [`Self::kick`]; returns `false` (no slot claimed) when
+    /// `keep_waiting` reports shutdown.
     pub(crate) fn claim_busy(&self, keep_waiting: impl Fn() -> bool) -> bool {
         let mut q = self.quiesce.lock();
         while q.paused {
-            let deadline = Instant::now() + Duration::from_millis(1);
-            if self.quiesce_cv.wait_until(&mut q, deadline).timed_out() && !keep_waiting() {
+            if !keep_waiting() {
                 return false;
             }
+            self.quiesce_cv.wait(&mut q);
         }
         q.busy += 1;
         true
@@ -624,8 +642,10 @@ impl ReplicaState {
 /// threads are [`crate::dataplane::spawn_dataplane`]'s.
 pub fn spawn_ctrl(server: &mut ftc_net::Server, state: Arc<ReplicaState>, mut ctrl: CtrlServer) {
     server.spawn("ctrl", move |alive| {
+        // A request or the kill ends each wait; nothing else is waited for.
+        alive.on_kill(ctrl.waker());
         while alive.is_alive() {
-            let res = ctrl.serve_next(Duration::from_millis(2), |req| state.serve_ctrl(req));
+            let res = ctrl.serve_next(Duration::MAX, |req| state.serve_ctrl(req));
             if res.is_err() {
                 break; // all clients gone
             }

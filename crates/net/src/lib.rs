@@ -55,5 +55,5 @@ pub use server::{AliveToken, Server};
 pub use topology::{RegionId, Topology};
 pub use transport::{
     Disconnected, Endpoint, FrameRx, FrameTx, InProcTransport, PeerAddr, RawLink, RpcCaller,
-    RpcResponder, Transport,
+    RpcResponder, Transport, Wake,
 };

@@ -12,7 +12,7 @@
 //! gets a plain FIFO channel. Every other endpoint gets
 //! [`crate::reliable_pair`].
 
-use crate::transport::{Disconnected, Endpoint, FrameRx, FrameTx};
+use crate::transport::{Disconnected, Endpoint, FrameRx, FrameTx, Wake};
 use bytes::BytesMut;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
@@ -103,6 +103,10 @@ impl FrameTx for ChanTx {
         Ok(()) // nothing to retransmit and no acknowledgements to read
     }
 
+    fn deadline(&self) -> Option<Instant> {
+        None
+    }
+
     fn in_flight(&self) -> usize {
         0 // a sent frame is queued at the receiver: nothing awaits an ACK
     }
@@ -118,6 +122,11 @@ impl FrameRx for ChanRx {
             Err(RecvTimeoutError::Timeout) => Ok(None),
             Err(RecvTimeoutError::Disconnected) => Err(Disconnected),
         }
+    }
+
+    fn waker(&self) -> Wake {
+        let rx = self.0.clone();
+        Box::new(move || rx.interrupt())
     }
 }
 
@@ -227,9 +236,16 @@ impl Ord for HeapFrame {
 }
 
 impl LinkRx {
-    /// Receives the next due frame, waiting up to `timeout`.
+    /// A handle that ends the current or next [`LinkRx::recv_timeout`].
+    pub fn waker(&self) -> Wake {
+        let rx = self.rx.clone();
+        Box::new(move || rx.interrupt())
+    }
+
+    /// Receives the next due frame, waiting up to `timeout` (`Duration::MAX`:
+    /// no deadline). Ends early, with `Ok(None)`, on [`LinkRx::waker`].
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<BytesMut>, Disconnected> {
-        let deadline = Instant::now() + timeout;
+        let deadline = Instant::now().checked_add(timeout);
         loop {
             // Drain everything currently on the channel into the heap so the
             // earliest-due frame wins regardless of send order.
@@ -250,13 +266,15 @@ impl LinkRx {
                     let f = self.heap.pop().expect("peeked");
                     return Ok(Some(f.0.payload));
                 }
-                if due > deadline {
+                if deadline.is_some_and(|d| due > d) {
                     return Ok(None);
                 }
                 // Wait until the frame is due, but wake early if something
                 // new arrives (it might be due even earlier).
                 match self.rx.recv_deadline(due) {
                     Ok(f) => self.heap.push(HeapFrame(f)),
+                    // Before the frame is due only the waker ends the wait.
+                    Err(RecvTimeoutError::Timeout) if Instant::now() < due => return Ok(None),
                     Err(RecvTimeoutError::Timeout) => {}
                     Err(RecvTimeoutError::Disconnected) => {
                         self.disconnected = true;
@@ -268,7 +286,11 @@ impl LinkRx {
             if self.disconnected {
                 return Err(Disconnected);
             }
-            match self.rx.recv_deadline(deadline) {
+            let next = match deadline {
+                Some(d) => self.rx.recv_deadline(d),
+                None => self.rx.recv_timeout(Duration::MAX),
+            };
+            match next {
                 Ok(f) => self.heap.push(HeapFrame(f)),
                 Err(RecvTimeoutError::Timeout) => return Ok(None),
                 Err(RecvTimeoutError::Disconnected) => {

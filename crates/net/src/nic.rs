@@ -6,9 +6,11 @@
 //! directions of a flow reach the same worker, like hardware RSS with a
 //! symmetric key.
 
+use crate::transport::Wake;
 use bytes::BytesMut;
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use ftc_packet::FlowKey;
+use std::time::Duration;
 
 /// A bounded multi-queue receive NIC.
 pub struct Nic {
@@ -83,9 +85,9 @@ impl Nic {
         }
     }
 
-    /// Dispatches to queue `q` with backpressure: blocks (in `tick` slices,
-    /// re-checking `keep_waiting`) instead of dropping when the queue is
-    /// full.
+    /// Dispatches to queue `q` with backpressure: blocks until the queue
+    /// has room instead of dropping, re-checking `keep_waiting` whenever
+    /// [`Nic::waker`] ends the wait.
     ///
     /// Inter-replica frames carry piggyback logs whose loss above the
     /// reliable transport would be unrecoverable, so a server's receive
@@ -96,11 +98,10 @@ impl Nic {
         &self,
         q: usize,
         mut frame: BytesMut,
-        tick: std::time::Duration,
         mut keep_waiting: impl FnMut() -> bool,
     ) -> bool {
         loop {
-            match self.queues_tx[q].send_timeout(frame, tick) {
+            match self.queues_tx[q].send_timeout(frame, Duration::MAX) {
                 Ok(()) => return true,
                 Err(channel::SendTimeoutError::Timeout(f)) => {
                     if !keep_waiting() {
@@ -117,6 +118,13 @@ impl Nic {
                 }
             }
         }
+    }
+
+    /// A handle that ends every wait on this NIC's queues: a blocked
+    /// [`Nic::dispatch_backpressure`] and the workers' receives.
+    pub fn waker(&self) -> Wake {
+        let queues = self.queues_tx.clone();
+        Box::new(move || queues.iter().for_each(Sender::interrupt))
     }
 
     /// Frames dropped due to queue overflow or dead workers.

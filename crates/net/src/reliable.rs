@@ -26,7 +26,7 @@
 //! default single-region deployment — can neither drop nor reorder, so
 //! [`crate::link_pair`] gives them a plain channel instead.
 
-use crate::transport::{Disconnected, Endpoint, FrameRx, FrameTx, RawLink};
+use crate::transport::{Disconnected, Endpoint, FrameRx, FrameTx, RawLink, Wake};
 use bytes::BytesMut;
 use ftc_packet::frame::kind;
 use std::collections::BTreeMap;
@@ -113,6 +113,15 @@ impl ReliableSender {
         Ok(())
     }
 
+    /// When the oldest unacknowledged frame's retransmission timeout
+    /// expires; `None` while every frame is acknowledged.
+    pub fn deadline(&self) -> Option<Instant> {
+        self.unacked
+            .values()
+            .map(|(_, last)| *last + self.rto)
+            .min()
+    }
+
     /// Number of frames awaiting acknowledgment.
     pub fn unacked_len(&self) -> usize {
         self.unacked.len()
@@ -154,6 +163,10 @@ impl FrameTx for ReliableSender {
         ReliableSender::poll(self)
     }
 
+    fn deadline(&self) -> Option<Instant> {
+        ReliableSender::deadline(self)
+    }
+
     fn in_flight(&self) -> usize {
         self.unacked_len()
     }
@@ -187,15 +200,17 @@ impl ReliableReceiver {
         }
     }
 
-    /// Receives the next in-order payload, waiting up to `timeout`.
+    /// Receives the next in-order payload, waiting up to `timeout`
+    /// (`Duration::MAX`: no deadline).
     pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<BytesMut>, Disconnected> {
-        let deadline = crate::clock::now() + timeout;
+        let deadline = crate::clock::now().checked_add(timeout);
         loop {
             if let Some(p) = self.ready.pop_front() {
                 return Ok(Some(p));
             }
-            let now = crate::clock::now();
-            let budget = deadline.saturating_duration_since(now);
+            let budget = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(crate::clock::now())
+            });
             match self.link.recv_frame(budget)? {
                 Some(frame) => self.ingest(frame.kind, frame.seq, &frame.payload)?,
                 None => return Ok(None),
@@ -254,6 +269,10 @@ impl ReliableReceiver {
 impl FrameRx for ReliableReceiver {
     fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<BytesMut>, Disconnected> {
         ReliableReceiver::recv_timeout(self, timeout)
+    }
+
+    fn waker(&self) -> Wake {
+        self.link.waker()
     }
 }
 

@@ -92,7 +92,9 @@ pub struct RpcServer<Req, Resp> {
 
 impl<Req, Resp> RpcServer<Req, Resp> {
     /// Serves at most one pending request using `handler`, waiting up to
-    /// `timeout` for one to arrive. Returns whether a request was served.
+    /// `timeout` (`Duration::MAX`: no deadline) for one to arrive, or until
+    /// [`RpcServer::waker`] ends the wait. Returns whether a request was
+    /// served.
     pub fn serve_next(
         &self,
         timeout: Duration,
@@ -107,6 +109,17 @@ impl<Req, Resp> RpcServer<Req, Resp> {
             Err(RecvTimeoutError::Timeout) => Ok(false),
             Err(RecvTimeoutError::Disconnected) => Err(RpcError::Disconnected),
         }
+    }
+
+    /// A handle that ends the current or next wait of
+    /// [`RpcServer::serve_next`].
+    pub fn waker(&self) -> crate::transport::Wake
+    where
+        Req: Send + 'static,
+        Resp: Send + 'static,
+    {
+        let rx = self.rx.clone();
+        Box::new(move || rx.interrupt())
     }
 }
 
@@ -141,6 +154,10 @@ impl crate::transport::RpcResponder for RpcServer<bytes::Bytes, bytes::Bytes> {
         handler: &mut dyn FnMut(bytes::Bytes) -> bytes::Bytes,
     ) -> Result<bool, RpcError> {
         self.serve_next(timeout, handler)
+    }
+
+    fn waker(&self) -> crate::transport::Wake {
+        RpcServer::waker(self)
     }
 }
 

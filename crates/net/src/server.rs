@@ -2,33 +2,71 @@
 //!
 //! The paper models failures as fail-stop (§2): "failures are detectable,
 //! and failed components are not restored". [`Server::kill`] flips the
-//! liveness token; every loop in the server's threads polls it and exits,
+//! liveness token and then runs the wakes its threads registered with
+//! [`AliveToken::on_kill`], which end whatever wait each thread is blocked
+//! in; every thread re-checks the token after each wait and exits,
 //! dropping channels (so peers observe disconnects) and state (so the
 //! failure genuinely loses the server's stores).
 
 use crate::topology::RegionId;
+use crate::transport::Wake;
+use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Shared liveness flag for all threads of a server.
-#[derive(Debug, Clone)]
-pub struct AliveToken(Arc<AtomicBool>);
+/// Shared liveness flag for all threads of a server, with the wakes that
+/// end their blocking waits when it flips.
+#[derive(Clone)]
+pub struct AliveToken(Arc<Liveness>);
+
+struct Liveness {
+    alive: AtomicBool,
+    /// Run once, by the first [`AliveToken::kill`].
+    on_kill: Mutex<Vec<Wake>>,
+}
 
 impl AliveToken {
     /// Creates a live token.
     pub fn new() -> Self {
-        AliveToken(Arc::new(AtomicBool::new(true)))
+        AliveToken(Arc::new(Liveness {
+            alive: AtomicBool::new(true),
+            on_kill: Mutex::new(Vec::new()),
+        }))
     }
 
     /// True until the server is killed.
     pub fn is_alive(&self) -> bool {
-        self.0.load(Ordering::SeqCst)
+        self.0.alive.load(Ordering::SeqCst)
     }
 
-    /// Marks the server dead.
+    /// Registers `wake` to run when the token is killed (at once if it
+    /// already is). A thread registers the wake of every wait it blocks in,
+    /// then re-checks [`AliveToken::is_alive`] after each wait: the flag
+    /// flips before the wakes run, so no kill is missed.
+    pub fn on_kill(&self, wake: Wake) {
+        let mut wakes = self.0.on_kill.lock();
+        if self.is_alive() {
+            wakes.push(wake);
+        } else {
+            drop(wakes);
+            wake();
+        }
+    }
+
+    /// Marks the server dead and runs the registered wakes.
     pub fn kill(&self) {
-        self.0.store(false, Ordering::SeqCst);
+        self.0.alive.store(false, Ordering::SeqCst);
+        let wakes = std::mem::take(&mut *self.0.on_kill.lock());
+        for wake in wakes {
+            wake();
+        }
+    }
+}
+
+impl std::fmt::Debug for AliveToken {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("AliveToken").field(&self.is_alive()).finish()
     }
 }
 
@@ -93,7 +131,8 @@ impl Server {
         self.threads.len()
     }
 
-    /// Fail-stops the server: threads observe the dead token and exit. Does
+    /// Fail-stops the server: the token flips, its kill wakes end every
+    /// registered wait, and threads observe the dead token and exit. Does
     /// not block; use [`Server::join`] to wait for full termination.
     pub fn kill(&self) {
         self.alive.kill();

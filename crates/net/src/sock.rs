@@ -50,7 +50,7 @@
 use crate::clock;
 use crate::transport::{
     Disconnected, Endpoint, FrameRx, FrameTx, PeerAddr, RawLink, RpcCaller, RpcResponder, SockOpts,
-    Transport,
+    Transport, Wake,
 };
 use crate::{ReliableReceiver, ReliableSender};
 use bytes::{Bytes, BytesMut};
@@ -462,6 +462,13 @@ impl RawLink for SockRawLink {
         }
     }
 
+    fn waker(&self) -> Wake {
+        // Outside det mode; a det-mode receive is a cooperative loop over
+        // `try_recv`, which no other thread can be blocked behind.
+        let rxq = self.rxq.clone();
+        Box::new(move || rxq.interrupt())
+    }
+
     fn stream(&self) -> u16 {
         self.stream
     }
@@ -687,13 +694,15 @@ impl RpcResponder for SockRpcResponder {
         timeout: Duration,
         handler: &mut dyn FnMut(Bytes) -> Bytes,
     ) -> Result<bool, crate::rpc::RpcError> {
-        let deadline = clock::now() + timeout;
+        let deadline = clock::now().checked_add(timeout);
+        let budget =
+            || deadline.map_or(Duration::MAX, |d| d.saturating_duration_since(clock::now()));
         loop {
             let next = if det::active() {
                 // Cooperative pop: step the det executor until a frame for
                 // this stream arrives or the (virtual) budget runs out.
                 let rxq = &self.rxq;
-                let budget = deadline.saturating_duration_since(clock::now());
+                let budget = budget();
                 match det::block_until(Some(budget), || match rxq.try_recv() {
                     Ok(f) => Some(Ok(f)),
                     Err(TryRecvError::Disconnected) => Some(Err(())),
@@ -704,8 +713,7 @@ impl RpcResponder for SockRpcResponder {
                     None => Err(RecvTimeoutError::Timeout),
                 }
             } else {
-                let budget = deadline.saturating_duration_since(Instant::now());
-                self.rxq.recv_timeout(budget)
+                self.rxq.recv_timeout(budget())
             };
             match next {
                 Ok(f) if f.kind == kind::RPC_REQ => {
@@ -722,6 +730,10 @@ impl RpcResponder for SockRpcResponder {
                 }
             }
         }
+    }
+    fn waker(&self) -> Wake {
+        let rxq = self.rxq.clone();
+        Box::new(move || rxq.interrupt())
     }
 }
 

@@ -6,8 +6,11 @@
 //! thread is actually parked — `Condvar::notify_one` is a futex syscall
 //! even with no waiter — so these tests pin both halves of that bargain:
 //! no wake-up is ever lost, and no wake-up is paid for when nobody waits.
+//! The `interrupt` hook ends a parked timed wait without an item.
 
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{
+    bounded, unbounded, Receiver, RecvTimeoutError, SendTimeoutError, Sender,
+};
 use std::collections::BTreeSet;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -109,4 +112,62 @@ fn uncontended_handoff_issues_no_notify() {
         0,
         "nobody was parked when an item was pushed or popped"
     );
+}
+
+#[test]
+fn interrupt_ends_a_parked_receive_and_a_parked_send() {
+    let long = Duration::from_secs(10);
+    let (tx, rx) = unbounded::<u32>();
+    let receiver = {
+        let rx = rx.clone();
+        thread::spawn(move || {
+            let t0 = Instant::now();
+            (rx.recv_timeout(long), t0.elapsed())
+        })
+    };
+    thread::sleep(Duration::from_millis(20));
+    tx.interrupt();
+    let (got, took) = receiver.join().unwrap();
+    assert_eq!(got, Err(RecvTimeoutError::Timeout));
+    assert!(took < Duration::from_secs(1), "receive lasted {took:?}");
+
+    let (tx, rx) = bounded::<u32>(1);
+    tx.send(0).unwrap();
+    let sender = thread::spawn(move || {
+        let t0 = Instant::now();
+        (tx.send_timeout(1, long), t0.elapsed())
+    });
+    thread::sleep(Duration::from_millis(20));
+    rx.interrupt();
+    let (sent, took) = sender.join().unwrap();
+    assert!(
+        matches!(sent, Err(SendTimeoutError::Timeout(1))),
+        "the value comes back"
+    );
+    assert!(took < Duration::from_secs(1), "send lasted {took:?}");
+    assert_eq!(rx.try_recv(), Ok(0), "the queue is untouched");
+}
+
+#[test]
+fn an_interrupt_with_nobody_parked_ends_only_the_next_wait() {
+    let (tx, rx) = unbounded::<u32>();
+    rx.interrupt();
+    let t0 = Instant::now();
+    assert_eq!(
+        rx.recv_timeout(Duration::from_secs(10)),
+        Err(RecvTimeoutError::Timeout)
+    );
+    assert!(t0.elapsed() < Duration::from_secs(1), "the permit ends it");
+    let t0 = Instant::now();
+    assert_eq!(
+        rx.recv_timeout(Duration::from_millis(20)),
+        Err(RecvTimeoutError::Timeout)
+    );
+    assert!(t0.elapsed() >= Duration::from_millis(20), "used up");
+    // Pushes and pops with nobody parked still cost no notify.
+    for i in 0..100 {
+        tx.send(i).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::MAX), Ok(i));
+    }
+    assert_eq!(rx.notify_count(), 0);
 }

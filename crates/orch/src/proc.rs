@@ -402,7 +402,8 @@ pub fn run_node(opts: &NodeOpts) -> Result<(), String> {
     let mut mgmt = transport.rpc_responder(&local_ep, node_ctrl_stream(opts.idx));
     let mut stop = false;
     while !stop {
-        let served = mgmt.serve_next_bytes(Duration::from_millis(50), &mut |req| {
+        // Only a request can set `stop`, so nothing else needs a wake.
+        let served = mgmt.serve_next_bytes(Duration::MAX, &mut |req| {
             let resp = match decode_node_req(req.as_ref()) {
                 // Garbage is answered like a probe: harmless either way.
                 Some(NodeReq::Ping) | None => NodeResp::Pong,

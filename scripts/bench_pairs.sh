@@ -6,8 +6,8 @@
 #
 #   scripts/bench_pairs.sh <parent-rev> <workload> <metric> [pairs] [first-seed]
 #
-# pairs defaults to 10 and first-seed to 1. The parent is checked out in a
-# git worktree at target/pairs/parent and built into its own
+# pairs defaults to 10 and first-seed to 1. The parent is exported with
+# git archive to target/pairs/parent and built into its own
 # CARGO_TARGET_DIR (target/pairs/parent-target); the working tree builds
 # into target/. Pair i uses seed first-seed + i; the parent runs first on
 # odd seeds, the working tree first on even ones. Every run is that tree's
@@ -22,15 +22,16 @@
 # The claim holds when the working tree wins at least 9 pairs in 10 and
 # its median beats the parent's by more than the parent's quartile
 # distance. Where result files exist, it also prints each side's median
-# init_ms, state_ms, reroute_ms and bytes over all fail-stop cycles of
-# all its runs, so a recovery_ms change shows which step it sits in.
-# Remove the worktree afterwards with
-#   git worktree remove --force target/pairs/parent
+# init_ms, state_ms, reroute_ms, remainder and bytes over all fail-stop
+# cycles of all its runs, so a recovery_ms change shows which step it sits
+# in; the remainder is recovery_ms - init_ms - state_ms - reroute_ms per
+# cycle, the outage outside the three steps (the kill and the first
+# release). Remove target/pairs afterwards to free the space.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 3 ]; then
-    sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,29p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent_rev=$1
@@ -59,10 +60,13 @@ if [ -z "$better" ]; then
 fi
 
 rev=$(git rev-parse --verify "$parent_rev^{commit}")
-if [ -d "$tree" ]; then
-    git -C "$tree" checkout --quiet --detach "$rev"
-else
-    git worktree add --quiet --detach "$tree" "$rev"
+# An export, not a worktree: nothing is registered in the repository. It is
+# replaced only when the parent revision changes, so rebuilds stay warm.
+if [ "$(cat "$tree.rev" 2>/dev/null)" != "$rev" ]; then
+    rm -rf "$tree"
+    mkdir -p "$tree"
+    git archive "$rev" | tar -x -C "$tree"
+    echo "$rev" >"$tree.rev"
 fi
 
 tree_of() { if [ "$1" = parent ]; then echo "$tree"; else echo "$root"; fi; }
@@ -174,19 +178,28 @@ while read -r name _ e2e; do
     read -r b _ _ < <(for s in "${seeds[@]}"; do value "$out/change_${workload}_${s}.json" "$name"; done | quartiles)
     row "$name" "$a" "$b"
 done <<<"$declared"
-# Median of one per-cycle column of the failover table ($2), pooled over
-# every run of side $1 that left a result file.
-cycle_median() {
+# One per-cycle column of the failover table ($2), one value per line,
+# over every run of side $1 that left a result file, in seed order.
+cycle_column() {
     for s in "${seeds[@]}"; do
         grep -o '"failover":{[^}]*' "$out/${1}_${workload}_${s}.result.json" 2>/dev/null |
             grep -o "\"$2\":\[[^]]*" | sed 's/.*\[//' | tr ',' '\n'
-    done | quartiles | awk '{ print $1 }'
+    done
+}
+cycle_median() {
+    if [ "$2" = remainder ]; then
+        paste <(cycle_column "$1" recovery_ms) <(cycle_column "$1" init_ms) \
+            <(cycle_column "$1" state_ms) <(cycle_column "$1" reroute_ms) |
+            awk 'NF == 4 { print $1 - $2 - $3 - $4 }'
+    else
+        cycle_column "$1" "$2"
+    fi | quartiles | awk '{ print $1 }'
 }
 if ls "$out"/*_"$workload"_*.result.json >/dev/null 2>&1; then
     echo
     echo "recovery steps, median over fail-stop cycles"
     printf '%-20s %14s %14s %9s\n' step parent change delta
-    for col in init_ms state_ms reroute_ms bytes; do
+    for col in init_ms state_ms reroute_ms remainder bytes; do
         row "$col" "$(cycle_median parent "$col" || true)" "$(cycle_median change "$col" || true)"
     done
 fi
