@@ -34,7 +34,7 @@
 
 use bytes::{Bytes, BytesMut};
 use ftc_net::sock::{SockNode, SockRpcCaller, SockTransport};
-use ftc_net::transport::{Endpoint, PeerAddr, Transport};
+use ftc_net::transport::{Endpoint, PeerAddr};
 use std::collections::HashSet;
 use std::fmt;
 use std::time::Duration;
@@ -392,11 +392,11 @@ fn run_schedule(
     // Two reliable streams in opposite directions plus a pipelined RPC
     // channel, all multiplexed over the same connection pair.
     let mut tx_ab = ta.open_tx(&ep_b, STREAM_AB);
-    let mut rx_ab = tb.open_rx(&ep_b, STREAM_AB);
+    let mut rx_ab = tb.open_rx(STREAM_AB);
     let mut tx_ba = tb.open_tx(&ep_a, STREAM_BA);
-    let mut rx_ba = ta.open_rx(&ep_a, STREAM_BA);
+    let mut rx_ba = ta.open_rx(STREAM_BA);
     let caller = SockRpcCaller::connect(&node_a, &ep_b, STREAM_RPC);
-    let mut responder = tb.rpc_responder(&ep_b, STREAM_RPC);
+    let mut responder = tb.rpc_responder(STREAM_RPC);
 
     let mut sent_a = 0u32;
     let mut sent_b = 0u32;

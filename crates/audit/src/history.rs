@@ -1,6 +1,6 @@
 //! Recording committed histories from live stores.
 
-use ftc_stm::{CommitRecord, DepVector, HistorySink, StateBackend, StateStore, StateWrite};
+use ftc_stm::{CommitRecord, DepVector, HistorySink, StateStore, StateWrite};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -114,14 +114,6 @@ impl Recorder {
 
     /// Creates a recorder and attaches it to `store`.
     pub fn attach(store: &StateStore) -> Arc<Recorder> {
-        let rec = Recorder::new();
-        store.set_recorder(Arc::<Recorder>::clone(&rec));
-        rec
-    }
-
-    /// Creates a recorder and attaches it to a [`StateBackend`] (the tap is
-    /// part of the backend contract).
-    pub fn attach_backend(store: &dyn StateBackend) -> Arc<Recorder> {
         let rec = Recorder::new();
         store.set_recorder(Arc::<Recorder>::clone(&rec));
         rec

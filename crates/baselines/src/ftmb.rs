@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 /// Periodic snapshot stall parameters (FTMB+Snapshot, §7.4: "we add an
 /// artificial delay (6 ms) periodically (every 50 ms); we get these values
-/// from [51]").
+/// from \[51\]").
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotCfg {
     /// Interval between snapshots.

@@ -3,9 +3,9 @@
 //! * [`nf::NfChain`] — **NF**, "a non fault-tolerant baseline system": the
 //!   same middleboxes on the same substrate, one server each, no
 //!   replication, no piggybacking.
-//! * [`ftmb::FtmbChain`] — **FTMB**, "our implementation of [51] … a
+//! * [`ftmb::FtmbChain`] — **FTMB**, "our implementation of \[51\] … a
 //!   performance upper bound of the original work that performs the logging
-//!   operations described in [51] but does not take snapshots": per
+//!   operations described in \[51\] but does not take snapshots": per
 //!   middlebox, a *master* (M) server plus a *logger* server hosting the
 //!   input logger (IL) and output logger (OL). Packets traverse IL → M →
 //!   OL; M emits a packet access log (PAL) to OL for every transaction that

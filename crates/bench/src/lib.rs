@@ -1,6 +1,6 @@
-//! Shared plumbing for the figure/table benchmark harnesses.
+//! Shared plumbing for the figure benchmark harnesses.
 //!
-//! Every `benches/figN_*.rs` target regenerates one table or figure of the
+//! Every `benches/figN_*.rs` target regenerates one figure of the
 //! paper's evaluation (§7) and prints it in a uniform format: the measured
 //! series side by side with the value the paper reports, so
 //! `cargo bench --workspace` produces the raw material for EXPERIMENTS.md.
@@ -70,12 +70,6 @@ pub fn sim_secs(full: f64) -> f64 {
     } else {
         full
     }
-}
-
-/// A wall-clock measurement duration on the threaded runtime, collapsed in
-/// quick mode.
-pub fn wall_secs(full: f64) -> Duration {
-    Duration::from_secs_f64(if quick_mode() { full.min(0.25) } else { full })
 }
 
 /// An iteration/packet count, collapsed in quick mode.

@@ -16,5 +16,3 @@ pub mod fig6_sharing;
 pub mod fig7_threads;
 pub mod fig8_latency_load;
 pub mod fig9_chain_length;
-pub mod micro;
-pub mod table2_breakdown;

@@ -14,18 +14,6 @@ fn quick() {
 }
 
 #[test]
-fn smoke_micro() {
-    quick();
-    runs::micro::run();
-}
-
-#[test]
-fn smoke_table2_breakdown() {
-    quick();
-    runs::table2_breakdown::run();
-}
-
-#[test]
 fn smoke_ablations() {
     quick();
     runs::ablations::run();

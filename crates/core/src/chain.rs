@@ -330,7 +330,7 @@ impl FtcChain {
     /// Rebuilds the replica at position `idx` on a fresh server in `region`
     /// with *already recovered* state, and rewires the data plane around
     /// it. This is the mechanical part of recovery; the orchestrator drives
-    /// state fetch and sequencing (see [`crate::replace`]).
+    /// state fetch and sequencing (see [`crate::replace()`]).
     ///
     /// Returns the slot it replaced. Dropping it frees the dead instance's
     /// stores, an allocation per key and value, so a caller that times the

@@ -28,13 +28,6 @@ pub struct ChainConfig {
     /// Buffer resend period for uncommitted wrapped logs (self-healing after
     /// in-flight loss; duplicates are deduplicated by the apply rule).
     pub resend_period: Duration,
-    /// Maximum frame size including the piggyback trailer. The paper
-    /// suggests jumbo frames "to encompass larger state sizes exceeding
-    /// standard maximum transmission units" (§7.2); frames exceeding this
-    /// are still delivered by the in-process substrate but counted in
-    /// [`crate::ChainMetrics::oversize_frames`] so deployments can detect
-    /// the need for jumbo frames.
-    pub mtu: usize,
     /// State engine every store of this chain runs on (head stores and
     /// replica copies alike).
     pub engine: EngineKind,
@@ -45,12 +38,6 @@ impl ChainConfig {
     /// level.
     pub fn ch_n(n: usize, sharing_level: usize) -> ChainConfig {
         ChainConfig::new(vec![MbSpec::Monitor { sharing_level }; n])
-    }
-
-    /// Table 1's `Ch-Gen`: `Gen1 → Gen2` with the given per-packet state
-    /// size.
-    pub fn ch_gen(state_size: usize) -> ChainConfig {
-        ChainConfig::new(vec![MbSpec::Gen { state_size }, MbSpec::Gen { state_size }])
     }
 
     /// Table 1's `Ch-Rec`: `Firewall → Monitor → SimpleNAT` (the recovery
@@ -74,7 +61,6 @@ impl ChainConfig {
             link: Endpoint::in_proc(),
             propagate_timeout: Duration::from_millis(1),
             resend_period: Duration::from_millis(10),
-            mtu: 9000, // jumbo frames, per §7.2
             engine: EngineKind::default(),
         }
     }
@@ -106,12 +92,6 @@ impl ChainConfig {
     /// Selects the state engine for every store of this chain.
     pub fn with_engine(mut self, engine: EngineKind) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Sets the maximum frame size before `oversize_frames` ticks (§7.2).
-    pub fn with_mtu(mut self, mtu: usize) -> Self {
-        self.mtu = mtu;
         self
     }
 
@@ -346,7 +326,6 @@ mod tests {
             .with_f(2)
             .with_workers(4)
             .with_partitions(16)
-            .with_mtu(1500)
             .with_nic_queue_depth(128)
             .with_propagate_timeout(Duration::from_millis(2))
             .with_resend_period(Duration::from_millis(20))
@@ -356,7 +335,6 @@ mod tests {
         assert_eq!(cfg.f, 2);
         assert_eq!(cfg.workers, 4);
         assert_eq!(cfg.partitions, 16);
-        assert_eq!(cfg.mtu, 1500);
         assert_eq!(cfg.nic_queue_depth, 128);
         assert_eq!(cfg.propagate_timeout, Duration::from_millis(2));
         assert_eq!(cfg.resend_period, Duration::from_millis(20));

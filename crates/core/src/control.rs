@@ -76,19 +76,21 @@ pub fn encode_req(req: &CtrlReq) -> Bytes {
     b.freeze()
 }
 
-/// Deserialize a control request; `None` if the bytes are not a request.
+/// Deserialize a control request; `None` if the bytes are not exactly one
+/// request.
 pub fn decode_req(mut b: &[u8]) -> Option<CtrlReq> {
     if !b.has_remaining() {
         return None;
     }
-    match b.get_u8() {
-        REQ_PING => Some(CtrlReq::Ping),
-        REQ_FETCH if b.remaining() >= 8 => Some(CtrlReq::FetchState {
+    let req = match b.get_u8() {
+        REQ_PING => CtrlReq::Ping,
+        REQ_FETCH if b.remaining() >= 8 => CtrlReq::FetchState {
             mbox: b.get_u64() as usize,
-        }),
-        REQ_RESUME => Some(CtrlReq::Resume),
-        _ => None,
-    }
+        },
+        REQ_RESUME => CtrlReq::Resume,
+        _ => return None,
+    };
+    (!b.has_remaining()).then_some(req)
 }
 
 /// Serialize a control response.
@@ -273,7 +275,7 @@ impl CtrlServer {
 
 /// Creates an in-process control channel with the given one-way delay.
 pub fn ctrl_pair(one_way: Duration) -> (CtrlClient, CtrlServer) {
-    let (client, server) = ftc_net::rpc::rpc_pair::<Bytes, Bytes>(one_way);
+    let (client, server) = ftc_net::rpc::rpc_pair(one_way);
     (
         CtrlClient::from_caller(Box::new(client)),
         CtrlServer::from_responder(Box::new(server)),
@@ -867,6 +869,34 @@ mod tests {
             let mut padded = enc.to_vec();
             padded.push(0);
             prop_assert!(decode_resp(&Bytes::from(padded)).is_none(), "trailing byte");
+        }
+
+        /// Every request and every fixed-size response decodes from exactly
+        /// its own bytes: not from a strict prefix, and not with junk behind
+        /// it (a `FetchState` followed by junk would pause the replica).
+        #[test]
+        fn every_request_and_short_response_rejects_prefixes_and_padding(
+            mbox in any::<u64>(),
+            pad in pvec(any::<u8>(), 1..9),
+        ) {
+            let reqs = [CtrlReq::Ping, CtrlReq::FetchState { mbox: mbox as usize }, CtrlReq::Resume];
+            for req in &reqs {
+                let enc = encode_req(req);
+                let dec = decode_req(&enc);
+                prop_assert_eq!(format!("{dec:?}"), format!("{:?}", Some(req)));
+                for cut in 0..enc.len() {
+                    prop_assert!(decode_req(&enc[..cut]).is_none(), "{req:?}: prefix of {cut} bytes");
+                }
+                let padded = [enc.as_slice(), &pad].concat();
+                prop_assert!(decode_req(&padded).is_none(), "{req:?}: trailing bytes");
+            }
+            for resp in [CtrlResp::Pong, CtrlResp::NotHere, CtrlResp::Resumed] {
+                let enc = encode_resp(&resp);
+                prop_assert!(decode_resp(&enc).is_some());
+                prop_assert!(decode_resp(&enc.slice(..0)).is_none());
+                let padded = Bytes::from([enc.as_slice(), &pad].concat());
+                prop_assert!(decode_resp(&padded).is_none(), "{resp:?}: trailing bytes");
+            }
         }
 
         /// Arbitrary bytes, most of them behind a `State` tag, never panic

@@ -24,7 +24,7 @@
 //!   injection, and per-replica control handles.
 //! * [`control`] — the control-plane RPC surface (heartbeats, state fetch)
 //!   and the swappable link ports used for rerouting during recovery.
-//! * [`replace`] — the one procedure that replaces a replica, for §5.2
+//! * [`replace`](mod@replace) — the one procedure that replaces a replica, for §5.2
 //!   recovery and for a planned migrate or scale ([`reconfig`] names the
 //!   phases): spawn, fetch every group per the paper's source-selection
 //!   rule, switch, resume — over a [`replace::Driver`] that does the IO.

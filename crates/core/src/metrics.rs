@@ -72,8 +72,8 @@ pub struct ChainMetrics {
     pub piggyback_bytes: AtomicU64,
     /// Packets that carried a piggyback trailer out of a head.
     pub piggyback_count: AtomicU64,
-    /// Frames whose trailer pushed them past the configured MTU (§7.2:
-    /// deploy jumbo frames when this is non-zero).
+    /// Frames whose trailer pushed them past the 9,000 B jumbo MTU (§7.2:
+    /// a deployment needs larger frames when this is non-zero).
     pub oversize_frames: AtomicU64,
     /// Frames pulled and handled by data-plane loops ([`crate::dataplane`]),
     /// summed over every loop of the chain.
@@ -209,7 +209,7 @@ pub struct MetricsSnapshot {
     pub piggyback_bytes: u64,
     /// Packets that carried a piggyback trailer out of a head.
     pub piggyback_count: u64,
-    /// Frames whose trailer exceeded the configured MTU.
+    /// Frames whose trailer exceeded the 9,000 B jumbo MTU.
     pub oversize_frames: u64,
     /// Frames handled by data-plane loops, summed over the chain's loops.
     pub loop_frames: u64,

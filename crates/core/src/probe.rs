@@ -3,7 +3,7 @@
 //! The protocol elements ([`crate::replica::ReplicaState`],
 //! [`crate::buffer::BufferState`], [`crate::forwarder::ForwarderState`])
 //! each embed a [`ProbeSlot`]; the replacement procedure in
-//! [`crate::replace`] reports its points through its driver.
+//! [`crate::replace()`] reports its points through its driver.
 //! When a probe is installed, every protocol step of interest reports a
 //! [`ProbePoint`] and the probe answers with a [`ProbeVerdict`]: either
 //! continue, or fail-stop the component *at that exact point* — state

@@ -24,6 +24,12 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Maximum frame size, trailer included, before a forwarded frame counts
+/// in [`ChainMetrics::oversize_frames`]. The paper suggests jumbo frames "to
+/// encompass larger state sizes exceeding standard maximum transmission
+/// units" (§7.2); the in-process substrate still delivers larger frames.
+const MTU: usize = 9000;
+
 /// Replicated state this replica maintains for one predecessor middlebox.
 pub struct ReplGroup {
     /// The replica copy of the middlebox's store.
@@ -128,8 +134,8 @@ pub struct ReplicaState {
     quiesce_cv: Condvar,
     /// Chain-wide metrics.
     pub metrics: Arc<ChainMetrics>,
-    /// Model-checker hook: reports the protocol steps of [`Self::finish`]
-    /// and honors crash verdicts at step granularity.
+    /// Model-checker hook: reports the protocol steps of `finish` (apply,
+    /// forward) and honors crash verdicts at step granularity.
     pub probe: ProbeSlot,
 }
 
@@ -235,7 +241,7 @@ impl ReplicaState {
 
     /// Ends every quiesce wait so its thread re-checks what it waits on:
     /// the current or next [`Self::wait_while_paused`] returns, and a
-    /// blocked [`Self::claim_busy`] re-evaluates `keep_waiting`.
+    /// blocked `claim_busy` re-evaluates `keep_waiting`.
     pub fn kick(&self) {
         let mut q = self.quiesce.lock();
         q.kicked = true;
@@ -552,7 +558,7 @@ impl ReplicaState {
         match action {
             Action::Forward => {
                 pkt.attach_piggyback(&msg).expect("fresh trailer");
-                if pkt.wire_len() > self.cfg.mtu {
+                if pkt.wire_len() > MTU {
                     self.metrics.oversize_frames.fetch_add(1, Ordering::Relaxed);
                 }
                 self.out.send(pkt.into_bytes());
@@ -826,6 +832,26 @@ mod tests {
             "nothing to carry, nothing sent"
         );
         assert_eq!(fw.replicated[&0].store.peek_u64(b"mon:packets:g0"), Some(1));
+    }
+
+    #[test]
+    fn only_frames_past_the_jumbo_mtu_count_as_oversize() {
+        // A Gen head's log carries its whole state write, so the state size
+        // sets the trailer's length: 8,000 B keeps the frame under the
+        // 9,000 B jumbo MTU (§7.2), 9,000 B pushes it past.
+        for (state_size, oversize) in [(8000, false), (9000, true)] {
+            let (st, out_rx) = mk_state(0, 2, 1, MbSpec::Gen { state_size });
+            st.handle_frame(0, UdpPacketBuilder::new().build().into_bytes());
+            let frame = out_rx
+                .recv_timeout(Duration::from_millis(200))
+                .expect("forwarded");
+            let len = Packet::from_frame(frame).unwrap().wire_len();
+            assert_eq!(len > 9000, oversize, "frame of {len} B");
+            assert_eq!(
+                st.metrics.oversize_frames.load(Ordering::Relaxed),
+                u64::from(oversize)
+            );
+        }
     }
 
     #[test]

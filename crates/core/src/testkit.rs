@@ -304,7 +304,7 @@ impl SyncChain {
     }
 
     /// Migrates the instance at `idx` onto a fresh replica: the handover of
-    /// [`crate::replace`]. The outgoing instance is sealed, the replacement
+    /// [`crate::replace()`]. The outgoing instance is sealed, the replacement
     /// restored from the group members, and the switch kills the outgoing
     /// instance and rewires the position, dropping the frames still queued
     /// at its successor. An installed probe can crash any participant at

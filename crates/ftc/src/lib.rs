@@ -39,7 +39,7 @@
 //! | [`packet`] | `ftc-packet` | headers, flow keys, the piggyback wire format |
 //! | [`stm`] | `ftc-stm` | transactional state stores, dependency vectors |
 //! | [`net`] | `ftc-net` | links, reliable transport, NICs, servers, regions |
-//! | [`mbox`] | `ftc-mbox` | the Click-style framework and Table-1 middleboxes |
+//! | [`mbox`] | `ftc-mbox` | the Table-1 middleboxes and the chain-spec language |
 //! | [`core`] | `ftc-core` | the FTC protocol: replicas, forwarder, buffer |
 //! | [`orch`] | `ftc-orch` | failure detection and three-step recovery |
 //! | [`baselines`] | `ftc-baselines` | NF and FTMB(+Snapshot) comparators |

@@ -1,15 +1,12 @@
-//! Middleboxes and a Click-like element framework.
+//! The middleboxes of the paper's Table 1.
 //!
-//! The paper implements its middleboxes on Click [34]; this crate provides
-//! the equivalent building blocks in Rust:
+//! The paper implements its middleboxes on Click (\[34\]); this crate
+//! implements them directly in Rust:
 //!
 //! * [`middlebox`] — the [`Middlebox`] trait: packet processing inside an
 //!   FTC packet transaction, plus [`MbSpec`], a cloneable description the
 //!   orchestrator uses to instantiate fresh middlebox instances during
 //!   failure recovery.
-//! * [`element`] — a lightweight Click-style push-element graph for
-//!   composing packet-processing pipelines (used by examples and by the
-//!   stateless portions of middleboxes).
 //! * [`StateKey`] — the builder every middlebox spells its state keys
 //!   with.
 //! * [`spec_lang`] — the chain-description language ([`parse_chain`]).
@@ -25,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod element;
 pub mod firewall;
 pub mod gen;
 pub mod ids;

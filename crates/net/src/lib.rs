@@ -1,20 +1,20 @@
 //! The network substrate FTC runs on.
 //!
 //! The paper's testbed is a rack of servers joined by 10/40 GbE links.
-//! This crate provides that environment behind a backend-agnostic
-//! [`transport`] abstraction with two interchangeable backends:
+//! This crate provides that environment behind backend-agnostic
+//! [`transport`] surfaces with two backends:
 //!
 //! * **In-process** — impaired crossbeam channels reproduce the testbed on
-//!   a single machine, deterministically (seeded impairments), so the
-//!   protocol model checker and audit harness can explore schedules.
+//!   a single machine, deterministically (seeded impairments).
 //! * **Socket** ([`sock`]) — tokio TCP/UDS connections with length-prefixed
 //!   framing and one multiplexed connection per peer pair, so a chain
-//!   deploys as N OS processes (`ftc node`).
+//!   deploys as N OS processes (`ftc node`); [`sock::SockTransport`] opens
+//!   its links and RPC channels.
 //!
 //! Modules:
 //!
-//! * [`transport`] — the `Transport`/`FrameTx`/`FrameRx`/`RpcCaller`/
-//!   `RpcResponder` trait surfaces plus [`Endpoint`]/[`PeerAddr`] naming;
+//! * [`transport`] — the [`FrameTx`]/[`FrameRx`]/[`RpcCaller`]/
+//!   [`RpcResponder`] trait surfaces plus [`Endpoint`]/[`PeerAddr`] naming;
 //!   the one way to describe and configure a link.
 //! * [`reliable`] — the sequenced, NACK-based reliable delivery layer the
 //!   paper assumes between replicas ("FTC uses sequence numbers, similar to
@@ -54,6 +54,5 @@ pub use reliable::{reliable_pair, reliable_pair_on, ReliableReceiver, ReliableSe
 pub use server::{AliveToken, Server};
 pub use topology::{RegionId, Topology};
 pub use transport::{
-    Disconnected, Endpoint, FrameRx, FrameTx, InProcTransport, PeerAddr, RawLink, RpcCaller,
-    RpcResponder, Transport, Wake,
+    Disconnected, Endpoint, FrameRx, FrameTx, PeerAddr, RawLink, RpcCaller, RpcResponder, Wake,
 };

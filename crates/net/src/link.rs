@@ -131,8 +131,9 @@ impl FrameRx for ChanRx {
 }
 
 /// Opens a data link as `ep` describes it. An in-process endpoint that
-/// declares no impairment ([`LinkConfig::is_ideal`]) gets a plain channel:
-/// FIFO, lossless, and nothing to sequence, acknowledge or retransmit.
+/// declares no impairment (no latency, jitter, loss, reorder or bandwidth
+/// cap) gets a plain channel: FIFO, lossless, and nothing to sequence,
+/// acknowledge or retransmit.
 /// Every other endpoint gets [`crate::reliable_pair`], exactly as if it
 /// had been called directly.
 pub fn link_pair(ep: &Endpoint) -> (Box<dyn FrameTx>, Box<dyn FrameRx>) {

@@ -21,8 +21,8 @@
 //!
 //! Which links carry it: sockets, every impaired in-process link (loss,
 //! reorder, jitter, latency such as a multi-region WAN hop, a bandwidth
-//! cap), [`crate::InProcTransport`], and the stepped `SyncChain` the model
-//! checkers drive. The threaded chain's unimpaired in-process links — the
+//! cap), the parity proptest's in-process half ([`reliable_pair_on`]), and
+//! the stepped `SyncChain` the model checkers drive. The threaded chain's unimpaired in-process links — the
 //! default single-region deployment — can neither drop nor reorder, so
 //! [`crate::link_pair`] gives them a plain channel instead.
 
@@ -216,11 +216,6 @@ impl ReliableReceiver {
                 None => return Ok(None),
             }
         }
-    }
-
-    /// Number of out-of-order frames parked.
-    pub fn ooo_len(&self) -> usize {
-        self.ooo.len()
     }
 
     fn ingest(&mut self, fkind: u8, seq: u64, payload: &[u8]) -> Result<(), Disconnected> {

@@ -6,6 +6,8 @@
 //! state", paper §6). Each call pays the configured round-trip time, which
 //! is how the recovery experiment reproduces WAN-dominated delays (§7.5).
 
+use crate::transport::{RpcCaller, RpcResponder, Wake};
+use bytes::Bytes;
 use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
 use std::time::Duration;
 
@@ -29,31 +31,23 @@ impl core::fmt::Display for RpcError {
 
 impl std::error::Error for RpcError {}
 
-struct Envelope<Req, Resp> {
-    req: Req,
-    reply: Sender<Resp>,
+struct Envelope {
+    req: Bytes,
+    reply: Sender<Bytes>,
 }
 
 /// Client handle: cloneable, cheap.
-pub struct RpcClient<Req, Resp> {
-    tx: Sender<Envelope<Req, Resp>>,
+#[derive(Clone)]
+pub struct RpcClient {
+    tx: Sender<Envelope>,
     /// One-way network delay paid on the request and again on the response.
     one_way: Duration,
 }
 
-impl<Req, Resp> Clone for RpcClient<Req, Resp> {
-    fn clone(&self) -> Self {
-        RpcClient {
-            tx: self.tx.clone(),
-            one_way: self.one_way,
-        }
-    }
-}
-
-impl<Req, Resp> RpcClient<Req, Resp> {
+impl RpcClient {
     /// A derived client talking to the same server but paying a different
     /// one-way network delay (e.g. a caller in another region).
-    pub fn with_delay(&self, one_way: Duration) -> RpcClient<Req, Resp> {
+    pub fn with_delay(&self, one_way: Duration) -> RpcClient {
         RpcClient {
             tx: self.tx.clone(),
             one_way,
@@ -62,7 +56,7 @@ impl<Req, Resp> RpcClient<Req, Resp> {
 
     /// Issues a call and waits up to `timeout` for the reply (network delay
     /// included in the budget).
-    pub fn call(&self, req: Req, timeout: Duration) -> Result<Resp, RpcError> {
+    pub fn call(&self, req: Bytes, timeout: Duration) -> Result<Bytes, RpcError> {
         if self.one_way > Duration::ZERO {
             std::thread::sleep(self.one_way);
         }
@@ -86,11 +80,11 @@ impl<Req, Resp> RpcClient<Req, Resp> {
 }
 
 /// Server handle: owned by the serving thread.
-pub struct RpcServer<Req, Resp> {
-    rx: Receiver<Envelope<Req, Resp>>,
+pub struct RpcServer {
+    rx: Receiver<Envelope>,
 }
 
-impl<Req, Resp> RpcServer<Req, Resp> {
+impl RpcServer {
     /// Serves at most one pending request using `handler`, waiting up to
     /// `timeout` (`Duration::MAX`: no deadline) for one to arrive, or until
     /// [`RpcServer::waker`] ends the wait. Returns whether a request was
@@ -98,7 +92,7 @@ impl<Req, Resp> RpcServer<Req, Resp> {
     pub fn serve_next(
         &self,
         timeout: Duration,
-        handler: impl FnOnce(Req) -> Resp,
+        handler: impl FnOnce(Bytes) -> Bytes,
     ) -> Result<bool, RpcError> {
         match self.rx.recv_timeout(timeout) {
             Ok(env) => {
@@ -113,50 +107,45 @@ impl<Req, Resp> RpcServer<Req, Resp> {
 
     /// A handle that ends the current or next wait of
     /// [`RpcServer::serve_next`].
-    pub fn waker(&self) -> crate::transport::Wake
-    where
-        Req: Send + 'static,
-        Resp: Send + 'static,
-    {
+    pub fn waker(&self) -> Wake {
         let rx = self.rx.clone();
         Box::new(move || rx.interrupt())
     }
 }
 
 /// Creates a client/server pair with the given one-way network delay.
-pub fn rpc_pair<Req, Resp>(one_way: Duration) -> (RpcClient<Req, Resp>, RpcServer<Req, Resp>) {
+pub fn rpc_pair(one_way: Duration) -> (RpcClient, RpcServer) {
     let (tx, rx) = channel::unbounded();
     (RpcClient { tx, one_way }, RpcServer { rx })
 }
 
-// The in-process channel RPC doubles as the byte-level transport backend:
-// `Bytes → Bytes` instances implement the object-safe caller/responder
-// traits that `ftc-core`'s typed control-plane wrappers are built on.
+// The in-process channel RPC is the byte-level transport backend that
+// `ftc-core`'s typed control-plane wrappers are built on.
 
-impl crate::transport::RpcCaller for RpcClient<bytes::Bytes, bytes::Bytes> {
-    fn call_bytes(&self, req: bytes::Bytes, timeout: Duration) -> Result<bytes::Bytes, RpcError> {
+impl RpcCaller for RpcClient {
+    fn call_bytes(&self, req: Bytes, timeout: Duration) -> Result<Bytes, RpcError> {
         self.call(req, timeout)
     }
 
-    fn with_delay(&self, one_way: Duration) -> Box<dyn crate::transport::RpcCaller> {
+    fn with_delay(&self, one_way: Duration) -> Box<dyn RpcCaller> {
         Box::new(RpcClient::with_delay(self, one_way))
     }
 
-    fn clone_caller(&self) -> Box<dyn crate::transport::RpcCaller> {
+    fn clone_caller(&self) -> Box<dyn RpcCaller> {
         Box::new(self.clone())
     }
 }
 
-impl crate::transport::RpcResponder for RpcServer<bytes::Bytes, bytes::Bytes> {
+impl RpcResponder for RpcServer {
     fn serve_next_bytes(
         &mut self,
         timeout: Duration,
-        handler: &mut dyn FnMut(bytes::Bytes) -> bytes::Bytes,
+        handler: &mut dyn FnMut(Bytes) -> Bytes,
     ) -> Result<bool, RpcError> {
         self.serve_next(timeout, handler)
     }
 
-    fn waker(&self) -> crate::transport::Wake {
+    fn waker(&self) -> Wake {
         RpcServer::waker(self)
     }
 }
@@ -168,50 +157,56 @@ mod tests {
 
     #[test]
     fn call_and_reply() {
-        let (client, server) = rpc_pair::<u32, u32>(Duration::ZERO);
+        let (client, server) = rpc_pair(Duration::ZERO);
         let h = std::thread::spawn(move || {
             server
-                .serve_next(Duration::from_secs(1), |x| x * 2)
+                .serve_next(Duration::from_secs(1), |x| {
+                    Bytes::copy_from_slice(&[x.as_slice(), b"!"].concat())
+                })
                 .unwrap()
         });
-        let resp = client.call(21, Duration::from_secs(1)).unwrap();
-        assert_eq!(resp, 42);
+        let resp = client
+            .call(Bytes::copy_from_slice(b"ping"), Duration::from_secs(1))
+            .unwrap();
+        assert_eq!(resp.as_slice(), b"ping!");
         assert!(h.join().unwrap());
     }
 
     #[test]
     fn wan_delay_is_paid_both_ways() {
         let one_way = Duration::from_millis(15);
-        let (client, server) = rpc_pair::<(), ()>(one_way);
+        let (client, server) = rpc_pair(one_way);
         std::thread::spawn(move || {
-            let _ = server.serve_next(Duration::from_secs(1), |()| ());
+            let _ = server.serve_next(Duration::from_secs(1), |x| x);
         });
         let t0 = Instant::now();
-        client.call((), Duration::from_secs(1)).unwrap();
+        client.call(Bytes::new(), Duration::from_secs(1)).unwrap();
         assert!(t0.elapsed() >= Duration::from_millis(30));
     }
 
     #[test]
     fn timeout_when_server_silent() {
-        let (client, _server) = rpc_pair::<(), ()>(Duration::ZERO);
-        let err = client.call((), Duration::from_millis(10)).unwrap_err();
+        let (client, _server) = rpc_pair(Duration::ZERO);
+        let err = client
+            .call(Bytes::new(), Duration::from_millis(10))
+            .unwrap_err();
         assert_eq!(err, RpcError::Timeout);
     }
 
     #[test]
     fn disconnect_when_server_dropped() {
-        let (client, server) = rpc_pair::<(), ()>(Duration::ZERO);
+        let (client, server) = rpc_pair(Duration::ZERO);
         drop(server);
-        let err = client.call((), Duration::from_millis(10)).unwrap_err();
+        let err = client
+            .call(Bytes::new(), Duration::from_millis(10))
+            .unwrap_err();
         assert_eq!(err, RpcError::Disconnected);
     }
 
     #[test]
     fn server_sees_no_request_on_timeout() {
-        let (_client, server) = rpc_pair::<(), ()>(Duration::ZERO);
-        let served = server
-            .serve_next(Duration::from_millis(5), |()| ())
-            .unwrap();
+        let (_client, server) = rpc_pair(Duration::ZERO);
+        let served = server.serve_next(Duration::from_millis(5), |x| x).unwrap();
         assert!(!served);
     }
 }

@@ -105,11 +105,6 @@ impl Server {
         self.region
     }
 
-    /// The liveness token to hand to thread loops.
-    pub fn alive_token(&self) -> AliveToken {
-        self.alive.clone()
-    }
-
     /// True until killed.
     pub fn is_alive(&self) -> bool {
         self.alive.is_alive()

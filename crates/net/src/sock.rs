@@ -3,9 +3,10 @@
 //! Each OS process hosts one [`SockNode`]: a listener plus a set of
 //! connections, each carrying any number of logical streams multiplexed by
 //! the unified frame codec's `stream` field ([`ftc_packet::frame`]). A
-//! [`SockTransport`] built over the node implements the same
-//! [`Transport`] trait as the in-process backend, so a chain deploys as N
-//! processes with zero changes above the transport layer.
+//! [`SockTransport`] built over the node opens the same
+//! [`FrameTx`]/[`FrameRx`]/[`RpcCaller`]/[`RpcResponder`] surfaces as the
+//! in-process backend, so a chain deploys as N processes with zero changes
+//! above the transport layer.
 //!
 //! # Connection model
 //!
@@ -28,7 +29,7 @@
 //!   order, so the initial (patient) dial retries with exponential backoff
 //!   until the peer binds or the endpoint's `connect_timeout` budget is
 //!   exhausted. Send-path (impatient) redials attempt at most one connect
-//!   per `retry_backoff` interval.
+//!   per 10 ms (`RETRY_BACKOFF`).
 //!
 //! RPC rides the same connections: requests carry a correlation id in the
 //! frame `seq` field, a per-caller dispatcher task pairs responses with
@@ -50,7 +51,7 @@
 use crate::clock;
 use crate::transport::{
     Disconnected, Endpoint, FrameRx, FrameTx, PeerAddr, RawLink, RpcCaller, RpcResponder, SockOpts,
-    Transport, Wake,
+    Wake,
 };
 use crate::{ReliableReceiver, ReliableSender};
 use bytes::{Bytes, BytesMut};
@@ -67,6 +68,13 @@ use tokio::net::{OwnedReadHalf, OwnedWriteHalf, TcpListener, TcpStream, UnixList
 use tokio::runtime::Runtime;
 use tokio::sim;
 use tokio::sync::mpsc;
+
+/// First pause between patient dial attempts (doubled per retry, up to
+/// [`MAX_BACKOFF`]), and the least time between impatient redials.
+const RETRY_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Cap on the patient dial's backoff.
+const MAX_BACKOFF: Duration = Duration::from_millis(500);
 
 /// One live connection: a queue into the writer task plus liveness state.
 struct Conn {
@@ -191,7 +199,7 @@ impl Shared {
     /// `patient` dials retry with exponential backoff up to the endpoint's
     /// `connect_timeout` (used at wiring time, when peers may not have
     /// bound yet); impatient dials (the send path, after a reset) attempt
-    /// at most one connect per `retry_backoff` interval so a dead peer
+    /// at most one connect per `RETRY_BACKOFF` interval so a dead peer
     /// costs one cheap failed `connect` instead of a stall.
     fn dial(
         self: &Arc<Shared>,
@@ -209,7 +217,7 @@ impl Shared {
             }
             if !patient {
                 if let Some(t) = slot.last_attempt {
-                    if clock::since(t) < opts.retry_backoff {
+                    if clock::since(t) < RETRY_BACKOFF {
                         return None;
                     }
                 }
@@ -221,7 +229,7 @@ impl Shared {
         // wins and the loser is torn down by its peer's idle close — the
         // reliable layer tolerates either.
         let deadline = clock::now() + opts.connect_timeout;
-        let mut backoff = opts.retry_backoff;
+        let mut backoff = RETRY_BACKOFF;
         loop {
             match self.connect_once(addr) {
                 Ok((read, write)) => {
@@ -237,7 +245,7 @@ impl Shared {
                 }
                 Err(_) if patient && clock::now() + backoff < deadline => {
                     clock::block_sleep(backoff);
-                    backoff = (backoff * 2).min(opts.max_backoff);
+                    backoff = (backoff * 2).min(MAX_BACKOFF);
                 }
                 Err(_) => return None,
             }
@@ -546,7 +554,7 @@ impl SockRpcCaller {
 
 impl SockRpcCaller {
     /// Build a concrete caller over `node` toward `peer` (a socket
-    /// endpoint), dispatcher task started. [`Transport::rpc_caller`] is the
+    /// endpoint), dispatcher task started. [`SockTransport::rpc_caller`] is the
     /// trait-object path; this constructor additionally exposes
     /// [`SockRpcCaller::call_start`] for pipelined calls driven from one
     /// thread (the async-transport checker's T2 property needs that).
@@ -602,8 +610,8 @@ impl PendingCall {
     }
 
     /// Hand the request to a live connection if that has not succeeded
-    /// yet. Redials impatiently (rate-limited by the endpoint's
-    /// `retry_backoff`), so a reset before the send costs a redial, not an
+    /// yet. Redials impatiently (rate-limited by `RETRY_BACKOFF`), so a
+    /// reset before the send costs a redial, not an
     /// error.
     fn try_send(&mut self) -> bool {
         if self.sent {
@@ -737,10 +745,9 @@ impl RpcResponder for SockRpcResponder {
     }
 }
 
-/// The socket [`Transport`]: wires frame links and RPC channels over a
+/// The socket backend's wiring: opens frame links and RPC channels over a
 /// process's [`SockNode`]. `peer` endpoints must be socket endpoints; the
-/// `local` argument of `open_rx`/`rpc_responder` is unused (the node's
-/// listener is the local side).
+/// node's listener is the local side of `open_rx`/`rpc_responder`.
 pub struct SockTransport {
     node: SockNode,
 }
@@ -760,10 +767,9 @@ impl SockTransport {
         let opts = peer.sock_opts();
         (opts.addr.clone(), opts.clone())
     }
-}
 
-impl Transport for SockTransport {
-    fn open_tx(&self, peer: &Endpoint, stream: u16) -> Box<dyn FrameTx> {
+    /// Opens the sending half of reliable stream `stream` toward `peer`.
+    pub fn open_tx(&self, peer: &Endpoint, stream: u16) -> Box<dyn FrameTx> {
         let parts = Self::peer_parts(peer);
         // Patient dial at wiring time: wait out peers that have not bound
         // yet. A failure here is not fatal — the send path keeps redialing.
@@ -775,19 +781,22 @@ impl Transport for SockTransport {
         ))))
     }
 
-    fn open_rx(&self, _local: &Endpoint, stream: u16) -> Box<dyn FrameRx> {
+    /// Opens the receiving half of reliable stream `stream`.
+    pub fn open_rx(&self, stream: u16) -> Box<dyn FrameRx> {
         Box::new(ReliableReceiver::over(Box::new(SockRawLink::new(
             &self.node, None, stream,
         ))))
     }
 
-    fn rpc_caller(&self, peer: &Endpoint, stream: u16) -> Box<dyn RpcCaller> {
+    /// Opens an RPC client toward `peer`, correlated on `stream`.
+    pub fn rpc_caller(&self, peer: &Endpoint, stream: u16) -> Box<dyn RpcCaller> {
         let parts = Self::peer_parts(peer);
         let _ = self.node.shared.dial(&parts.0, &parts.1, true);
         Box::new(SockRpcCaller::new(&self.node, parts, stream))
     }
 
-    fn rpc_responder(&self, _local: &Endpoint, stream: u16) -> Box<dyn RpcResponder> {
+    /// Opens the RPC responder for `stream`.
+    pub fn rpc_responder(&self, stream: u16) -> Box<dyn RpcResponder> {
         Box::new(SockRpcResponder {
             shared: Arc::clone(&self.node.shared),
             stream,
@@ -818,7 +827,7 @@ mod tests {
         let tb = SockTransport::new(b);
         let peer = Endpoint::sock(addr_b.clone());
         let mut tx = ta.open_tx(&peer, 7);
-        let mut rx = tb.open_rx(&Endpoint::sock(addr_b), 7);
+        let mut rx = tb.open_rx(7);
         for i in 0..200u32 {
             tx.send(BytesMut::from(&i.to_be_bytes()[..])).expect("send");
         }
@@ -836,14 +845,14 @@ mod tests {
 
     #[test]
     fn rpc_over_tcp_pipelines_and_correlates() {
-        let any = PeerAddr::parse("127.0.0.1:0").expect("addr");
+        let any = PeerAddr::Tcp("127.0.0.1:0".parse().expect("addr"));
         let a = SockNode::bind(&any).expect("bind a");
         let b = SockNode::bind(&any).expect("bind b");
         let b_addr = b.local_addr().clone();
         let ta = SockTransport::new(a);
         let tb = SockTransport::new(b);
         let caller = ta.rpc_caller(&Endpoint::sock(b_addr.clone()), 100);
-        let mut responder = tb.rpc_responder(&Endpoint::sock(b_addr), 100);
+        let mut responder = tb.rpc_responder(100);
         let server = std::thread::spawn(move || {
             let mut served = 0;
             while served < 8 {
@@ -882,7 +891,7 @@ mod tests {
         let ta = SockTransport::new(a);
         let tb = SockTransport::new(b);
         let mut tx = ta.open_tx(&Endpoint::sock(addr_b.clone()), 3);
-        let mut rx = tb.open_rx(&Endpoint::sock(addr_b), 3);
+        let mut rx = tb.open_rx(3);
         let n = 300u32;
         let mut got = Vec::new();
         for i in 0..n {

@@ -1,23 +1,23 @@
-//! Backend-agnostic transport abstraction.
+//! Backend-agnostic link surfaces.
 //!
-//! Everything above this module speaks three small trait surfaces —
+//! Everything above this module speaks two small trait surfaces —
 //! [`FrameTx`]/[`FrameRx`] for the reliable sequenced frame links the paper
-//! assumes between servers, [`RpcCaller`]/[`RpcResponder`] for control-plane
-//! request/response, and [`Transport`] as the node-local factory that wires
-//! both — plus the [`Endpoint`]/[`PeerAddr`] naming scheme that describes
-//! *where* a link terminates and *how* it behaves.
+//! assumes between servers, and [`RpcCaller`]/[`RpcResponder`] for
+//! control-plane request/response — plus the [`Endpoint`]/[`PeerAddr`]
+//! naming scheme that describes *where* a link terminates and *how* it
+//! behaves.
 //!
 //! Two backends implement the surfaces:
 //!
-//! * **In-process** ([`InProcTransport`], [`crate::reliable_pair`]): crossbeam
-//!   channels with seeded, deterministic impairments. This is the backend the
-//!   protocol model checker and the audit harness run on — determinism is a
-//!   contract, not an accident: impairments are driven by a per-link seeded
-//!   RNG and no wall-clock-dependent scheduling decision affects *which*
-//!   bytes flow, only when.
-//! * **Socket** ([`crate::sock`]): tokio TCP/UDS connections with
-//!   length-prefixed framing, one multiplexed connection per peer pair, and
-//!   connection-level retry/backoff, so a chain deploys as N OS processes.
+//! * **In-process** ([`crate::reliable_pair_on`], [`crate::rpc::rpc_pair`]):
+//!   crossbeam channels with seeded, deterministic impairments —
+//!   impairments are driven by a per-link seeded RNG and no
+//!   wall-clock-dependent scheduling decision affects *which* bytes flow,
+//!   only when.
+//! * **Socket** ([`crate::sock::SockTransport`]): tokio TCP/UDS connections
+//!   with length-prefixed framing, one multiplexed connection per peer
+//!   pair, and connection-level retry/backoff, so a chain deploys as N OS
+//!   processes.
 //!
 //! Both backends put the exact same bytes on the wire — frames from the
 //! unified codec in [`ftc_packet::frame`] — which is pinned by a proptest
@@ -27,8 +27,6 @@ use crate::link::{self, LinkConfig};
 use crate::rpc::RpcError;
 use bytes::{Bytes, BytesMut};
 use ftc_packet::frame::{self, Frame};
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -49,9 +47,6 @@ impl core::fmt::Display for Disconnected {
 
 impl std::error::Error for Disconnected {}
 
-/// Logical node identity within a deployment plan.
-pub type NodeId = u16;
-
 /// Address of a peer for socket backends.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum PeerAddr {
@@ -65,29 +60,6 @@ pub enum PeerAddr {
     Sim(String),
 }
 
-impl PeerAddr {
-    /// Parses `"uds:<path>"`, `"tcp:<ip>:<port>"`, a bare `<ip>:<port>`,
-    /// a bare filesystem path (containing `/`), or `"sim:<name>"`.
-    pub fn parse(s: &str) -> Result<PeerAddr, String> {
-        if let Some(path) = s.strip_prefix("uds:") {
-            return Ok(PeerAddr::Uds(PathBuf::from(path)));
-        }
-        if let Some(name) = s.strip_prefix("sim:") {
-            return Ok(PeerAddr::Sim(name.to_string()));
-        }
-        let bare = s.strip_prefix("tcp:").unwrap_or(s);
-        if let Ok(addr) = bare.parse::<SocketAddr>() {
-            return Ok(PeerAddr::Tcp(addr));
-        }
-        if s.contains('/') {
-            return Ok(PeerAddr::Uds(PathBuf::from(s)));
-        }
-        Err(format!(
-            "cannot parse peer address {s:?}: expected uds:<path> or <ip>:<port>"
-        ))
-    }
-}
-
 impl core::fmt::Display for PeerAddr {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
@@ -98,7 +70,7 @@ impl core::fmt::Display for PeerAddr {
     }
 }
 
-/// Socket-backend endpoint options: peer address plus timeouts.
+/// Socket-backend endpoint options: peer address plus dial budget.
 #[derive(Debug, Clone)]
 pub struct SockOpts {
     /// Where the peer (or the local listener) lives.
@@ -107,10 +79,6 @@ pub struct SockOpts {
     /// multi-process chain start in arbitrary order, so dialing retries
     /// with backoff until the peer binds or this budget is exhausted.
     pub connect_timeout: Duration,
-    /// Initial pause between dial attempts (doubled per retry).
-    pub retry_backoff: Duration,
-    /// Cap on the dial backoff.
-    pub max_backoff: Duration,
 }
 
 #[derive(Debug, Clone)]
@@ -124,7 +92,7 @@ enum Kind {
 ///
 /// An endpoint is either **in-process** (latency/jitter/loss/reorder/
 /// bandwidth/seed knobs, applied by the deterministic channel backend) or
-/// **socket** (peer address plus dial timeouts, served by the tokio
+/// **socket** (peer address plus dial budget, served by the tokio
 /// TCP/UDS backend). Builder methods panic when applied to the wrong
 /// backend, so a mis-configured deployment fails loudly at wiring time
 /// rather than silently ignoring a knob.
@@ -163,14 +131,12 @@ impl Endpoint {
         }
     }
 
-    /// A socket endpoint at `addr` with default timeouts.
+    /// A socket endpoint at `addr` with the default dial budget.
     pub fn sock(addr: PeerAddr) -> Endpoint {
         Endpoint {
             kind: Kind::Sock(SockOpts {
                 addr,
                 connect_timeout: Duration::from_secs(10),
-                retry_backoff: Duration::from_millis(10),
-                max_backoff: Duration::from_millis(500),
             }),
         }
     }
@@ -237,18 +203,6 @@ impl Endpoint {
     /// Sets the total initial-dial budget, retries included (socket backend).
     pub fn with_connect_timeout(mut self, t: Duration) -> Self {
         self.sock_mut("connect_timeout").connect_timeout = t;
-        self
-    }
-
-    /// Sets the initial dial retry backoff (socket backend).
-    pub fn with_retry_backoff(mut self, t: Duration) -> Self {
-        self.sock_mut("retry_backoff").retry_backoff = t;
-        self
-    }
-
-    /// Sets the dial backoff cap (socket backend).
-    pub fn with_max_backoff(mut self, t: Duration) -> Self {
-        self.sock_mut("max_backoff").max_backoff = t;
         self
     }
 
@@ -418,28 +372,6 @@ pub trait RpcResponder: Send {
     fn waker(&self) -> Wake;
 }
 
-/// A transport backend: the node-local factory that opens the two halves
-/// of reliable frame links and RPC channels, addressed by stream id.
-///
-/// For the in-process backend both halves come from one factory instance
-/// (the second `open_*`/`rpc_*` call for a stream claims the half stashed
-/// by the first). For the socket backend each process holds its own
-/// factory ([`crate::sock::SockTransport`]) and the stream id plus the
-/// deployment plan's addresses pair the halves across processes.
-pub trait Transport: Send + Sync {
-    /// Opens the sending half of reliable stream `stream` toward `peer`.
-    fn open_tx(&self, peer: &Endpoint, stream: u16) -> Box<dyn FrameTx>;
-
-    /// Opens the receiving half of reliable stream `stream`.
-    fn open_rx(&self, local: &Endpoint, stream: u16) -> Box<dyn FrameRx>;
-
-    /// Opens an RPC client toward `peer`, correlated on `stream`.
-    fn rpc_caller(&self, peer: &Endpoint, stream: u16) -> Box<dyn RpcCaller>;
-
-    /// Opens the RPC responder for `stream`.
-    fn rpc_responder(&self, local: &Endpoint, stream: u16) -> Box<dyn RpcResponder>;
-}
-
 /// In-process raw link: one side of an impaired duplex channel, carrying
 /// unified-codec frames.
 pub struct InProcRawLink {
@@ -482,129 +414,9 @@ pub fn raw_pair(ep: &Endpoint, stream: u16) -> (InProcRawLink, InProcRawLink) {
     )
 }
 
-enum LinkSlot {
-    Tx(Box<dyn FrameTx>),
-    Rx(Box<dyn FrameRx>),
-}
-
-enum RpcSlot {
-    Caller(Box<dyn RpcCaller>),
-    Responder(Box<dyn RpcResponder>),
-}
-
-/// The in-process [`Transport`]: both halves of every stream live in one
-/// process, so the factory creates a pair on first open and hands the
-/// stashed half to the second open. Deterministic — impairments come from
-/// the endpoint's seeded RNG and nothing else.
-#[derive(Default)]
-pub struct InProcTransport {
-    links: Mutex<HashMap<u16, LinkSlot>>,
-    rpcs: Mutex<HashMap<u16, RpcSlot>>,
-}
-
-impl InProcTransport {
-    /// Creates an empty in-process transport.
-    pub fn new() -> InProcTransport {
-        InProcTransport::default()
-    }
-}
-
-impl Transport for InProcTransport {
-    fn open_tx(&self, peer: &Endpoint, stream: u16) -> Box<dyn FrameTx> {
-        let mut links = self.links.lock();
-        match links.remove(&stream) {
-            Some(LinkSlot::Tx(tx)) => tx,
-            Some(LinkSlot::Rx(rx)) => {
-                // Put it back; opening the same half twice is a wiring bug.
-                links.insert(stream, LinkSlot::Rx(rx));
-                panic!("stream {stream}: rx half already stashed; open_rx must claim it")
-            }
-            None => {
-                let (tx, rx) = crate::reliable::reliable_pair_on(peer, stream);
-                links.insert(stream, LinkSlot::Rx(Box::new(rx)));
-                Box::new(tx)
-            }
-        }
-    }
-
-    fn open_rx(&self, local: &Endpoint, stream: u16) -> Box<dyn FrameRx> {
-        let mut links = self.links.lock();
-        match links.remove(&stream) {
-            Some(LinkSlot::Rx(rx)) => rx,
-            Some(LinkSlot::Tx(tx)) => {
-                links.insert(stream, LinkSlot::Tx(tx));
-                panic!("stream {stream}: tx half already stashed; open_tx must claim it")
-            }
-            None => {
-                let (tx, rx) = crate::reliable::reliable_pair_on(local, stream);
-                links.insert(stream, LinkSlot::Tx(Box::new(tx)));
-                Box::new(rx)
-            }
-        }
-    }
-
-    fn rpc_caller(&self, _peer: &Endpoint, stream: u16) -> Box<dyn RpcCaller> {
-        let mut rpcs = self.rpcs.lock();
-        match rpcs.remove(&stream) {
-            Some(RpcSlot::Caller(c)) => c,
-            Some(RpcSlot::Responder(r)) => {
-                rpcs.insert(stream, RpcSlot::Responder(r));
-                panic!("stream {stream}: responder already stashed; rpc_responder must claim it")
-            }
-            None => {
-                let (c, r) = crate::rpc::rpc_pair::<Bytes, Bytes>(Duration::ZERO);
-                rpcs.insert(stream, RpcSlot::Responder(Box::new(r)));
-                Box::new(c)
-            }
-        }
-    }
-
-    fn rpc_responder(&self, _local: &Endpoint, stream: u16) -> Box<dyn RpcResponder> {
-        let mut rpcs = self.rpcs.lock();
-        match rpcs.remove(&stream) {
-            Some(RpcSlot::Responder(r)) => r,
-            Some(RpcSlot::Caller(c)) => {
-                rpcs.insert(stream, RpcSlot::Caller(c));
-                panic!("stream {stream}: caller already stashed; rpc_caller must claim it")
-            }
-            None => {
-                let (c, r) = crate::rpc::rpc_pair::<Bytes, Bytes>(Duration::ZERO);
-                rpcs.insert(stream, RpcSlot::Caller(Box::new(c)));
-                Box::new(r)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn peer_addr_parses_all_forms() {
-        assert_eq!(
-            PeerAddr::parse("uds:/tmp/a.sock").unwrap(),
-            PeerAddr::Uds(PathBuf::from("/tmp/a.sock"))
-        );
-        assert_eq!(
-            PeerAddr::parse("/tmp/b.sock").unwrap(),
-            PeerAddr::Uds(PathBuf::from("/tmp/b.sock"))
-        );
-        assert!(matches!(
-            PeerAddr::parse("tcp:127.0.0.1:9000").unwrap(),
-            PeerAddr::Tcp(_)
-        ));
-        assert!(matches!(
-            PeerAddr::parse("127.0.0.1:9000").unwrap(),
-            PeerAddr::Tcp(_)
-        ));
-        assert_eq!(
-            PeerAddr::parse("sim:node-a").unwrap(),
-            PeerAddr::Sim("node-a".to_string())
-        );
-        assert_eq!(PeerAddr::Sim("x".into()).to_string(), "sim:x");
-        assert!(PeerAddr::parse("not-an-addr").is_err());
-    }
 
     #[test]
     fn endpoint_builders_roundtrip() {
@@ -617,10 +429,15 @@ mod tests {
         assert_eq!(ep.loss(), 0.1);
         assert_eq!(ep.seed(), 7);
 
-        let sock = Endpoint::sock(PeerAddr::parse("uds:/tmp/x.sock").unwrap())
+        let sock = Endpoint::sock(PeerAddr::Uds(PathBuf::from("/tmp/x.sock")))
             .with_connect_timeout(Duration::from_secs(1));
         assert!(sock.is_sock());
         assert_eq!(sock.sock_opts().connect_timeout, Duration::from_secs(1));
+        // `Display` is the form error messages print.
+        assert_eq!(sock.addr().to_string(), "uds:/tmp/x.sock");
+        assert_eq!(PeerAddr::Sim("x".into()).to_string(), "sim:x");
+        let tcp: SocketAddr = "127.0.0.1:9000".parse().unwrap();
+        assert_eq!(PeerAddr::Tcp(tcp).to_string(), "tcp:127.0.0.1:9000");
     }
 
     #[test]
@@ -647,33 +464,5 @@ mod tests {
         assert_eq!(f.stream, 9);
         assert_eq!(f.seq, 42);
         assert_eq!(f.payload.as_slice(), b"payload");
-    }
-
-    #[test]
-    fn in_proc_transport_pairs_halves() {
-        let t = InProcTransport::new();
-        let mut tx = t.open_tx(&Endpoint::in_proc(), 1);
-        let mut rx = t.open_rx(&Endpoint::in_proc(), 1);
-        tx.send(BytesMut::from(&b"hi"[..])).unwrap();
-        let got = rx
-            .recv_timeout(Duration::from_millis(100))
-            .unwrap()
-            .expect("delivered");
-        assert_eq!(got.as_ref(), b"hi");
-
-        let caller = t.rpc_caller(&Endpoint::in_proc(), 2);
-        let mut responder = t.rpc_responder(&Endpoint::in_proc(), 2);
-        let h = std::thread::spawn(move || {
-            responder
-                .serve_next_bytes(Duration::from_secs(1), &mut |req| {
-                    Bytes::copy_from_slice(&[req.as_slice(), b"!"].concat())
-                })
-                .unwrap()
-        });
-        let resp = caller
-            .call_bytes(Bytes::copy_from_slice(b"ping"), Duration::from_secs(1))
-            .unwrap();
-        assert_eq!(resp.as_slice(), b"ping!");
-        assert!(h.join().unwrap());
     }
 }

@@ -1,12 +1,11 @@
-//! Property-based tests of the transport abstraction: the in-process and
+//! Property-based tests of the transport surfaces: the in-process and
 //! socket backends speak the same unified frame codec and deliver the same
 //! byte streams, and the socket backend tolerates adversarial byte-level
 //! framing (partial writes) and injected connection resets.
 
 use bytes::BytesMut;
 use ftc_net::sock::{SockNode, SockTransport};
-use ftc_net::transport::InProcTransport;
-use ftc_net::{Endpoint, PeerAddr, Transport};
+use ftc_net::{reliable_pair_on, Endpoint, FrameRx, FrameTx, PeerAddr};
 use ftc_packet::frame;
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
@@ -23,11 +22,11 @@ fn uds_addr(tag: &str) -> PeerAddr {
     )
 }
 
-/// Pushes `payloads` through a transport's reliable stream and returns the
+/// Pushes `payloads` through a backend's reliable stream and returns the
 /// delivered byte streams, pumping sender and receiver until done.
 fn pump(
-    tx: &mut Box<dyn ftc_net::FrameTx>,
-    rx: &mut Box<dyn ftc_net::FrameRx>,
+    tx: &mut dyn FrameTx,
+    rx: &mut dyn FrameRx,
     payloads: &[Vec<u8>],
     deadline: Instant,
 ) -> Vec<Vec<u8>> {
@@ -55,7 +54,7 @@ fn pump(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The two backends are interchangeable behind the `Transport` trait:
+    /// The two backends are interchangeable behind `FrameTx`/`FrameRx`:
     /// for any payload sequence, the byte streams delivered over an
     /// in-process link and over a real Unix socket are identical (and
     /// equal to the input — exactly-once, in order, contents intact).
@@ -65,10 +64,7 @@ proptest! {
     ) {
         let deadline = Instant::now() + Duration::from_secs(20);
 
-        let inproc = InProcTransport::new();
-        let ep = Endpoint::in_proc();
-        let mut tx = inproc.open_tx(&ep, 7);
-        let mut rx = inproc.open_rx(&ep, 7);
+        let (mut tx, mut rx) = reliable_pair_on(&Endpoint::in_proc(), 7);
         let via_inproc = pump(&mut tx, &mut rx, &payloads, deadline);
 
         let addr = uds_addr("parity");
@@ -76,8 +72,8 @@ proptest! {
         let transport = SockTransport::new(node);
         let sock_ep = Endpoint::sock(addr);
         let mut tx = transport.open_tx(&sock_ep, 7);
-        let mut rx = transport.open_rx(&sock_ep, 7);
-        let via_uds = pump(&mut tx, &mut rx, &payloads, deadline);
+        let mut rx = transport.open_rx(7);
+        let via_uds = pump(&mut *tx, &mut *rx, &payloads, deadline);
 
         prop_assert_eq!(&via_inproc, &payloads);
         prop_assert_eq!(&via_uds, &payloads);
@@ -95,8 +91,7 @@ proptest! {
         let addr = uds_addr("chunks");
         let node = SockNode::bind(&addr).unwrap();
         let transport = SockTransport::new(node);
-        let sock_ep = Endpoint::sock(addr.clone());
-        let mut rx = transport.open_rx(&sock_ep, 3);
+        let mut rx = transport.open_rx(3);
 
         // Encode the whole DATA sequence with the shared codec, then
         // deliver it through a raw socket in the proptest-chosen splits.
@@ -139,7 +134,7 @@ proptest! {
         let transport = SockTransport::new(node.clone());
         let sock_ep = Endpoint::sock(addr);
         let mut tx = transport.open_tx(&sock_ep, 9);
-        let mut rx = transport.open_rx(&sock_ep, 9);
+        let mut rx = transport.open_rx(9);
 
         let mut got: Vec<u32> = Vec::new();
         let mut sent = 0u32;

@@ -72,7 +72,7 @@ use ftc_mbox::parse_chain;
 use ftc_net::rpc::RpcError;
 use ftc_net::sock::{SockNode, SockTransport};
 use ftc_net::topology::RegionId;
-use ftc_net::{link_pair, Endpoint, PeerAddr, RpcCaller, Server, Transport};
+use ftc_net::{link_pair, Endpoint, PeerAddr, RpcCaller, Server};
 use ftc_packet::Packet;
 use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
@@ -251,19 +251,20 @@ pub fn encode_node_resp(resp: &NodeResp) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes a management response (`None` on garbage or truncation).
+/// Decodes a management response (`None` unless the bytes are exactly one
+/// response).
 pub fn decode_node_resp(mut b: &[u8]) -> Option<NodeResp> {
     if !b.has_remaining() {
         return None;
     }
-    match b.get_u8() {
-        RESP_PONG => Some(NodeResp::Pong),
-        RESP_DONE => Some(NodeResp::Done),
+    let resp = match b.get_u8() {
+        RESP_PONG => NodeResp::Pong,
+        RESP_DONE => NodeResp::Done,
         RESP_STATS => {
             if b.remaining() < 7 * 8 {
                 return None;
             }
-            Some(NodeResp::Stats(NodeStats {
+            NodeResp::Stats(NodeStats {
                 logs_applied: b.get_u64(),
                 piggyback_bytes: b.get_u64(),
                 piggyback_count: b.get_u64(),
@@ -274,10 +275,11 @@ pub fn decode_node_resp(mut b: &[u8]) -> Option<NodeResp> {
                 transaction: take_stage(&mut b)?,
                 piggyback: take_stage(&mut b)?,
                 apply: take_stage(&mut b)?,
-            }))
+            })
         }
-        _ => None,
-    }
+        _ => return None,
+    };
+    (!b.has_remaining()).then_some(resp)
 }
 
 /// Typed management client over any byte-level RPC caller.
@@ -344,7 +346,6 @@ pub fn run_node(opts: &NodeOpts) -> Result<(), String> {
     let local = node_addr(&opts.dir, opts.idx);
     let node = SockNode::bind(&local).map_err(|e| format!("binding {local}: {e}"))?;
     let transport = SockTransport::new(node.clone());
-    let local_ep = Endpoint::sock(local);
 
     // Outgoing data edge: the successor replica, or the parent's buffer.
     let (next_ep, out_stream) = if opts.idx + 1 < n {
@@ -387,11 +388,8 @@ pub fn run_node(opts: &NodeOpts) -> Result<(), String> {
     }
     out.install(transport.open_tx(&next_ep, out_stream));
 
-    let in_port = Arc::new(InPort::wired(
-        transport.open_rx(&local_ep, data_stream(opts.idx)),
-    ));
-    let ctrl =
-        CtrlServer::from_responder(transport.rpc_responder(&local_ep, repl_ctrl_stream(opts.idx)));
+    let in_port = Arc::new(InPort::wired(transport.open_rx(data_stream(opts.idx))));
+    let ctrl = CtrlServer::from_responder(transport.rpc_responder(repl_ctrl_stream(opts.idx)));
     let mut server = Server::new(format!("node{}", opts.idx), RegionId(0));
     let (stage, _nic) = Stage::replica(Arc::clone(&state));
     spawn_dataplane(&mut server, Source::Link(Arc::clone(&in_port)), stage);
@@ -399,7 +397,7 @@ pub fn run_node(opts: &NodeOpts) -> Result<(), String> {
 
     // Management loop on the main thread. Serving starts only after
     // recovery, so the parent's first successful Ping implies readiness.
-    let mut mgmt = transport.rpc_responder(&local_ep, node_ctrl_stream(opts.idx));
+    let mut mgmt = transport.rpc_responder(node_ctrl_stream(opts.idx));
     let mut stop = false;
     while !stop {
         // Only a request can set `stop`, so nothing else needs a wake.
@@ -416,7 +414,7 @@ pub fn run_node(opts: &NodeOpts) -> Result<(), String> {
                 }
                 Some(NodeReq::ResetIn) => {
                     node.drain_stream(data_stream(opts.idx));
-                    in_port.install_exclusive(transport.open_rx(&local_ep, data_stream(opts.idx)));
+                    in_port.install_exclusive(transport.open_rx(data_stream(opts.idx)));
                     NodeResp::Done
                 }
                 Some(NodeReq::Stats) => {
@@ -567,7 +565,6 @@ impl ProcChain {
         let local = parent_addr(&pc.dir);
         let node = SockNode::bind(&local).map_err(|e| format!("binding {local}: {e}"))?;
         let transport = SockTransport::new(node.clone());
-        let local_ep = Endpoint::sock(local);
         let metrics = Arc::new(ChainMetrics::default());
 
         // Children first: their listeners come up while we wire our side
@@ -587,7 +584,7 @@ impl ProcChain {
         let ingress_out = Arc::new(OutPort::wired(
             transport.open_tx(&Endpoint::sock(node_addr(&pc.dir, 0)), data_stream(0)),
         ));
-        let tail_in = Arc::new(InPort::wired(transport.open_rx(&local_ep, tail_stream(n))));
+        let tail_in = Arc::new(InPort::wired(transport.open_rx(tail_stream(n))));
         let (fb_tx, fb_rx) = link_pair(&Endpoint::in_proc());
         let feedback_out = Arc::new(OutPort::wired(fb_tx));
         let feedback_in = Arc::new(InPort::wired(fb_rx));
@@ -792,10 +789,8 @@ impl ProcChain {
             .map_err(|e| format!("reset-in at {idx}: {e:?}"))?;
         if idx + 1 == n {
             self.node.drain_stream(tail_stream(n));
-            self.tail_in.install_exclusive(
-                self.transport
-                    .open_rx(&Endpoint::sock(parent_addr(&self.dir)), tail_stream(n)),
-            );
+            self.tail_in
+                .install_exclusive(self.transport.open_rx(tail_stream(n)));
         } else {
             self.node_ctrl.lock()[idx + 1]
                 .call(NodeReq::ResetIn, MGMT_TIMEOUT)
@@ -942,12 +937,27 @@ mod tests {
             apply: StageStats::default(),
         });
         for resp in [NodeResp::Pong, NodeResp::Done, stats] {
-            assert_eq!(
-                decode_node_resp(encode_node_resp(&resp).as_ref()),
-                Some(resp.clone())
-            );
+            let enc = encode_node_resp(&resp);
+            assert_eq!(decode_node_resp(enc.as_ref()), Some(resp.clone()));
+            // Exactly its own bytes: no strict prefix, no trailing junk.
+            for cut in 0..enc.len() {
+                assert_eq!(
+                    decode_node_resp(&enc[..cut]),
+                    None,
+                    "{resp:?}: {cut}-byte prefix"
+                );
+            }
+            for pad in [&[0u8][..], b"junk"] {
+                let padded = [enc.as_slice(), pad].concat();
+                assert_eq!(
+                    decode_node_resp(&padded),
+                    None,
+                    "{resp:?}: trailing {pad:?}"
+                );
+            }
         }
         assert_eq!(decode_node_req(b"junk"), None);
+        assert_eq!(decode_node_req(&[REQ_PING, 0]), None, "trailing byte");
         assert_eq!(decode_node_resp(&[RESP_STATS, 1, 2]), None, "truncated");
     }
 

@@ -64,13 +64,6 @@ impl UdpPacketBuilder {
         self
     }
 
-    /// Sets the source and destination MAC addresses.
-    pub fn macs(mut self, src: MacAddr, dst: MacAddr) -> Self {
-        self.src_mac = src;
-        self.dst_mac = dst;
-        self
-    }
-
     /// Sets the UDP payload length in bytes.
     pub fn payload_len(mut self, len: usize) -> Self {
         self.payload_len = len;

@@ -86,11 +86,6 @@ impl<'a> Ipv4View<'a> {
         self.buf[9]
     }
 
-    /// Header checksum field.
-    pub fn header_checksum(&self) -> u16 {
-        u16::from_be_bytes([self.buf[10], self.buf[11]])
-    }
-
     /// Source address.
     pub fn src(&self) -> Ipv4Addr {
         Ipv4Addr::new(self.buf[12], self.buf[13], self.buf[14], self.buf[15])

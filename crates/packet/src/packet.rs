@@ -113,13 +113,6 @@ impl Packet {
         matches!(TrailerView::parse_trailing(&self.data), Ok(Some(_)))
     }
 
-    /// Borrowed, allocation-free view of the piggyback trailer, if present.
-    /// Use this to inspect logs and commit vectors without detaching (and
-    /// without copying a single byte).
-    pub fn piggyback_view(&self) -> WireResult<Option<TrailerView<'_>>> {
-        TrailerView::parse_trailing(&self.data)
-    }
-
     /// Appends a piggyback message as a trailer and records its length in
     /// the FTC IP option if the header carries one. The IP total-length
     /// field is left covering only the original datagram.

@@ -291,7 +291,7 @@ impl StateStore {
 
     /// Runs `body` as a packet transaction, retrying transparently when it
     /// is wounded. Returns the closure result and, if the transaction wrote
-    /// state, the [`TxnLog`] to piggyback.
+    /// state, the [`TxnLog`](crate::TxnLog) to piggyback.
     ///
     /// The closure may be re-executed; it must be idempotent with respect to
     /// non-state side effects (packet mutation should be done after the

@@ -3,7 +3,7 @@
 //! The paper reports "the average of maximum throughput values measured
 //! every second in a 10 second interval" and averages hundreds of latency
 //! samples; these helpers compute those aggregates plus confidence
-//! intervals for the multi-trial cloud experiments (§7.1, [4]).
+//! intervals for the multi-trial cloud experiments (§7.1, \[4\]).
 
 use serde::Serialize;
 

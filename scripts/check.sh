@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Lint gate: clippy with warnings denied, formatting, the forbidden-pattern
-# pass (scripts/forbidden_patterns.py) and the async-safety lint
+# Lint gate: clippy with warnings denied, formatting, rustdoc with warnings
+# denied (broken or private intra-doc links), the forbidden-pattern pass
+# (scripts/forbidden_patterns.py) and the async-safety lint
 # (scripts/analyze_async_safety.py, self-test first). Referenced from
 # README "Building and testing"; CI and pre-commit hooks run this.
 #
@@ -48,6 +49,7 @@ done
 
 cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --all -- --check
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 python3 scripts/forbidden_patterns.py
 python3 scripts/analyze_async_safety.py --self-test
 python3 scripts/analyze_async_safety.py
