@@ -31,9 +31,7 @@ use crate::probe::{ProbePoint, ProbeSlot};
 use bytes::BytesMut;
 use crossbeam::channel::Sender;
 use ftc_net::{Disconnected, FrameTx};
-use ftc_packet::piggyback::{
-    batch_wire_len, encode_batch, DepVector, PiggybackLog, PiggybackMessage,
-};
+use ftc_packet::piggyback::{encode_parts, DepVector, PiggybackLog, PiggybackMessage, FRAMING_LEN};
 use ftc_packet::Packet;
 use parking_lot::Mutex;
 use std::collections::hash_map::Entry as Slot;
@@ -105,6 +103,15 @@ impl<T> Arrivals<T> {
     fn as_slice(&mut self) -> &[T] {
         self.items.make_contiguous()
     }
+}
+
+/// One feedback frame carrying `logs`: the trailer encoding with no flags
+/// and no commit vectors, into a buffer sized for it up front.
+fn feedback_frame(logs: &[PiggybackLog]) -> BytesMut {
+    let len = FRAMING_LEN + logs.iter().map(PiggybackLog::wire_len).sum::<usize>();
+    let mut b = BytesMut::with_capacity(len);
+    encode_parts(0, logs, &[], &mut b);
+    b
 }
 
 /// The release rule for one dependency entry: `MAX[p] > seq`, or, under
@@ -333,15 +340,13 @@ impl BufferState {
         // Resend *everything* uncommitted: completion order at the last
         // replica can diverge arbitrarily from commit order, so any
         // fixed-size prefix could miss the gap log and livelock the ring.
-        // Replicas drop duplicates via the stale rule. The batch encoder
+        // Replicas drop duplicates via the stale rule. The trailer encoder
         // serializes straight from the backlog slice — the old path deep-
         // cloned the whole backlog every tick. The backlog holds no
         // committed log: each is dropped when its entry advances.
         let backlog = inner.uncommitted.as_slice();
         for chunk in backlog.chunks(MAX_FEEDBACK_LOGS) {
-            let mut b = BytesMut::with_capacity(batch_wire_len(chunk));
-            encode_batch(chunk, &mut b);
-            self.feedback.send(b);
+            self.feedback.send(feedback_frame(chunk));
         }
         self.metrics
             .logs_resent
@@ -408,7 +413,7 @@ impl BufferState {
         }
     }
 
-    /// Ships fresh wrapped logs to the forwarder as batch frames (one
+    /// Ships fresh wrapped logs to the forwarder as feedback frames (one
     /// amortized header per [`MAX_FEEDBACK_LOGS`] logs, encoded straight
     /// from the staging slice), then shifts those still uncommitted into
     /// the backlog for periodic resend. No log is cloned anywhere on this
@@ -418,9 +423,7 @@ impl BufferState {
             return;
         }
         for chunk in inner.fresh.chunks(MAX_FEEDBACK_LOGS) {
-            let mut b = BytesMut::with_capacity(batch_wire_len(chunk));
-            encode_batch(chunk, &mut b);
-            self.feedback.send(b);
+            self.feedback.send(feedback_frame(chunk));
         }
         let BufInner {
             commits,
@@ -520,7 +523,7 @@ mod tests {
     use crossbeam::channel;
     use ftc_net::{reliable_pair, Endpoint};
     use ftc_packet::builder::UdpPacketBuilder;
-    use ftc_packet::piggyback::{decode_batch, CommitVector, MboxId};
+    use ftc_packet::piggyback::{CommitVector, MboxId};
     use proptest::collection::vec as pvec;
     use proptest::prelude::*;
 
@@ -660,7 +663,9 @@ mod tests {
             .feedback_rx
             .recv_timeout(Duration::from_millis(100))
             .expect("feedback sent");
-        let (fb, _) = PiggybackMessage::decode_trailing(&f).unwrap().unwrap();
+        let (fb, _) = PiggybackMessage::decode_trailing(&f.freeze())
+            .unwrap()
+            .unwrap();
         assert_eq!(fb.logs.len(), 1);
         assert_eq!(fb.logs[0].mbox, MboxId(2));
     }
@@ -682,7 +687,9 @@ mod tests {
             .feedback_rx
             .recv_timeout(Duration::from_millis(100))
             .expect("resend");
-        let (fb, _) = PiggybackMessage::decode_trailing(&f).unwrap().unwrap();
+        let (fb, _) = PiggybackMessage::decode_trailing(&f.freeze())
+            .unwrap()
+            .unwrap();
         assert_eq!(fb.logs.len(), 1);
     }
 
@@ -731,7 +738,9 @@ mod tests {
             .feedback_rx
             .recv_timeout(Duration::from_millis(100))
             .expect("uncommitted log resent");
-        let (fb, _) = PiggybackMessage::decode_trailing(&f).unwrap().unwrap();
+        let (fb, _) = PiggybackMessage::decode_trailing(&f.freeze())
+            .unwrap()
+            .unwrap();
         assert_eq!(fb.logs.len(), 1);
     }
 
@@ -1085,7 +1094,13 @@ mod tests {
                     Op::Tick => {
                         buf.tick();
                         let resent: Vec<PiggybackLog> = drain(&frx)
-                            .flat_map(|b| decode_batch(&b[..]).unwrap().unwrap().0)
+                            .flat_map(|b| {
+                                PiggybackMessage::decode_trailing(&b.freeze())
+                                    .unwrap()
+                                    .unwrap()
+                                    .0
+                                    .logs
+                            })
                             .collect();
                         let (released, want) = reference.tick();
                         prop_assert_eq!(entries(&resent), want.clone());

@@ -270,10 +270,6 @@ impl FtcChain {
         b: RegionId,
         seed_salt: u64,
     ) -> Endpoint {
-        if cfg.link.is_sock() {
-            // Socket endpoints carry real network latency; nothing to derive.
-            return cfg.link.clone();
-        }
         let latency = cfg.link.latency() + topo.one_way(a, b);
         let seed = cfg
             .link

@@ -19,9 +19,10 @@ pub struct ChainConfig {
     pub workers: usize,
     /// Depth of each NIC queue in frames.
     pub nic_queue_depth: usize,
-    /// Transport endpoint template for inter-server links: backend choice
-    /// plus its knobs (impairments for the in-process backend, socket
-    /// options for TCP/UDS).
+    /// Transport endpoint template for inter-server links: the in-process
+    /// backend and its impairments. [`Self::validate`] rejects a socket
+    /// endpoint: socket chains deploy as `ProcChain`, which builds its
+    /// endpoints itself.
     pub link: Endpoint,
     /// Forwarder idle timeout before emitting a propagating packet (§5.1).
     pub propagate_timeout: Duration,
@@ -148,6 +149,11 @@ impl ChainConfig {
         }
         if self.partitions == 0 {
             return Err("partitions must be at least 1".into());
+        }
+        if self.link.is_sock() {
+            return Err(
+                "link: socket endpoints deploy as ProcChain, which builds them itself".into(),
+            );
         }
         Ok(())
     }
@@ -282,6 +288,9 @@ mod tests {
         assert!(err.unwrap_err().contains("--workers"));
         let err = ChainConfig::new(mon()).with_partitions(0).validate();
         assert!(err.unwrap_err().contains("partitions"));
+        let sock = Endpoint::sock(ftc_net::PeerAddr::Uds("node-1.sock".into()));
+        let err = ChainConfig::new(mon()).with_link(sock).validate();
+        assert!(err.unwrap_err().contains("ProcChain"));
     }
 
     /// Deployment paths that cannot return an error panic with

@@ -21,7 +21,7 @@ use crate::probe::{ProbePoint, ProbeSlot};
 use bytes::BytesMut;
 use ftc_net::nic::Nic;
 use ftc_packet::ether::MacAddr;
-use ftc_packet::piggyback::{PiggybackLog, PiggybackMessage, TrailerView};
+use ftc_packet::piggyback::{PiggybackLog, PiggybackMessage};
 use ftc_packet::pool::{log_vec_pool, Checkout, Pool};
 use ftc_packet::{packet, Packet};
 use parking_lot::Mutex;
@@ -61,22 +61,19 @@ impl ForwarderState {
 
     /// Ingests a feedback message from the buffer.
     ///
-    /// The frame is validated with a borrowed [`TrailerView`] first (garbage
-    /// never reaches the allocator), then decoded zero-copy: the pended
-    /// logs' keys/values share the frame's allocation.
+    /// The frame is decoded once, zero-copy: the pended logs' keys/values
+    /// share the frame's allocation. A frame that does not decode is
+    /// dropped; the decoder allocates no more than its bytes could hold.
     pub fn ingest_feedback(&self, frame: BytesMut) {
-        if !matches!(TrailerView::parse_trailing(&frame), Ok(Some(_))) {
+        let Ok(Some((msg, _))) = PiggybackMessage::decode_trailing(&frame.freeze()) else {
             return;
-        }
-        let frame = frame.freeze();
-        if let Ok(Some((msg, _))) = PiggybackMessage::decode_trailing_shared(&frame) {
-            let mut pending = self.pending.lock();
-            pending.extend(msg.logs);
-            let logs = pending.len();
-            drop(pending);
-            self.probe
-                .observe_with(|| ProbePoint::ForwarderFeedback { logs });
-        }
+        };
+        let mut pending = self.pending.lock();
+        pending.extend(msg.logs);
+        let logs = pending.len();
+        drop(pending);
+        self.probe
+            .observe_with(|| ProbePoint::ForwarderFeedback { logs });
     }
 
     /// Number of feedback logs waiting for a carrier.

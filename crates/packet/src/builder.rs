@@ -7,14 +7,23 @@ use crate::packet::Packet;
 use bytes::BytesMut;
 use std::net::Ipv4Addr;
 
+/// Writes the Ethernet header every built packet carries: host 1 to host 2.
+fn emit_eth(data: &mut [u8]) {
+    ether::emit(
+        data,
+        MacAddr::from_index(1),
+        MacAddr::from_index(2),
+        ether::ETHERTYPE_IPV4,
+    )
+    .expect("sized buffer");
+}
+
 /// Builder for UDP packets.
 ///
 /// The produced frame is Ethernet + IPv4 (with the FTC option reserved by
 /// default, as every FTC-framed packet carries it) + UDP + payload.
 #[derive(Debug, Clone)]
 pub struct UdpPacketBuilder {
-    src_mac: MacAddr,
-    dst_mac: MacAddr,
     src_ip: Ipv4Addr,
     dst_ip: Ipv4Addr,
     src_port: u16,
@@ -29,8 +38,6 @@ pub struct UdpPacketBuilder {
 impl Default for UdpPacketBuilder {
     fn default() -> Self {
         UdpPacketBuilder {
-            src_mac: MacAddr::from_index(1),
-            dst_mac: MacAddr::from_index(2),
             src_ip: Ipv4Addr::new(10, 0, 0, 1),
             dst_ip: Ipv4Addr::new(10, 0, 0, 2),
             src_port: 10000,
@@ -116,8 +123,7 @@ impl UdpPacketBuilder {
         let ip_hlen = ip_fields.header_len();
         let total = ether::HEADER_LEN + ip_hlen + l4::UDP_HEADER_LEN + self.payload_len;
         let mut data = BytesMut::zeroed(total);
-        ether::emit(&mut data, self.src_mac, self.dst_mac, ether::ETHERTYPE_IPV4)
-            .expect("sized buffer");
+        emit_eth(&mut data);
         ip::emit(&mut data[ether::HEADER_LEN..], &ip_fields).expect("sized buffer");
         let l4_off = ether::HEADER_LEN + ip_hlen;
         l4::emit_udp(
@@ -141,8 +147,6 @@ impl UdpPacketBuilder {
 /// SYN/FIN/RST semantics).
 #[derive(Debug, Clone)]
 pub struct TcpPacketBuilder {
-    src_mac: MacAddr,
-    dst_mac: MacAddr,
     src_ip: Ipv4Addr,
     dst_ip: Ipv4Addr,
     tcp: TcpFields,
@@ -153,8 +157,6 @@ pub struct TcpPacketBuilder {
 impl Default for TcpPacketBuilder {
     fn default() -> Self {
         TcpPacketBuilder {
-            src_mac: MacAddr::from_index(1),
-            dst_mac: MacAddr::from_index(2),
             src_ip: Ipv4Addr::new(10, 0, 0, 1),
             dst_ip: Ipv4Addr::new(10, 0, 0, 2),
             tcp: TcpFields {
@@ -213,8 +215,7 @@ impl TcpPacketBuilder {
         let ip_hlen = ip_fields.header_len();
         let total = ether::HEADER_LEN + ip_hlen + l4::TCP_HEADER_LEN + self.payload_len;
         let mut data = BytesMut::zeroed(total);
-        ether::emit(&mut data, self.src_mac, self.dst_mac, ether::ETHERTYPE_IPV4)
-            .expect("sized buffer");
+        emit_eth(&mut data);
         ip::emit(&mut data[ether::HEADER_LEN..], &ip_fields).expect("sized buffer");
         l4::emit_tcp(&mut data[ether::HEADER_LEN + ip_hlen..], &self.tcp).expect("sized buffer");
         Packet::from_frame_unchecked(data)
@@ -224,8 +225,6 @@ impl TcpPacketBuilder {
 /// Builder for ICMP echo packets (ping traffic for NAT rewriting tests).
 #[derive(Debug, Clone)]
 pub struct IcmpPacketBuilder {
-    src_mac: MacAddr,
-    dst_mac: MacAddr,
     src_ip: Ipv4Addr,
     dst_ip: Ipv4Addr,
     icmp_type: u8,
@@ -237,8 +236,6 @@ pub struct IcmpPacketBuilder {
 impl Default for IcmpPacketBuilder {
     fn default() -> Self {
         IcmpPacketBuilder {
-            src_mac: MacAddr::from_index(1),
-            dst_mac: MacAddr::from_index(2),
             src_ip: Ipv4Addr::new(10, 0, 0, 1),
             dst_ip: Ipv4Addr::new(10, 0, 0, 2),
             icmp_type: crate::icmp::TYPE_ECHO_REQUEST,
@@ -288,8 +285,7 @@ impl IcmpPacketBuilder {
         let ip_hlen = ip_fields.header_len();
         let total = ether::HEADER_LEN + ip_hlen + crate::icmp::HEADER_LEN + self.payload_len;
         let mut data = BytesMut::zeroed(total);
-        ether::emit(&mut data, self.src_mac, self.dst_mac, ether::ETHERTYPE_IPV4)
-            .expect("sized buffer");
+        emit_eth(&mut data);
         ip::emit(&mut data[ether::HEADER_LEN..], &ip_fields).expect("sized buffer");
         crate::icmp::emit_echo(
             &mut data[ether::HEADER_LEN + ip_hlen..],

@@ -3,7 +3,7 @@
 use crate::ether::{self, EthernetView, MacAddr};
 use crate::flow::FlowKey;
 use crate::ip::{self, Ipv4View};
-use crate::piggyback::{PiggybackMessage, TrailerView};
+use crate::piggyback::{self, PiggybackMessage};
 use crate::{WireError, WireResult};
 use bytes::BytesMut;
 
@@ -108,9 +108,9 @@ impl Packet {
         FlowKey::from_ipv4(self.l3())
     }
 
-    /// True if the frame ends in a piggyback trailer.
+    /// True if the frame ends in a piggyback trailer that decodes.
     pub fn has_piggyback(&self) -> bool {
-        matches!(TrailerView::parse_trailing(&self.data), Ok(Some(_)))
+        piggyback::ends_in_trailer(&self.data)
     }
 
     /// Appends a piggyback message as a trailer and records its length in
@@ -127,11 +127,11 @@ impl Packet {
     pub fn attach_piggyback_parts(
         &mut self,
         flags: u8,
-        logs: &[crate::piggyback::PiggybackLog],
-        commits: &[crate::piggyback::CommitVector],
+        logs: &[piggyback::PiggybackLog],
+        commits: &[piggyback::CommitVector],
     ) -> WireResult<()> {
         debug_assert!(!self.has_piggyback(), "trailer already attached");
-        let len = crate::piggyback::encode_parts(flags, logs, commits, &mut self.data);
+        let len = piggyback::encode_parts(flags, logs, commits, &mut self.data);
         // Record in the IP option when present; optional otherwise.
         let _ = ip::set_ftc_trailer_len(&mut self.data[ether::HEADER_LEN..], len as u16);
         Ok(())
@@ -139,29 +139,25 @@ impl Packet {
 
     /// Removes and returns the piggyback trailer, if present.
     ///
-    /// Zero-copy: the trailer is split off the frame in place and the
-    /// returned message's write keys/values share that one allocation
-    /// instead of being copied out individually.
+    /// The trailer is split off the frame and decoded once, zero-copy: the
+    /// returned message's write keys/values share the split-off bytes
+    /// instead of being copied out individually. On `Err` the packet is
+    /// left as it was, trailer included, for the caller to drop.
     pub fn detach_piggyback(&mut self) -> WireResult<Option<PiggybackMessage>> {
-        // Validate before mutating so a corrupt trailer leaves the packet
-        // intact for the caller to drop.
-        let Some(view) = TrailerView::parse_trailing(&self.data)? else {
+        let Some(total) = piggyback::trailer_len(&self.data)? else {
             return Ok(None);
         };
-        let total = view.wire_len();
-        let new_len = self.data.len() - total;
-        let tail = self.data.split_off(new_len).freeze();
-        let _ = ip::set_ftc_trailer_len(&mut self.data[ether::HEADER_LEN..], 0);
-        let msg = PiggybackMessage::decode_trailing_shared(&tail)?
-            .map(|(msg, _)| msg)
-            .expect("trailer validated by parse_trailing");
-        Ok(Some(msg))
-    }
-
-    /// Replaces the current trailer (if any) with `msg` in one pass.
-    pub fn replace_piggyback(&mut self, msg: &PiggybackMessage) -> WireResult<()> {
-        self.detach_piggyback()?;
-        self.attach_piggyback(msg)
+        let tail = self.data.split_off(self.data.len() - total).freeze();
+        match PiggybackMessage::decode_trailing(&tail) {
+            Ok(msg) => {
+                let _ = ip::set_ftc_trailer_len(&mut self.data[ether::HEADER_LEN..], 0);
+                Ok(msg.map(|(msg, _)| msg))
+            }
+            Err(e) => {
+                self.data.extend_from_slice(&tail);
+                Err(e)
+            }
+        }
     }
 }
 
@@ -184,10 +180,10 @@ pub fn propagating_packet(src: MacAddr, dst: MacAddr, msg: &PiggybackMessage) ->
 pub fn propagating_packet_from_logs(
     src: MacAddr,
     dst: MacAddr,
-    logs: &[crate::piggyback::PiggybackLog],
+    logs: &[piggyback::PiggybackLog],
 ) -> Packet {
     let mut pkt = propagating_header(src, dst);
-    pkt.attach_piggyback_parts(crate::piggyback::flags::PROPAGATING, logs, &[])
+    pkt.attach_piggyback_parts(piggyback::flags::PROPAGATING, logs, &[])
         .expect("fresh packet");
     pkt
 }
@@ -268,16 +264,6 @@ mod tests {
     fn detach_on_plain_packet_is_none() {
         let mut pkt = sample_packet();
         assert_eq!(pkt.detach_piggyback().unwrap(), None);
-    }
-
-    #[test]
-    fn replace_swaps_trailer() {
-        let mut pkt = sample_packet();
-        pkt.attach_piggyback(&sample_msg()).unwrap();
-        let msg2 = PiggybackMessage::default();
-        pkt.replace_piggyback(&msg2).unwrap();
-        let got = pkt.detach_piggyback().unwrap().unwrap();
-        assert_eq!(got, msg2);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use ftc_packet::piggyback::{
-    encode_batch, DepVector, MboxId, PiggybackLog, PiggybackMessage, StateWrite,
+    encode_parts, DepVector, MboxId, PiggybackLog, PiggybackMessage, StateWrite,
 };
 use ftc_packet::pool::{bytes_pool, log_vec_pool, Pool};
 use proptest::collection::vec;
@@ -86,10 +86,10 @@ proptest! {
 
         let mut pooled = pool.checkout();
         prop_assert!(pooled.is_empty(), "checkout must hand out a reset buffer");
-        let n_pooled = encode_batch(&logs, &mut pooled);
+        let n_pooled = encode_parts(0, &logs, &[], &mut pooled);
 
         let mut fresh = BytesMut::new();
-        let n_fresh = encode_batch(&logs, &mut fresh);
+        let n_fresh = encode_parts(0, &logs, &[], &mut fresh);
 
         prop_assert_eq!(n_pooled, n_fresh);
         prop_assert_eq!(&pooled[..], &fresh[..], "recycled buffer leaked state");
@@ -113,9 +113,9 @@ proptest! {
         staging.extend(batch.iter().cloned());
 
         let mut via_pool = BytesMut::new();
-        encode_batch(&staging, &mut via_pool);
+        encode_parts(0, &staging, &[], &mut via_pool);
         let mut via_fresh = BytesMut::new();
-        encode_batch(&batch, &mut via_fresh);
+        encode_parts(0, &batch, &[], &mut via_fresh);
         prop_assert_eq!(&via_pool[..], &via_fresh[..]);
     }
 

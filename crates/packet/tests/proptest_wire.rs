@@ -1,8 +1,10 @@
-//! Property-based tests for the wire formats.
+//! Property-based tests for the wire formats, among them a
+//! structure-aware mutation test of the piggyback trailer decoder.
 
 use bytes::{Bytes, BytesMut};
 use ftc_packet::builder::UdpPacketBuilder;
 use ftc_packet::checksum;
+use ftc_packet::packet::Packet;
 use ftc_packet::piggyback::{
     Applicability, CommitVector, DepVector, MboxId, PiggybackLog, PiggybackMessage, StateWrite,
 };
@@ -53,13 +55,119 @@ fn arb_message() -> impl Strategy<Value = PiggybackMessage> {
     )
 }
 
+/// Offsets of every u16 count and length field of `msg` encoded at `at`:
+/// the log and commit counts, each log's dependency and write counts and
+/// key and value lengths, and each commit vector's length.
+fn count_fields(msg: &PiggybackMessage, at: usize) -> Vec<usize> {
+    let mut out = vec![at + 6, at + 8];
+    let mut off = at + 10;
+    for log in &msg.logs {
+        out.push(off + 2);
+        off += 4 + 10 * log.deps.len();
+        out.push(off);
+        off += 2;
+        for w in &log.writes {
+            out.push(off + 2);
+            off += 4 + w.key.len();
+            out.push(off);
+            off += 2 + w.value.len();
+        }
+    }
+    for c in &msg.commits {
+        out.push(off + 2);
+        off += 4 + 8 * c.max.len();
+    }
+    out
+}
+
+/// One damage to the wire image `buf` of `msg`, encoded at `at`, chosen by
+/// `kind`: a count or length field set to `v` or moved by one, `VERSION`
+/// set, the tail length set, a truncation, or a single-byte flip. The
+/// properties draw `v` below 64 half the time, where lengths are short.
+fn damage(buf: &mut Vec<u8>, msg: &PiggybackMessage, at: usize, kind: u8, which: usize, v: u16) {
+    let fields = count_fields(msg, at);
+    let field = fields[which % fields.len()];
+    let old = u16::from_be_bytes([buf[field], buf[field + 1]]);
+    let set = |buf: &mut Vec<u8>, off: usize, new: u16| {
+        buf[off..off + 2].copy_from_slice(&new.to_be_bytes());
+    };
+    match kind % 7 {
+        0 => set(buf, field, v),
+        1 => set(buf, field, old.wrapping_add(1)),
+        2 => set(buf, field, old.wrapping_sub(1)),
+        3 => buf[at + 4] = v as u8,
+        4 => {
+            let end = buf.len();
+            set(buf, end - 4, v);
+        }
+        5 => buf.truncate(buf.len() - which % (buf.len() - at + 1)),
+        _ => {
+            let i = which % buf.len();
+            buf[i] ^= (v as u8) | 1;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The decoder on a damaged valid message never panics: it returns
+    /// `Ok(None)`, an error, or a message that re-encodes to `wire_len()`
+    /// bytes and decodes back to itself.
+    #[test]
+    fn damaged_trailers_reject_or_roundtrip(
+        msg in arb_message(),
+        prefix in vec(any::<u8>(), 0..32),
+        kind in any::<u8>(),
+        which in any::<usize>(),
+        v in prop_oneof![0u16..64, any::<u16>()],
+    ) {
+        let mut buf = BytesMut::from(&prefix[..]);
+        msg.encode(&mut buf);
+        let mut bytes = buf.to_vec();
+        damage(&mut bytes, &msg, prefix.len(), kind, which, v);
+        if let Ok(Some((got, total))) = PiggybackMessage::decode_trailing(&Bytes::from(bytes)) {
+            prop_assert_eq!(total, got.wire_len());
+            let mut again = BytesMut::new();
+            prop_assert_eq!(got.encode(&mut again), total);
+            let (back, n) = PiggybackMessage::decode_trailing(&again.freeze()).unwrap().unwrap();
+            prop_assert_eq!(n, total);
+            prop_assert_eq!(back, got);
+        }
+    }
+
+    /// `detach_piggyback` on a packet with a damaged trailer agrees with the
+    /// decoder and, on `Err`, leaves the packet as it was.
+    #[test]
+    fn damaged_trailer_detach_leaves_packet_on_err(
+        msg in arb_message(),
+        kind in any::<u8>(),
+        which in any::<usize>(),
+        v in prop_oneof![0u16..64, any::<u16>()],
+    ) {
+        let mut pkt = UdpPacketBuilder::new().build();
+        let at = pkt.wire_len();
+        pkt.attach_piggyback(&msg).unwrap();
+        let mut bytes = pkt.bytes().to_vec();
+        damage(&mut bytes, &msg, at, kind, which, v);
+        let decoded = PiggybackMessage::decode_trailing(&Bytes::from(bytes.clone()));
+        let mut pkt = Packet::from_frame_unchecked(BytesMut::from(&bytes[..]));
+        prop_assert_eq!(pkt.has_piggyback(), matches!(decoded, Ok(Some(_))));
+        match (pkt.detach_piggyback(), decoded) {
+            (Ok(Some(got)), Ok(Some((want, _)))) => prop_assert_eq!(got, want),
+            (Ok(None), Ok(None)) | (Err(_), Err(_)) => prop_assert_eq!(pkt.bytes(), &bytes[..]),
+            (got, want) => prop_assert!(false, "detach {:?} vs decode {:?}", got, want),
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn piggyback_roundtrip(msg in arb_message(), prefix in vec(any::<u8>(), 0..64)) {
         let mut buf = BytesMut::from(&prefix[..]);
         let n = msg.encode(&mut buf);
         prop_assert_eq!(n, msg.wire_len());
-        let (decoded, total) = PiggybackMessage::decode_trailing(&buf).unwrap().unwrap();
+        let (decoded, total) = PiggybackMessage::decode_trailing(&buf.freeze()).unwrap().unwrap();
         prop_assert_eq!(total, n);
         prop_assert_eq!(decoded, msg);
     }
@@ -70,7 +178,7 @@ proptest! {
         msg.encode(&mut buf);
         let keep = buf.len().saturating_sub(cut);
         // Decoding any truncation either fails cleanly or returns None.
-        let _ = PiggybackMessage::decode_trailing(&buf[..keep]);
+        let _ = PiggybackMessage::decode_trailing(&buf.freeze().slice(..keep));
     }
 
     #[test]

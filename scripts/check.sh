@@ -2,7 +2,8 @@
 # Lint gate: clippy with warnings denied, formatting, rustdoc with warnings
 # denied (broken or private intra-doc links), the forbidden-pattern pass
 # (scripts/forbidden_patterns.py) and the async-safety lint
-# (scripts/analyze_async_safety.py, self-test first). Referenced from
+# (scripts/analyze_async_safety.py, self-test first); last it prints the
+# Rust line count of crates/, tests/ and examples/. Referenced from
 # README "Building and testing"; CI and pre-commit hooks run this.
 #
 # Optional sanitizer jobs (skipped gracefully when the toolchain pieces
@@ -114,4 +115,6 @@ if [[ "${CHECK_TSAN:-0}" == "1" ]]; then
     fi
 fi
 
+# Size watch: the Rust line count that every CHANGES.md entry quotes.
+echo "check.sh: Rust lines in crates/ tests/ examples/: $(find crates tests examples -name '*.rs' -print0 | xargs -0 cat | wc -l)"
 echo "check.sh: clean"
