@@ -10,7 +10,7 @@
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use ftc_net::rpc::RpcError;
 use ftc_net::transport::{FrameRx, FrameTx, RpcCaller, RpcResponder, Wake};
-use ftc_stm::StoreSnapshot;
+use ftc_stm::{StateBackend, StoreSnapshot};
 use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,15 +20,16 @@ use std::time::{Duration, Instant};
 pub enum CtrlReq {
     /// Liveness probe (heartbeat).
     Ping,
-    /// Fetch the state of middlebox `mbox` for recovery. Serving this
-    /// request *pauses* the replica's packet processing — "the replica that
-    /// is the source for state recovery discards any out-of-order packets
-    /// that have not been applied to its state store and will no longer
-    /// admit packets in flight" (§4.1) — until [`CtrlReq::Resume`] arrives
-    /// after rerouting.
+    /// Fetch the states of middleboxes `mboxes` for recovery, all of the
+    /// groups one source is asked for in one request. Serving this request
+    /// *pauses* the replica's packet processing — "the replica that is the
+    /// source for state recovery discards any out-of-order packets that
+    /// have not been applied to its state store and will no longer admit
+    /// packets in flight" (§4.1) — until [`CtrlReq::Resume`] arrives after
+    /// rerouting.
     FetchState {
-        /// Middlebox (position) whose store is requested.
-        mbox: usize,
+        /// Middleboxes (positions) whose stores are requested.
+        mboxes: Vec<usize>,
     },
     /// Resume packet processing after recovery rerouting completed.
     Resume,
@@ -39,15 +40,11 @@ pub enum CtrlReq {
 pub enum CtrlResp {
     /// Reply to [`CtrlReq::Ping`].
     Pong,
-    /// Reply to [`CtrlReq::FetchState`].
-    State {
-        /// Deep copy of the store.
-        snapshot: StoreSnapshot,
-        /// The `MAX` dependency vector (or the head's sequence vector).
-        max: Vec<u64>,
-    },
-    /// The replica does not replicate that middlebox.
-    NotHere,
+    /// Reply to [`CtrlReq::FetchState`]: one encoded state per requested
+    /// middlebox, in request order ([`encode_state`]; decode each with
+    /// [`decode_state`], on whichever thread restores it). `None` where the
+    /// replica does not replicate that middlebox.
+    State(Vec<Option<Bytes>>),
     /// Acknowledgement of [`CtrlReq::Resume`].
     Resumed,
 }
@@ -59,7 +56,6 @@ const REQ_FETCH: u8 = 2;
 const REQ_RESUME: u8 = 3;
 const RESP_PONG: u8 = 1;
 const RESP_STATE: u8 = 2;
-const RESP_NOT_HERE: u8 = 3;
 const RESP_RESUMED: u8 = 4;
 
 /// Serialize a control request.
@@ -67,9 +63,13 @@ pub fn encode_req(req: &CtrlReq) -> Bytes {
     let mut b = BytesMut::with_capacity(16);
     match req {
         CtrlReq::Ping => b.put_u8(REQ_PING),
-        CtrlReq::FetchState { mbox } => {
+        CtrlReq::FetchState { mboxes } => {
+            b.reserve(4 + 8 * mboxes.len());
             b.put_u8(REQ_FETCH);
-            b.put_u64(*mbox as u64);
+            b.put_u32(mboxes.len() as u32);
+            for &m in mboxes {
+                b.put_u64(m as u64);
+            }
         }
         CtrlReq::Resume => b.put_u8(REQ_RESUME),
     }
@@ -84,8 +84,8 @@ pub fn decode_req(mut b: &[u8]) -> Option<CtrlReq> {
     }
     let req = match b.get_u8() {
         REQ_PING => CtrlReq::Ping,
-        REQ_FETCH if b.remaining() >= 8 => CtrlReq::FetchState {
-            mbox: b.get_u64() as usize,
+        REQ_FETCH => CtrlReq::FetchState {
+            mboxes: take_u64s(&mut b)?.into_iter().map(|m| m as usize).collect(),
         },
         REQ_RESUME => CtrlReq::Resume,
         _ => return None,
@@ -93,44 +93,86 @@ pub fn decode_req(mut b: &[u8]) -> Option<CtrlReq> {
     (!b.has_remaining()).then_some(req)
 }
 
-/// Serialize a control response.
+/// Serialize a control response. A state response copies each group's
+/// encoded state once, into one allocation of the exact size.
 pub fn encode_resp(resp: &CtrlResp) -> Bytes {
     let mut b = BytesMut::with_capacity(16);
     match resp {
         CtrlResp::Pong => b.put_u8(RESP_PONG),
-        CtrlResp::State { snapshot, max } => {
-            // One allocation of the exact size. A snapshot runs to hundreds
-            // of kilobytes, and growing into it by doubling copies it once
-            // over and touches as much fresh memory again — on the
-            // recovery path, inside the outage.
-            let entries: usize = snapshot.maps.iter().map(Vec::len).sum();
-            b.reserve(
-                13 + 4 * snapshot.maps.len() + 8 * entries + snapshot.byte_size() + 8 * max.len(),
-            );
+        CtrlResp::State(groups) => {
+            let body: usize = groups.iter().flatten().map(|g| 4 + g.len()).sum();
+            b.reserve(5 + groups.len() + body);
             b.put_u8(RESP_STATE);
-            b.put_u32(snapshot.maps.len() as u32);
-            for map in &snapshot.maps {
-                b.put_u32(map.len() as u32);
-                for (k, v) in map {
-                    b.put_u32(k.len() as u32);
-                    b.put_slice(k);
-                    b.put_u32(v.len() as u32);
-                    b.put_slice(v);
+            b.put_u32(groups.len() as u32);
+            for g in groups {
+                match g {
+                    None => b.put_u8(0),
+                    Some(g) => {
+                        b.put_u8(1);
+                        b.put_u32(g.len() as u32);
+                        b.put_slice(g);
+                    }
                 }
             }
-            b.put_u32(snapshot.seqs.len() as u32);
-            for s in &snapshot.seqs {
-                b.put_u64(*s);
-            }
-            b.put_u32(max.len() as u32);
-            for m in max {
-                b.put_u64(*m);
-            }
         }
-        CtrlResp::NotHere => b.put_u8(RESP_NOT_HERE),
         CtrlResp::Resumed => b.put_u8(RESP_RESUMED),
     }
     b.freeze()
+}
+
+/// Serialize one group's state: its entry count, the store and its `MAX`
+/// vector (the head's sequence vector for an own store), the unit a
+/// recovery moves. The entries are read under each partition's lock and
+/// copied straight into the output; no copy of the store is made first.
+pub fn encode_state(store: &dyn StateBackend, max: &[u64]) -> Bytes {
+    // One allocation of the exact size. A state runs to hundreds of
+    // kilobytes, and growing into it by doubling copies it once over and
+    // touches as much fresh memory again — on the recovery path, inside
+    // the outage. (A store that changed between the two walks only costs
+    // a regrowth: the source is paused while it serves.)
+    let mut len = 16 + 8 * max.len();
+    store.visit_partitions(&mut |_, map| {
+        len += 12
+            + map
+                .iter()
+                .map(|(k, v)| 8 + k.len() + v.len())
+                .sum::<usize>();
+    });
+    let mut b = BytesMut::with_capacity(len);
+    let mut seqs = Vec::with_capacity(store.partitions());
+    let mut entries = 0;
+    // The entry count, filled in once the entries are written.
+    b.put_u32(0);
+    b.put_u32(store.partitions() as u32);
+    store.visit_partitions(&mut |seq, map| {
+        seqs.push(seq);
+        entries += map.len();
+        b.put_u32(map.len() as u32);
+        for (k, v) in map {
+            b.put_u32(k.len() as u32);
+            b.put_slice(k);
+            b.put_u32(v.len() as u32);
+            b.put_slice(v);
+        }
+    });
+    b[..4].copy_from_slice(&(entries as u32).to_be_bytes());
+    b.put_u32(seqs.len() as u32);
+    for s in &seqs {
+        b.put_u64(*s);
+    }
+    b.put_u32(max.len() as u32);
+    for m in max {
+        b.put_u64(*m);
+    }
+    b.freeze()
+}
+
+/// The entry count an encoded group state ([`encode_state`]) declares,
+/// read without decoding it; 0 if there is none.
+pub fn state_entries(state: &[u8]) -> usize {
+    state
+        .get(..4)
+        .map_or(0, |h| u32::from_be_bytes([h[0], h[1], h[2], h[3]]) as usize)
 }
 
 /// The next length-prefixed field of `frame`, whose unread tail is `b`,
@@ -155,10 +197,8 @@ fn take_u64s(b: &mut &[u8]) -> Option<Vec<u64>> {
 }
 
 /// Deserialize a control response; `None` if the bytes are not exactly one
-/// response. Hostile counts cannot allocate: every capacity is bounded by
-/// the bytes left (a map needs at least 4 of them, an entry 8). A state's
-/// keys and values are slices of `frame`, which stays allocated until the
-/// last of them is dropped.
+/// response. A state response's groups are slices of `frame`, not copies:
+/// only their headers are read here.
 pub fn decode_resp(frame: &Bytes) -> Option<CtrlResp> {
     let mut b = frame.as_ref();
     if !b.has_remaining() {
@@ -168,30 +208,54 @@ pub fn decode_resp(frame: &Bytes) -> Option<CtrlResp> {
     let resp = match b.get_u8() {
         RESP_PONG => CtrlResp::Pong,
         RESP_STATE => {
-            let n_maps = take_u32(b)?;
-            let mut maps = Vec::with_capacity(n_maps.min(b.remaining() / 4));
-            for _ in 0..n_maps {
-                let n = take_u32(b)?;
-                let mut map = Vec::with_capacity(n.min(b.remaining() / 8));
-                for _ in 0..n {
-                    let k = take_bytes(frame, b)?;
-                    let v = take_bytes(frame, b)?;
-                    map.push((k, v));
+            let n = take_u32(b)?;
+            // A group needs at least one byte: a hostile count cannot
+            // allocate.
+            let mut groups = Vec::with_capacity(n.min(b.remaining()));
+            for _ in 0..n {
+                if !b.has_remaining() {
+                    return None;
                 }
-                maps.push(map);
+                groups.push(match b.get_u8() {
+                    0 => None,
+                    1 => Some(take_bytes(frame, b)?),
+                    _ => return None,
+                });
             }
-            let seqs = take_u64s(b)?;
-            let max = take_u64s(b)?;
-            CtrlResp::State {
-                snapshot: StoreSnapshot { maps, seqs },
-                max,
-            }
+            CtrlResp::State(groups)
         }
-        RESP_NOT_HERE => CtrlResp::NotHere,
         RESP_RESUMED => CtrlResp::Resumed,
         _ => return None,
     };
     (!b.has_remaining()).then_some(resp)
+}
+
+/// Deserialize one group's state ([`encode_state`]); `None` if the bytes
+/// are not exactly one state, or hold another number of entries than they
+/// declare. Hostile counts cannot allocate: every capacity is bounded by
+/// the bytes left (a map needs at least 4 of them, an entry 8). Keys and
+/// values are slices of `state`, which stays allocated until the last of
+/// them is dropped.
+pub fn decode_state(state: &Bytes) -> Option<(StoreSnapshot, Vec<u64>)> {
+    let mut b = state.as_ref();
+    let b = &mut b;
+    let entries = take_u32(b)?;
+    let n_maps = take_u32(b)?;
+    let mut maps = Vec::with_capacity(n_maps.min(b.remaining() / 4));
+    for _ in 0..n_maps {
+        let n = take_u32(b)?;
+        let mut map = Vec::with_capacity(n.min(b.remaining() / 8));
+        for _ in 0..n {
+            let k = take_bytes(state, b)?;
+            let v = take_bytes(state, b)?;
+            map.push((k, v));
+        }
+        maps.push(map);
+    }
+    let seqs = take_u64s(b)?;
+    let max = take_u64s(b)?;
+    let declared = maps.iter().map(Vec::len).sum::<usize>() == entries;
+    (declared && !b.has_remaining()).then_some((StoreSnapshot { maps, seqs }, max))
 }
 
 // ---- typed RPC wrappers ---------------------------------------------------
@@ -577,6 +641,13 @@ mod tests {
     use proptest::collection::vec as pvec;
     use proptest::prelude::*;
 
+    /// A store holding `snapshot` (one partition per map).
+    fn store(snapshot: StoreSnapshot) -> ftc_stm::StateStore {
+        let store = ftc_stm::StateStore::new(snapshot.maps.len());
+        store.restore(snapshot);
+        store
+    }
+
     #[test]
     fn ports_relay_frames() {
         let (tx, rx) = reliable_pair(&Endpoint::in_proc());
@@ -766,7 +837,11 @@ mod tests {
     fn ctrl_codec_roundtrips() {
         for req in [
             CtrlReq::Ping,
-            CtrlReq::FetchState { mbox: 7 },
+            CtrlReq::FetchState { mboxes: vec![7] },
+            CtrlReq::FetchState {
+                mboxes: vec![0, 2, 1],
+            },
+            CtrlReq::FetchState { mboxes: vec![] },
             CtrlReq::Resume,
         ] {
             let enc = encode_req(&req);
@@ -783,13 +858,19 @@ mod tests {
             ],
             seqs: vec![3, 0],
         };
+        let state = encode_state(&store(snapshot.clone()), &[9, 8, 7]);
+        assert_eq!(decode_state(&state), Some((snapshot, vec![9, 8, 7])));
+        assert_eq!(state_entries(&state), 2);
+        let mut miscounted = state.to_vec();
+        miscounted[3] = 3;
+        assert!(
+            decode_state(&Bytes::from(miscounted)).is_none(),
+            "the declared entry count must match"
+        );
         for resp in [
             CtrlResp::Pong,
-            CtrlResp::State {
-                snapshot,
-                max: vec![9, 8, 7],
-            },
-            CtrlResp::NotHere,
+            CtrlResp::State(vec![Some(state.clone()), None, Some(Bytes::new())]),
+            CtrlResp::State(vec![]),
             CtrlResp::Resumed,
         ] {
             let enc = encode_resp(&resp);
@@ -801,6 +882,10 @@ mod tests {
         assert!(
             decode_resp(&Bytes::from_static(&[RESP_STATE, 0, 0])).is_none(),
             "truncated"
+        );
+        assert!(
+            decode_resp(&Bytes::from_static(&[RESP_STATE, 0, 0, 0, 1, 2])).is_none(),
+            "a group is absent (0) or present (1)"
         );
     }
 
@@ -815,12 +900,15 @@ mod tests {
             ],
             seqs: vec![4, 0, 1],
         };
-        let frame = encode_resp(&CtrlResp::State {
-            snapshot: snapshot.clone(),
-            max: vec![4, 0, 1],
-        });
-        let Some(CtrlResp::State { snapshot: got, .. }) = decode_resp(&frame) else {
-            panic!("a state decodes");
+        let frame = encode_resp(&CtrlResp::State(vec![
+            None,
+            Some(encode_state(&store(snapshot.clone()), &[4, 0, 1])),
+        ]));
+        let Some(CtrlResp::State(states)) = decode_resp(&frame) else {
+            panic!("a state response decodes");
+        };
+        let Some((got, _)) = decode_state(states[1].as_ref().unwrap()) else {
+            panic!("its group decodes");
         };
         assert_eq!(got, snapshot);
         let inside = frame.as_ptr_range();
@@ -838,30 +926,40 @@ mod tests {
     #[test]
     fn oversized_state_headers_decode_to_none() {
         // 2^32 - 1 maps with no bytes behind them, then one map claiming
-        // 2^32 - 1 entries: both must fail without allocating for them.
-        let decode = |b: &'static [u8]| decode_resp(&Bytes::from_static(b));
-        assert!(decode(&[RESP_STATE, 0xff, 0xff, 0xff, 0xff]).is_none());
-        assert!(decode(&[RESP_STATE, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff]).is_none());
+        // 2^32 - 1 entries, then a response of 2^32 - 1 groups: each must
+        // fail without allocating for them.
+        let decode = |b: &'static [u8]| decode_state(&Bytes::from_static(b));
+        assert!(decode(&[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff]).is_none());
+        assert!(decode(&[0, 0, 0, 0, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0xff]).is_none());
+        assert!(decode_resp(&Bytes::from_static(&[RESP_STATE, 0xff, 0xff, 0xff, 0xff])).is_none());
+        assert!(decode_req(&[REQ_FETCH, 0xff, 0xff, 0xff, 0xff]).is_none());
     }
 
     proptest::proptest! {
         /// The recovery transfer's codec on hostile bytes: an encoded
-        /// `State` decodes, every strict prefix of it and every padded copy
-        /// decodes to `None`.
+        /// group state, and a `State` response carrying it, decode; every
+        /// strict prefix of either and every padded copy decodes to `None`.
         #[test]
         fn every_strict_prefix_of_a_state_decodes_to_none(
-            maps in pvec(pvec((pvec(any::<u8>(), 0..6), pvec(any::<u8>(), 0..6)), 0..4), 0..4),
-            seqs in pvec(any::<u64>(), 0..5),
+            maps in pvec(pvec((pvec(any::<u8>(), 0..6), pvec(any::<u8>(), 0..6)), 0..4), 1..4),
+            seqs in pvec(any::<u64>(), 4),
             max in pvec(any::<u64>(), 0..5),
         ) {
+            let seqs = seqs[..maps.len()].to_vec();
             let maps = maps
                 .into_iter()
                 .map(|m| m.into_iter().map(|(k, v)| (Bytes::from(k), Bytes::from(v))).collect())
                 .collect();
-            let enc = encode_resp(&CtrlResp::State {
-                snapshot: StoreSnapshot { maps, seqs },
-                max,
-            });
+            let store = store(StoreSnapshot { maps, seqs });
+            let state = encode_state(&store, &max);
+            prop_assert_eq!(decode_state(&state), Some((store.snapshot(), max)));
+            for cut in 0..state.len() {
+                prop_assert!(decode_state(&state.slice(..cut)).is_none(), "prefix of {cut} bytes");
+            }
+            let mut padded = state.to_vec();
+            padded.push(0);
+            prop_assert!(decode_state(&Bytes::from(padded)).is_none(), "trailing byte");
+            let enc = encode_resp(&CtrlResp::State(vec![Some(state), None]));
             prop_assert!(decode_resp(&enc).is_some());
             for cut in 0..enc.len() {
                 prop_assert!(decode_resp(&enc.slice(..cut)).is_none(), "prefix of {cut} bytes");
@@ -876,10 +974,11 @@ mod tests {
         /// it (a `FetchState` followed by junk would pause the replica).
         #[test]
         fn every_request_and_short_response_rejects_prefixes_and_padding(
-            mbox in any::<u64>(),
+            mboxes in pvec(any::<u64>(), 0..4),
             pad in pvec(any::<u8>(), 1..9),
         ) {
-            let reqs = [CtrlReq::Ping, CtrlReq::FetchState { mbox: mbox as usize }, CtrlReq::Resume];
+            let mboxes = mboxes.into_iter().map(|m| m as usize).collect();
+            let reqs = [CtrlReq::Ping, CtrlReq::FetchState { mboxes }, CtrlReq::Resume];
             for req in &reqs {
                 let enc = encode_req(req);
                 let dec = decode_req(&enc);
@@ -890,7 +989,7 @@ mod tests {
                 let padded = [enc.as_slice(), &pad].concat();
                 prop_assert!(decode_req(&padded).is_none(), "{req:?}: trailing bytes");
             }
-            for resp in [CtrlResp::Pong, CtrlResp::NotHere, CtrlResp::Resumed] {
+            for resp in [CtrlResp::Pong, CtrlResp::State(vec![None]), CtrlResp::Resumed] {
                 let enc = encode_resp(&resp);
                 prop_assert!(decode_resp(&enc).is_some());
                 prop_assert!(decode_resp(&enc.slice(..0)).is_none());
@@ -909,6 +1008,7 @@ mod tests {
             let mut bytes = vec![if tag < 4 { RESP_STATE } else { tag }];
             bytes.extend(rest);
             let _ = decode_req(&bytes);
+            let _ = decode_state(&Bytes::copy_from_slice(&bytes[1..]));
             let _ = decode_resp(&Bytes::from(bytes));
         }
     }
@@ -919,24 +1019,29 @@ mod tests {
         let h = std::thread::spawn(move || {
             server
                 .serve_next(Duration::from_secs(1), |req| match req {
-                    CtrlReq::FetchState { mbox } => CtrlResp::State {
-                        snapshot: StoreSnapshot {
-                            maps: vec![vec![]],
-                            seqs: vec![mbox as u64],
-                        },
-                        max: vec![1],
-                    },
+                    CtrlReq::FetchState { mboxes } => CtrlResp::State(
+                        mboxes
+                            .into_iter()
+                            .map(|m| {
+                                let snapshot = StoreSnapshot {
+                                    maps: vec![vec![]],
+                                    seqs: vec![m as u64],
+                                };
+                                (m != 0).then(|| encode_state(&store(snapshot), &[1]))
+                            })
+                            .collect(),
+                    ),
                     _ => CtrlResp::Pong,
                 })
                 .unwrap()
         });
-        match client
-            .call(CtrlReq::FetchState { mbox: 5 }, Duration::from_secs(1))
-            .unwrap()
-        {
-            CtrlResp::State { snapshot, max } => {
+        let req = CtrlReq::FetchState { mboxes: vec![5, 0] };
+        match client.call(req, Duration::from_secs(1)).unwrap() {
+            CtrlResp::State(states) => {
+                let (snapshot, max) = decode_state(states[0].as_ref().unwrap()).unwrap();
                 assert_eq!(snapshot.seqs, vec![5]);
                 assert_eq!(max, vec![1]);
+                assert!(states[1].is_none());
             }
             other => panic!("unexpected response {other:?}"),
         }

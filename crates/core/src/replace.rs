@@ -32,17 +32,21 @@
 //! the model checkers run the procedure that ships.
 
 use crate::config::RingMath;
+use crate::control::{decode_state, CtrlResp};
 use crate::journal::EventKind;
 use crate::probe::{ProbePoint, ProbeVerdict};
 use crate::reconfig::{ReconfigActor, ReconfigFailure, ReconfigOp, ReconfigPhase};
 use crate::replica::ReplicaState;
-use ftc_stm::StoreSnapshot;
+use bytes::Bytes;
+use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// One group's state as a source serves it: the store and its `MAX`
-/// vector (the head's sequence vector for an own store).
-pub type Fetched = (StoreSnapshot, Vec<u64>);
+/// Where a [`Driver::fetch`] hands each group's answer: its index in the
+/// batch and its encoded state ([`crate::control::encode_state`]), or
+/// `None` where the source is dead, refused, or does not hold the group.
+/// It may run on several threads at once, one group each.
+pub type Land<'a> = dyn Fn(usize, Option<Bytes>) + Sync + 'a;
 
 /// Why an instance is being replaced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -77,11 +81,14 @@ pub trait Driver {
     /// when `None`.
     fn spawn(&mut self, idx: usize, workers: Option<usize>) -> Arc<ReplicaState>;
 
-    /// Sends `FetchState { mbox }` to each `(source, mbox)` and returns the
-    /// answers in request order: `None` where the source is dead, refused,
-    /// or answered anything but a state. Each driver runs the batch its own
-    /// way (the threaded ones in parallel, the stepped one in order).
-    fn fetch(&mut self, reqs: &[(usize, usize)]) -> Vec<Option<Fetched>>;
+    /// Asks each source of the `(source, mbox)` batch for its groups, one
+    /// `FetchState` per source ([`by_source`]), and hands every group's
+    /// answer to `land` on the thread that received it; returns once each
+    /// group of the batch has landed exactly once. Each driver runs the
+    /// batch its own way: the threaded ones ask distinct sources, and land
+    /// the groups of one answer, in parallel ([`concurrently`]); the
+    /// stepped one does everything in request order.
+    fn fetch(&mut self, reqs: &[(usize, usize)], land: &Land<'_>);
 
     /// Fail-stops the instance at `idx`.
     fn kill(&mut self, idx: usize);
@@ -145,11 +152,12 @@ pub struct ReplaceReport {
     pub prepare: Duration,
     /// Fetching and restoring every group.
     pub transfer: Duration,
-    /// The part of `transfer` spent waiting for sources' answers, summed
-    /// over retry rounds.
+    /// The part of `transfer` until the last answer of each round landed,
+    /// summed over retry rounds. Groups that landed earlier were restoring
+    /// meanwhile.
     pub fetch: Duration,
-    /// The part of `transfer` spent restoring answers into the
-    /// replacement, summed over retry rounds.
+    /// The rest of `transfer`'s rounds: restoring after the last answer
+    /// landed, summed over retry rounds.
     pub restore: Duration,
     /// Killing the outgoing instance (handovers only), installing the
     /// replacement and resuming the quiesced members.
@@ -187,6 +195,78 @@ fn source_order(ring: RingMath, idx: usize, m: usize) -> Vec<usize> {
         }
         order
     }
+}
+
+/// The requests of a batch by source, in order of first appearance: each
+/// source with the indices into `reqs` of the groups asked of it.
+pub fn by_source(reqs: &[(usize, usize)]) -> Vec<(usize, Vec<usize>)> {
+    let mut sources: Vec<(usize, Vec<usize>)> = Vec::new();
+    for (i, &(src, _)) in reqs.iter().enumerate() {
+        match sources.iter_mut().find(|(s, _)| *s == src) {
+            Some((_, idxs)) => idxs.push(i),
+            None => sources.push((src, vec![i])),
+        }
+    }
+    sources
+}
+
+/// The per-group states of one source's answer to a `FetchState` naming
+/// `n` groups: `None` for each where the answer is missing or is not a
+/// state of exactly `n` entries.
+pub fn answered_states(answer: Option<CtrlResp>, n: usize) -> Vec<Option<Bytes>> {
+    match answer {
+        Some(CtrlResp::State(states)) if states.len() == n => states,
+        _ => vec![None; n],
+    }
+}
+
+/// Entries a group must carry before its transfer step is worth a thread
+/// of its own. A scoped thread's start and join cost about 45 µs on two
+/// vCPUs, about what encoding, decoding and restoring 250 entries costs,
+/// so a smaller group's thread would cost the outage more than the
+/// overlap saves.
+pub const THREAD_MIN_ENTRIES: usize = 1024;
+
+/// Whether groups carrying these numbers of entries move on a thread
+/// each: only when at least two of them carry [`THREAD_MIN_ENTRIES`], so
+/// that there is work to overlap.
+pub fn worth_threads(entries: impl IntoIterator<Item = usize>) -> bool {
+    entries
+        .into_iter()
+        .filter(|&n| n >= THREAD_MIN_ENTRIES)
+        .count()
+        >= 2
+}
+
+/// Runs `f` on each item and returns the results in order. With `threads`
+/// and several items, all but the last run on scoped threads and the last
+/// on the calling thread, which would otherwise only wait; otherwise one
+/// after the other, inline. "The control module spawns a thread to fetch
+/// state per each replication group" (§6): the source's encoding and the
+/// replacement's restore use it, so a thread exists only while a transfer
+/// moves more than one group.
+pub fn concurrently<T: Send, R: Send>(
+    mut items: Vec<T>,
+    threads: bool,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    if !threads || items.len() < 2 {
+        return items.into_iter().map(f).collect();
+    }
+    let last = items.pop().expect("several items");
+    std::thread::scope(|scope| {
+        let f = &f;
+        let handles: Vec<_> = items
+            .into_iter()
+            .map(|item| scope.spawn(move || f(item)))
+            .collect();
+        let last = f(last);
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("transfer thread"))
+            .chain(std::iter::once(last))
+            .collect()
+    })
 }
 
 /// True when the reconfiguration-sabotage fixture is compiled in. It
@@ -232,7 +312,7 @@ pub fn replace(d: &mut dyn Driver, idx: usize, plan: Plan) -> Result<ReplaceRepo
         // (in the threaded chain, during the spawn delay) before the
         // transfer reads that copy; what is still queued dies at the
         // switch.
-        run.d.fetch(&[(idx, idx)]);
+        run.d.fetch(&[(idx, idx)], &|_, _| {});
         run.quiesced.push(idx);
     }
     let workers = match plan {
@@ -357,8 +437,11 @@ impl Run<'_> {
     }
 
     /// Fetches and restores every group the replacement belongs to; returns
-    /// the bytes restored. Each round sends one request per group that
-    /// still needs a source, to the next member in its source order.
+    /// the bytes restored. Each round asks, for every group that still
+    /// needs a source, the next member in its source order. A
+    /// group is restored as soon as its answer lands, on the thread that
+    /// received it; the journal lines and the transfer's probe points
+    /// follow per group, in group order, once the round is in.
     fn transfer(&mut self, dest: &ReplicaState) -> Result<usize, RecoveryError> {
         use ReconfigActor::{Destination, Source};
         let (idx, ring) = (self.idx, dest.ring);
@@ -379,12 +462,25 @@ impl Run<'_> {
             })
             .collect();
 
-        // A state shaped for another partition count would panic the
-        // restore: it counts as a failed source.
-        let fits = |(snap, max): &Fetched| {
-            snap.maps.len() == partitions
-                && snap.seqs.len() == partitions
-                && max.len() == partitions
+        // Decodes and restores one group's answer; the bytes restored, or
+        // `None` for a failed source. A state that does not decode, or is
+        // shaped for another partition count (which would panic the
+        // restore), counts as a failed source.
+        let restore = |m: usize, state: Option<Bytes>| -> Option<usize> {
+            let (snapshot, max) = decode_state(&state?)?;
+            if snapshot.maps.len() != partitions
+                || snapshot.seqs.len() != partitions
+                || max.len() != partitions
+            {
+                return None;
+            }
+            let bytes = snapshot.byte_size();
+            if m == idx {
+                dest.restore_own(snapshot, &max);
+            } else {
+                dest.restore_replicated(m, snapshot, max);
+            }
+            Some(bytes)
         };
 
         let mut bytes = 0;
@@ -409,10 +505,21 @@ impl Run<'_> {
                 }
                 batch.push((src, m));
             }
+            // Per group, the bytes restored (`None`: the source failed);
+            // and when the round's last answer landed.
+            let landed = Mutex::new((vec![None; batch.len()], Duration::ZERO));
             let t = Instant::now();
-            let answers = self.d.fetch(&batch);
-            self.fetch += t.elapsed();
-            assert_eq!(answers.len(), batch.len(), "one answer per request");
+            self.d.fetch(&batch, &|i, state| {
+                let at = t.elapsed();
+                let restored = restore(batch[i].1, state);
+                let mut landed = landed.lock();
+                landed.0[i] = restored;
+                landed.1 = landed.1.max(at);
+            });
+            let round = t.elapsed();
+            let (landed, fetched) = landed.into_inner();
+            self.fetch += fetched;
+            self.restore += round.saturating_sub(fetched);
             // A source that answered has paused itself; one that did not
             // may have, too, before it died or timed out.
             for &(src, _) in &batch {
@@ -421,8 +528,8 @@ impl Run<'_> {
                 }
             }
             let mut retry = Vec::new();
-            for ((&g, &(src, m)), answer) in pending.iter().zip(&batch).zip(answers) {
-                let Some((snapshot, max)) = answer.filter(fits) else {
+            for ((&g, &(src, m)), restored) in pending.iter().zip(&batch).zip(landed) {
+                let Some(restored) = restored else {
                     self.journal_attempt(src, m, false);
                     retry.push(g);
                     continue;
@@ -434,14 +541,7 @@ impl Run<'_> {
                         phase: ReconfigPhase::Transfer,
                     }));
                 }
-                bytes += snapshot.byte_size();
-                let t = Instant::now();
-                if m == idx {
-                    dest.restore_own(snapshot, &max);
-                } else {
-                    dest.restore_replicated(m, snapshot, max);
-                }
-                self.restore += t.elapsed();
+                bytes += restored;
                 if self.crashed(ReconfigPhase::Transfer, Destination) {
                     // The half-built replacement is discarded.
                     return Err(RecoveryError::Failed(ReconfigFailure::DestinationCrashed {
@@ -468,18 +568,18 @@ impl Run<'_> {
 mod tests {
     use super::*;
     use crate::config::ChainConfig;
-    use crate::control::{CtrlReq, CtrlResp, OutPort};
+    use crate::control::{encode_state, CtrlReq, OutPort};
     use crate::journal::EventSource;
     use crate::metrics::ChainMetrics;
     use ftc_mbox::MbSpec;
 
     /// A scripted driver over free-standing replica states: `states[i]`
     /// serves position `i` unless it is listed in `dead`, and `answer` may
-    /// override what a source returns.
+    /// override the encoded state a source returns for a group.
     struct Scripted {
         states: Vec<Arc<ReplicaState>>,
         dead: Vec<usize>,
-        answer: Box<dyn Fn(usize, usize) -> Option<Option<Fetched>>>,
+        answer: Box<dyn Fn(usize, usize) -> Option<Option<Bytes>>>,
         asked: Vec<(usize, usize)>,
         log: Vec<String>,
         verdict: Box<dyn FnMut(&ProbePoint) -> ProbeVerdict>,
@@ -510,22 +610,29 @@ mod tests {
             mk_state(idx, self.states.len(), self.states[0].ring.f)
         }
 
-        fn fetch(&mut self, reqs: &[(usize, usize)]) -> Vec<Option<Fetched>> {
-            reqs.iter()
-                .map(|&(src, mbox)| {
-                    self.asked.push((src, mbox));
-                    if let Some(scripted) = (self.answer)(src, mbox) {
-                        return scripted;
+        fn fetch(&mut self, reqs: &[(usize, usize)], land: &Land<'_>) {
+            // One request per source, as the threaded drivers send it;
+            // `answer` overrides a group's state.
+            for (src, idxs) in by_source(reqs) {
+                let mut served = Vec::new();
+                for i in idxs {
+                    self.asked.push(reqs[i]);
+                    match (self.answer)(src, reqs[i].1) {
+                        Some(scripted) => land(i, scripted),
+                        None => served.push(i),
                     }
-                    if self.dead.contains(&src) {
-                        return None;
-                    }
-                    match self.states[src].serve_ctrl(CtrlReq::FetchState { mbox }) {
-                        CtrlResp::State { snapshot, max } => Some((snapshot, max)),
-                        _ => None,
-                    }
-                })
-                .collect()
+                }
+                if served.is_empty() || self.dead.contains(&src) {
+                    served.into_iter().for_each(|i| land(i, None));
+                    continue;
+                }
+                let mboxes = served.iter().map(|&i| reqs[i].1).collect();
+                let answer = self.states[src].serve_ctrl(CtrlReq::FetchState { mboxes });
+                let states = answered_states(Some(answer), served.len());
+                for (i, state) in served.into_iter().zip(states) {
+                    land(i, state);
+                }
+            }
         }
 
         fn kill(&mut self, idx: usize) {
@@ -578,6 +685,29 @@ mod tests {
                 partition: p,
             }],
         );
+    }
+
+    /// Fills `store` with `n` distinct entries.
+    fn fill(store: &dyn ftc_stm::StateBackend, n: usize) {
+        let mut snap = store.snapshot();
+        for i in 0..n {
+            let k = bytes::Bytes::from(format!("k{i}"));
+            snap.maps[store.partition_of(&k) as usize].push((k.clone(), k));
+        }
+        store.restore(snap);
+    }
+
+    #[test]
+    fn only_two_large_groups_are_worth_threads() {
+        let n = THREAD_MIN_ENTRIES;
+        assert!(worth_threads([n, n]));
+        assert!(worth_threads([0, n, 5 * n]));
+        assert!(!worth_threads([n - 1, 5 * n]));
+        assert!(!worth_threads([5 * n]));
+        for threads in [false, true] {
+            let out = concurrently((0..5).collect(), threads, |i: usize| i * 10);
+            assert_eq!(out, [0, 10, 20, 30, 40], "results in item order");
+        }
     }
 
     #[test]
@@ -700,15 +830,8 @@ mod tests {
         let mut d = Scripted::new(4, 2);
         put(&*d.states[3].replicated[&1].store, b"k", b"v");
         d.answer = Box::new(|src, mbox| {
-            (src == 2 && mbox == 1).then(|| {
-                Some((
-                    StoreSnapshot {
-                        maps: vec![vec![]; 4],
-                        seqs: vec![0; 4],
-                    },
-                    vec![0; 4],
-                ))
-            })
+            (src == 2 && mbox == 1)
+                .then(|| Some(encode_state(&ftc_stm::StateStore::new(4), &[0; 4])))
         });
         replace(&mut d, 1, Plan::Recover).expect("the second source serves");
         assert!(d.asked.contains(&(2, 1)) && d.asked.contains(&(3, 1)));
@@ -716,6 +839,118 @@ mod tests {
             d.installed.unwrap().own_store.peek(b"k"),
             Some(bytes::Bytes::from_static(b"v"))
         );
+    }
+
+    #[test]
+    fn a_group_without_an_answer_retries_while_the_others_restore() {
+        // n=4, f=2, recover r1: one batch asks r2 for m1 and r0 for m3 and
+        // m0. r2 does not answer; m3 and m0 are restored from r0's single
+        // answer, and m1 alone goes to the next member, r3.
+        let mut d = Scripted::new(4, 2);
+        d.dead = vec![2];
+        put(&*d.states[3].replicated[&1].store, b"own", b"from r3");
+        put(&*d.states[0].own_store, b"m0", b"from r0");
+        put(&*d.states[0].replicated[&3].store, b"m3", b"from r0");
+        replace(&mut d, 1, Plan::Recover).unwrap();
+        assert_eq!(d.asked, [(2, 1), (0, 3), (0, 0), (3, 1)]);
+        let new_r1 = d.installed.clone().expect("installed");
+        let peek = |store: &dyn ftc_stm::StateBackend, k: &[u8]| store.peek(k);
+        assert_eq!(
+            peek(&*new_r1.own_store, b"own"),
+            Some(Bytes::from_static(b"from r3"))
+        );
+        assert_eq!(
+            peek(&*new_r1.replicated[&0].store, b"m0"),
+            Some(Bytes::from_static(b"from r0"))
+        );
+        assert_eq!(
+            peek(&*new_r1.replicated[&3].store, b"m3"),
+            Some(Bytes::from_static(b"from r0"))
+        );
+        let trace = d.journal();
+        let fetches: Vec<_> = trace
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::SourceFetchServed { source, mbox } => Some((source, mbox, true)),
+                EventKind::SourceFetchAborted { source, mbox } => Some((source, mbox, false)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            fetches,
+            [(2, 1, false), (0, 3, true), (0, 0, true), (3, 1, true)],
+            "journal lines per group, in group order, round by round"
+        );
+    }
+
+    #[test]
+    fn every_paused_source_is_resumed_exactly_once_on_every_exit_path() {
+        // r0 serves two groups of r1 in one request, each large enough for
+        // its encoding to run on a thread of its own. Whichever way the replacement ends, each
+        // instance it paused and that is still alive is resumed once.
+        let crash_at = |at: &'static str| -> Box<dyn FnMut(&ProbePoint) -> ProbeVerdict> {
+            Box::new(move |p| {
+                let label = match p {
+                    ProbePoint::RecoveryFetch { .. } => "fetch".to_owned(),
+                    ProbePoint::Reconfig { phase, role, .. } => {
+                        format!("{}:{}", phase.label(), role.label())
+                    }
+                    _ => String::new(),
+                };
+                if label == at {
+                    ProbeVerdict::Crash
+                } else {
+                    ProbeVerdict::Continue
+                }
+            })
+        };
+        let cases: [(Plan, &str, &[usize]); 9] = [
+            (Plan::Recover, "", &[]),
+            (Plan::Recover, "", &[2, 3]),
+            (Plan::Recover, "fetch", &[]),
+            (Plan::Migrate, "", &[]),
+            (Plan::Migrate, "prepare:source", &[]),
+            (Plan::Migrate, "transfer:source", &[]),
+            (Plan::Migrate, "transfer:destination", &[]),
+            (Plan::Migrate, "switch:orchestrator", &[]),
+            (Plan::Migrate, "switch:destination", &[]),
+        ];
+        for (plan, at, dead) in cases {
+            let mut d = Scripted::new(4, 2);
+            fill(&*d.states[0].own_store, THREAD_MIN_ENTRIES);
+            fill(&*d.states[0].replicated[&3].store, THREAD_MIN_ENTRIES);
+            d.dead = dead.to_vec();
+            d.verdict = crash_at(at);
+            let result = replace(&mut d, 1, plan);
+            let killed = d.log.iter().any(|l| l == "kill 1");
+            let resumed: Vec<usize> = d
+                .log
+                .iter()
+                .filter_map(|l| l.strip_prefix("resume "))
+                .flat_map(|l| {
+                    l.trim_matches(|c| c == '[' || c == ']')
+                        .split(", ")
+                        .filter(|p| !p.is_empty())
+                        .map(|p| p.parse::<usize>().unwrap())
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            for p in 0..4 {
+                let gone = d.dead.contains(&p) || (p == 1 && killed);
+                let alive = !gone;
+                let paused = alive && d.asked.iter().any(|&(src, _)| src == p);
+                let times = resumed.iter().filter(|&&q| q == p).count();
+                let case = format!("{plan:?}, crash at {at:?}, dead {dead:?}: r{p} ({result:?})");
+                if paused {
+                    assert_eq!(times, 1, "{case}: paused, resumed {times} times");
+                } else {
+                    assert!(times <= 1, "{case}: resumed {times} times");
+                }
+                if alive {
+                    assert!(!d.states[p].is_paused(), "{case}: left paused");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,10 +8,11 @@
 //! — the node that strips a log and vouches for it with a commit vector.
 
 use crate::config::{ChainConfig, RingMath};
-use crate::control::{CtrlReq, CtrlResp, CtrlServer, OutPort};
+use crate::control::{encode_state, CtrlReq, CtrlResp, CtrlServer, OutPort};
 use crate::journal::{EventKind, EventSource};
 use crate::metrics::ChainMetrics;
 use crate::probe::{ProbePoint, ProbeSlot, ProbeVerdict};
+use crate::replace::{concurrently, worth_threads};
 use bytes::BytesMut;
 use ftc_mbox::{Action, Middlebox, ProcCtx};
 use ftc_packet::ether::MacAddr;
@@ -613,33 +614,36 @@ impl ReplicaState {
                 self.resume();
                 CtrlResp::Resumed
             }
-            CtrlReq::FetchState { mbox } => {
+            CtrlReq::FetchState { mboxes } => {
                 // Source rule (§4.1): stop admitting packets in flight and
                 // discard out-of-order state, so everything served from now
                 // until the orchestrator's Resume is a consistent frontier.
                 self.pause();
                 self.discard_parked();
-                if mbox == self.idx {
-                    // Serving as successor for a failed head: our own store
-                    // *is* the most recent replica state we hold for it.
-                    // (MAX before snapshot: re-applying a write that is
-                    // already in the snapshot is idempotent, the reverse
-                    // order could lose one.)
-                    let max = self.own_store.seq_vector();
-                    CtrlResp::State {
-                        snapshot: self.own_store.snapshot(),
-                        max,
-                    }
-                } else if let Some(g) = self.replicated.get(&mbox) {
-                    let max = g.max.vector();
-                    CtrlResp::State {
-                        snapshot: g.store.snapshot(),
-                        max,
-                    }
-                } else {
-                    CtrlResp::NotHere
-                }
+                // Each group is encoded on a thread of its own when the
+                // request names several that are large enough.
+                let groups: Vec<_> = mboxes.into_iter().map(|m| self.group(m)).collect();
+                let threads = worth_threads(groups.iter().flatten().map(|(_, s)| s.len()));
+                CtrlResp::State(concurrently(groups, threads, |group| {
+                    group.map(|(max, store)| encode_state(&**store, &max))
+                }))
             }
+        }
+    }
+
+    /// Group `mbox`'s `MAX` vector and store; `None` if this replica does
+    /// not replicate that middlebox.
+    fn group(&self, mbox: usize) -> Option<(Vec<u64>, &Arc<dyn StateBackend>)> {
+        // MAX before the store is read: re-applying a write that is
+        // already in the state is idempotent, the reverse order could lose
+        // one.
+        if mbox == self.idx {
+            // Serving as successor for a failed head: our own store *is*
+            // the most recent replica state we hold for it.
+            Some((self.own_store.seq_vector(), &self.own_store))
+        } else {
+            let g = self.replicated.get(&mbox)?;
+            Some((g.max.vector(), &g.store))
         }
     }
 }
@@ -869,21 +873,21 @@ mod tests {
     fn ctrl_fetch_state_own_and_replicated() {
         let (head, _o1) = mk_state(0, 3, 1, MbSpec::Monitor { sharing_level: 1 });
         head.handle_frame(0, UdpPacketBuilder::new().build().into_bytes());
-        match head.serve_ctrl(CtrlReq::FetchState { mbox: 0 }) {
-            CtrlResp::State { snapshot, max } => {
-                assert!(snapshot.byte_size() > 0);
-                assert_eq!(max, head.own_store.seq_vector());
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match head.serve_ctrl(CtrlReq::FetchState { mbox: 2 }) {
-            CtrlResp::State { .. } => {}
-            other => panic!("r0 replicates m2 (ring): {other:?}"),
-        }
-        match head.serve_ctrl(CtrlReq::FetchState { mbox: 1 }) {
-            CtrlResp::NotHere => {}
-            other => panic!("r0 does not replicate m1: {other:?}"),
-        }
+        // One request, three groups: own, replicated (ring) and not held.
+        let CtrlResp::State(states) = head.serve_ctrl(CtrlReq::FetchState {
+            mboxes: vec![0, 2, 1],
+        }) else {
+            panic!("a fetch answers with states");
+        };
+        let [own, replicated, not_held] = &states[..] else {
+            panic!("one state per group: {states:?}");
+        };
+        let (snapshot, max) = crate::control::decode_state(own.as_ref().unwrap()).unwrap();
+        assert!(snapshot.byte_size() > 0);
+        assert_eq!(max, head.own_store.seq_vector());
+        assert!(replicated.is_some(), "r0 replicates m2 (ring)");
+        assert!(not_held.is_none(), "r0 does not replicate m1");
+        assert!(head.is_paused(), "serving a fetch pauses the source");
         match head.serve_ctrl(CtrlReq::Ping) {
             CtrlResp::Pong => {}
             other => panic!("unexpected {other:?}"),

@@ -24,12 +24,14 @@
 use crate::buffer::BufferState;
 use crate::chain::Egress;
 use crate::config::ChainConfig;
-use crate::control::{CtrlReq, CtrlResp, InPort, OutPort};
+use crate::control::{CtrlReq, InPort, OutPort};
 use crate::forwarder::ForwarderState;
 use crate::journal::{EventKind, EventSource};
 use crate::metrics::ChainMetrics;
 use crate::probe::{ProbePoint, ProbeVerdict, ProtocolProbe};
-use crate::replace::{replace, Driver, Fetched, Plan, RecoveryError, ReplaceReport};
+use crate::replace::{
+    answered_states, by_source, replace, Driver, Land, Plan, RecoveryError, ReplaceReport,
+};
 use crate::replica::ReplicaState;
 use bytes::BytesMut;
 use crossbeam::channel::{self, Receiver};
@@ -410,18 +412,27 @@ impl Driver for Stepped<'_> {
         state
     }
 
-    fn fetch(&mut self, reqs: &[(usize, usize)]) -> Vec<Option<Fetched>> {
-        reqs.iter()
-            .map(|&(src, mbox)| {
-                if self.chain.is_dead(src) || !(self.source_ok)(src, mbox) {
-                    return None;
-                }
-                match self.chain.replicas[src].serve_ctrl(CtrlReq::FetchState { mbox }) {
-                    CtrlResp::State { snapshot, max } => Some((snapshot, max)),
-                    _ => None,
-                }
-            })
-            .collect()
+    fn fetch(&mut self, reqs: &[(usize, usize)], land: &Land<'_>) {
+        for (src, idxs) in by_source(reqs) {
+            // A refused group is left out of the request and lands empty.
+            let (asked, refused): (Vec<usize>, Vec<usize>) = idxs
+                .into_iter()
+                .partition(|&i| (self.source_ok)(src, reqs[i].1));
+            for i in refused {
+                land(i, None);
+            }
+            if asked.is_empty() {
+                continue;
+            }
+            let answer = (!self.chain.is_dead(src)).then(|| {
+                let mboxes = asked.iter().map(|&i| reqs[i].1).collect();
+                self.chain.replicas[src].serve_ctrl(CtrlReq::FetchState { mboxes })
+            });
+            let states = answered_states(answer, asked.len());
+            for (i, state) in asked.into_iter().zip(states) {
+                land(i, state);
+            }
+        }
     }
 
     fn kill(&mut self, idx: usize) {

@@ -3,16 +3,20 @@
 //! [`Orchestrator::recover`] and the handovers of [`crate::reconfig`] are
 //! one call each to [`ftc_core::replace::replace`], with the orchestrator
 //! as its threaded driver: it sleeps the modeled spawn delay, fetches a
-//! batch of groups in parallel over the control plane, and reroutes with
-//! [`FtcChain::respawn`].
+//! batch of groups in parallel over the control plane (restoring each as
+//! it lands), and reroutes with [`FtcChain::respawn`].
 
 use crate::detector::FailureDetector;
+use bytes::Bytes;
 use ftc_core::chain::{FtcChain, ReplicaSlot};
 use ftc_core::config::ChainConfig;
-use ftc_core::control::{CtrlClient, CtrlReq, CtrlResp, OutPort};
+use ftc_core::control::{state_entries, CtrlClient, CtrlReq, OutPort};
 use ftc_core::journal::{EventKind, EventSource};
 use ftc_core::probe::{ProbePoint, ProbeSlot, ProbeVerdict};
-use ftc_core::replace::{replace, Driver, Fetched, Plan, RecoveryError, ReplaceReport};
+use ftc_core::replace::{
+    answered_states, by_source, concurrently, replace, worth_threads, Driver, Land, Plan,
+    RecoveryError, ReplaceReport, THREAD_MIN_ENTRIES,
+};
 use ftc_core::replica::ReplicaState;
 use ftc_net::topology::RegionId;
 use std::sync::Arc;
@@ -158,9 +162,30 @@ impl Orchestrator {
             region,
             replaced: Vec::new(),
         };
-        // The replaced slots drop with `threaded`, after the procedure's
-        // timers stopped: their stores are freed off the switch.
-        replace(&mut threaded, idx, plan)
+        let report = replace(&mut threaded, idx, plan);
+        // The replaced slots hold the dead instance's stores, an allocation
+        // per key and value: milliseconds to free on a first kill. Stores
+        // that large are freed on a thread of their own, so the outage does
+        // not wait for it; small ones are dropped here.
+        let replaced = std::mem::take(&mut threaded.replaced);
+        let entries: usize = replaced
+            .iter()
+            .map(|slot| {
+                let state = &slot.state;
+                state.own_store.len()
+                    + state
+                        .replicated
+                        .values()
+                        .map(|g| g.store.len())
+                        .sum::<usize>()
+            })
+            .sum();
+        if entries >= THREAD_MIN_ENTRIES {
+            let _ = std::thread::Builder::new()
+                .name("ftc-free-slot".into())
+                .spawn(move || drop(replaced));
+        }
+        report
     }
 
     /// A control client for `src` as seen from `caller_region` (None if the
@@ -227,14 +252,14 @@ impl Driver for Threaded<'_> {
         )
     }
 
-    fn fetch(&mut self, reqs: &[(usize, usize)]) -> Vec<Option<Fetched>> {
+    fn fetch(&mut self, reqs: &[(usize, usize)], land: &Land<'_>) {
         // WAN RTT to the source region dominates; sources quiesce while
         // serving (§4.1).
-        let reqs = reqs
-            .iter()
-            .map(|&(src, mbox)| (self.orch.delayed_client(src, self.region), mbox))
+        let sources = by_source(reqs)
+            .into_iter()
+            .map(|(src, idxs)| (self.orch.delayed_client(src, self.region), idxs))
             .collect();
-        fetch_states(reqs, self.orch.cfg.fetch_timeout)
+        fetch_states(reqs, sources, self.orch.cfg.fetch_timeout, land)
     }
 
     fn kill(&mut self, idx: usize) {
@@ -269,39 +294,42 @@ impl Driver for Threaded<'_> {
     }
 }
 
-/// Sends one [`CtrlReq::FetchState`] per `(client, mbox)` and returns the
-/// answers in order: `None` where there is no client, the call fails, or
-/// the answer is not a state. "The control module spawns a thread to
-/// fetch state per each replication group" (§6): every call but the last
-/// runs on its own scoped thread, and the last on the calling thread,
-/// which would otherwise only wait — one thread start and one wake-up
-/// fewer inside the outage.
+/// Sends one [`CtrlReq::FetchState`] per source, naming the groups of
+/// the batch `reqs` at `idxs`, and lands each group's state: `None` where
+/// there is no client, the call fails, or the answer is not a state. "The
+/// control module spawns a thread to fetch state per each replication
+/// group" (§6): distinct sources are asked [`concurrently`], and the
+/// groups of one answer land concurrently when [`worth_threads`] says
+/// they carry enough entries.
 pub(crate) fn fetch_states(
-    mut reqs: Vec<(Option<CtrlClient>, usize)>,
+    reqs: &[(usize, usize)],
+    sources: Vec<(Option<CtrlClient>, Vec<usize>)>,
     timeout: Duration,
-) -> Vec<Option<Fetched>> {
-    let fetch = |(client, mbox): (Option<CtrlClient>, usize)| match client?
-        .call(CtrlReq::FetchState { mbox }, timeout)
-    {
-        Ok(CtrlResp::State { snapshot, max }) => Some((snapshot, max)),
-        _ => None,
-    };
-    let Some(last) = reqs.pop() else {
-        return Vec::new();
-    };
-    std::thread::scope(|scope| {
-        let fetch = &fetch;
-        let handles: Vec<_> = reqs
-            .into_iter()
-            .map(|req| scope.spawn(move || fetch(req)))
-            .collect();
-        let last = fetch(last);
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("fetch thread"))
-            .chain(std::iter::once(last))
-            .collect()
-    })
+    land: &Land<'_>,
+) {
+    concurrently(sources, true, |(client, idxs)| {
+        let answer = client.and_then(|c| {
+            let mboxes = idxs.iter().map(|&i| reqs[i].1).collect();
+            c.call(CtrlReq::FetchState { mboxes }, timeout).ok()
+        });
+        let states = answered_states(answer, idxs.len());
+        let threads = worth_threads(states.iter().flatten().map(|s| state_entries(s)));
+        concurrently(
+            idxs.into_iter().zip(states).collect(),
+            threads,
+            |(i, state)| {
+                // Groups cut from one frame share its reference count, and
+                // concurrent restores would bounce it between cores once per
+                // key and value: each group gets a buffer of its own.
+                let state = if threads {
+                    state.map(|s| Bytes::copy_from_slice(&s))
+                } else {
+                    state
+                };
+                land(i, state)
+            },
+        );
+    });
 }
 
 /// Runs the orchestrator's monitoring loop on a background thread until
@@ -413,6 +441,55 @@ mod tests {
         assert_eq!(results[0].0, 2);
         assert!(results[0].1.is_ok());
         assert!(o.chain.is_alive(2));
+    }
+
+    #[test]
+    fn both_groups_of_a_nat_position_land_in_parallel_content_equal() {
+        // MazuNAT x2 (Table 2), f = 1: each position's two groups come from
+        // the other server in one request and are restored concurrently.
+        let specs = vec![
+            MbSpec::MazuNat {
+                external_ip: Ipv4Addr::new(203, 0, 113, 1),
+            };
+            2
+        ];
+        let chain = FtcChain::deploy(ChainConfig::new(specs).with_f(1));
+        let mut o = Orchestrator::new(chain, OrchestratorConfig::default());
+        let flows = 1200u16;
+        for i in 0..flows {
+            o.chain.inject(pkt(i));
+        }
+        let got = o
+            .chain
+            .egress()
+            .collect(flows as usize, Duration::from_secs(30));
+        assert_eq!(got.len(), flows as usize);
+        std::thread::sleep(Duration::from_millis(50)); // let the ring commit
+        for idx in [0usize, 1] {
+            let src = &o.chain.replicas[1 - idx].state;
+            // What a group-by-group transfer moves: the source's copy of
+            // the victim's own store, and the source's own store for the
+            // group the victim replicates.
+            let own = src.replicated[&idx].store.snapshot();
+            let other = src.own_store.snapshot();
+            // Both groups are large enough to move on threads of their own.
+            for group in [&own, &other] {
+                let entries = group.maps.iter().map(Vec::len).sum::<usize>();
+                assert!(entries >= flows as usize && entries >= THREAD_MIN_ENTRIES);
+            }
+            let serial_bytes = own.byte_size() + other.byte_size();
+            o.chain.kill(idx);
+            let report = o.recover(idx, RegionId(0)).expect("recovery");
+            assert_eq!(report.bytes_transferred, serial_bytes, "r{idx}");
+            let new = &o.chain.replicas[idx].state;
+            assert_eq!(new.own_store.snapshot(), own, "r{idx}'s own group");
+            assert_eq!(
+                new.replicated[&(1 - idx)].store.snapshot(),
+                other,
+                "r{idx}'s copy of m{}",
+                1 - idx
+            );
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ use ftc_core::forwarder::ForwarderState;
 use ftc_core::journal::{EventKind, EventSource};
 use ftc_core::metrics::{ChainMetrics, MetricsSnapshot, StageStats};
 use ftc_core::probe::{ProbePoint, ProbeVerdict};
-use ftc_core::replace::{replace, Driver, Fetched, Plan};
+use ftc_core::replace::{by_source, replace, Driver, Land, Plan};
 use ftc_core::replica::{spawn_ctrl, ReplicaState};
 use ftc_mbox::parse_chain;
 use ftc_net::rpc::RpcError;
@@ -469,16 +469,16 @@ impl Driver for Replacement {
         Arc::clone(&self.state)
     }
 
-    fn fetch(&mut self, reqs: &[(usize, usize)]) -> Vec<Option<Fetched>> {
+    fn fetch(&mut self, reqs: &[(usize, usize)], land: &Land<'_>) {
         // A socket call to a dead peer retries until its whole timeout runs
         // out: a peer that does not answer a ping is skipped instead.
         let alive =
             |c: &CtrlClient| matches!(c.call(CtrlReq::Ping, PEER_TIMEOUT), Ok(CtrlResp::Pong));
-        let reqs = reqs
-            .iter()
-            .map(|&(src, mbox)| (self.peers[src].clone().filter(alive), mbox))
+        let sources = by_source(reqs)
+            .into_iter()
+            .map(|(src, idxs)| (self.peers[src].clone().filter(alive), idxs))
             .collect();
-        crate::orchestrator::fetch_states(reqs, FETCH_TIMEOUT)
+        crate::orchestrator::fetch_states(reqs, sources, FETCH_TIMEOUT, land)
     }
 
     fn kill(&mut self, _idx: usize) {}

@@ -142,11 +142,15 @@ impl Packet {
     /// The trailer is split off the frame and decoded once, zero-copy: the
     /// returned message's write keys/values share the split-off bytes
     /// instead of being copied out individually. On `Err` the packet is
-    /// left as it was, trailer included, for the caller to drop.
+    /// left as it was, trailer included, for the caller to drop; a trailer
+    /// that reaches into the Ethernet header is such an error.
     pub fn detach_piggyback(&mut self) -> WireResult<Option<PiggybackMessage>> {
         let Some(total) = piggyback::trailer_len(&self.data)? else {
             return Ok(None);
         };
+        if total > self.data.len().saturating_sub(ether::HEADER_LEN) {
+            return Err(WireError::BadLength);
+        }
         let tail = self.data.split_off(self.data.len() - total).freeze();
         match PiggybackMessage::decode_trailing(&tail) {
             Ok(msg) => {
@@ -281,6 +285,25 @@ mod tests {
         pkt.ipv4().unwrap().verify_checksum().unwrap();
         let got = pkt.detach_piggyback().unwrap().unwrap();
         assert!(got.is_propagating());
+    }
+
+    #[test]
+    fn a_trailer_covering_the_ethernet_header_is_an_error() {
+        // The whole frame is one decodable (empty) trailer: nothing is left
+        // for the Ethernet header once it is split off.
+        let mut frame = BytesMut::new();
+        PiggybackMessage::default().encode(&mut frame);
+        let mut pkt = Packet::from_frame_unchecked(frame.clone());
+        assert_eq!(pkt.detach_piggyback(), Err(WireError::BadLength));
+        assert_eq!(pkt.bytes(), &frame[..], "left as it was");
+        // One byte short of a header in front of it is still an error; a
+        // whole header in front of it detaches.
+        for (prefix, ok) in [(ether::HEADER_LEN - 1, false), (ether::HEADER_LEN, true)] {
+            let mut data = BytesMut::zeroed(prefix);
+            data.extend_from_slice(&frame);
+            let got = Packet::from_frame_unchecked(data).detach_piggyback();
+            assert_eq!(got.is_ok(), ok, "{prefix} B in front: {got:?}");
+        }
     }
 
     #[test]

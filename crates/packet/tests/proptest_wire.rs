@@ -181,6 +181,34 @@ proptest! {
         let _ = PiggybackMessage::decode_trailing(&buf.freeze().slice(..keep));
     }
 
+    /// Hostile frames never panic the detach: arbitrary bytes that pass
+    /// `from_frame`, and a decodable trailer behind a prefix of any length
+    /// (0 to 63 bytes, so shorter than an Ethernet header too). On `Err`
+    /// the frame is left as it was.
+    #[test]
+    fn detach_piggyback_never_panics(
+        bytes in vec(any::<u8>(), 0..96),
+        msg in arb_message(),
+        prefix in vec(any::<u8>(), 0..64),
+    ) {
+        if let Ok(mut pkt) = Packet::from_frame(BytesMut::from(&bytes[..])) {
+            let before = pkt.bytes().to_vec();
+            if pkt.detach_piggyback().is_err() {
+                prop_assert_eq!(pkt.bytes(), &before[..]);
+            }
+        }
+        let mut frame = BytesMut::from(&prefix[..]);
+        msg.encode(&mut frame);
+        let mut pkt = Packet::from_frame_unchecked(frame.clone());
+        match pkt.detach_piggyback() {
+            Ok(got) => prop_assert!(prefix.len() >= 14 && got == Some(msg)),
+            Err(_) => {
+                prop_assert!(prefix.len() < 14);
+                prop_assert_eq!(pkt.bytes(), &frame[..]);
+            }
+        }
+    }
+
     #[test]
     fn packet_attach_detach_preserves_datagram(
         msg in arb_message(),

@@ -14,6 +14,7 @@ use crate::store::{PartitionId, StateStore, StoreSnapshot, StoreStats};
 use crate::txn::{Txn, TxnError, TxnLog, TxnOutput};
 use crate::{partition_of, DepVector, HistorySink, StateWrite};
 use bytes::Bytes;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One in-flight transaction, engine-agnostic.
@@ -129,8 +130,13 @@ pub trait StateBackend: Send + Sync + std::fmt::Debug {
     /// The current per-partition sequence vector.
     fn seq_vector(&self) -> Vec<u64>;
 
-    /// Copies the store for recovery state transfer.
+    /// Copies the store (inspection and audits).
     fn snapshot(&self) -> StoreSnapshot;
+
+    /// Runs `f` on every partition in index order, under that partition's
+    /// lock, with its sequence number and its entries: how recovery
+    /// encodes a store for transfer without copying it first.
+    fn visit_partitions(&self, f: &mut dyn FnMut(u64, &HashMap<Bytes, Bytes>));
 
     /// Replaces the store contents from a snapshot (recovery restore).
     fn restore(&self, snap: StoreSnapshot);
@@ -207,6 +213,10 @@ impl StateBackend for StateStore {
 
     fn snapshot(&self) -> StoreSnapshot {
         StateStore::snapshot(self)
+    }
+
+    fn visit_partitions(&self, f: &mut dyn FnMut(u64, &HashMap<Bytes, Bytes>)) {
+        StateStore::visit_partitions(self, f)
     }
 
     fn restore(&self, snap: StoreSnapshot) {

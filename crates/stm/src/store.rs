@@ -396,6 +396,15 @@ impl StateStore {
         StoreSnapshot { maps, seqs }
     }
 
+    /// Runs `f` on every partition in index order, under that partition's
+    /// lock, with its sequence number and its entries.
+    pub fn visit_partitions(&self, f: &mut dyn FnMut(u64, &HashMap<Bytes, Bytes>)) {
+        for p in self.parts() {
+            let st = p.state.lock();
+            f(st.seq, &st.map);
+        }
+    }
+
     /// Replaces the store contents from a snapshot (recovery restore),
     /// moving its entries into presized maps.
     pub fn restore(&self, snap: StoreSnapshot) {

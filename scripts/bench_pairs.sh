@@ -22,16 +22,18 @@
 # The claim holds when the working tree wins at least 9 pairs in 10 and
 # its median beats the parent's by more than the parent's quartile
 # distance. Where result files exist, it also prints each side's median
-# init_ms, state_ms, reroute_ms, remainder and bytes over all fail-stop
+# init_ms, state_ms, reroute_ms, remainder and bytes over the fail-stop
 # cycles of all its runs, so a recovery_ms change shows which step it sits
-# in; the remainder is recovery_ms - init_ms - state_ms - reroute_ms per
-# cycle, the outage outside the three steps (the kill and the first
-# release). Remove target/pairs afterwards to free the space.
+# in: once over the cycles recovery_ms reads (victims other than the last
+# position) and once over all cycles; the remainder is recovery_ms -
+# init_ms - state_ms - reroute_ms per cycle, the outage outside the three
+# steps (the kill and the first release). Remove target/pairs afterwards
+# to free the space.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 if [ $# -lt 3 ]; then
-    sed -n '2,29p' "$0" | sed 's/^# \{0,1\}//' >&2
+    sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//' >&2
     exit 2
 fi
 parent_rev=$1
@@ -186,21 +188,38 @@ cycle_column() {
             grep -o "\"$2\":\[[^]]*" | sed 's/.*\[//' | tr ',' '\n'
     done
 }
+# Median of step $2 over side $1's cycles; with $3 = nonlast, only over
+# those whose victim is not the last position (the highest victim seen),
+# the cycles recovery_ms reads.
 cycle_median() {
-    if [ "$2" = remainder ]; then
-        paste <(cycle_column "$1" recovery_ms) <(cycle_column "$1" init_ms) \
-            <(cycle_column "$1" state_ms) <(cycle_column "$1" reroute_ms) |
-            awk 'NF == 4 { print $1 - $2 - $3 - $4 }'
-    else
-        cycle_column "$1" "$2"
-    fi | quartiles | awk '{ print $1 }'
+    paste <(cycle_column "$1" victim) <(cycle_column "$1" recovery_ms) \
+        <(cycle_column "$1" init_ms) <(cycle_column "$1" state_ms) \
+        <(cycle_column "$1" reroute_ms) <(cycle_column "$1" bytes) |
+        awk -v step="$2" -v only="${3:-all}" '
+            NF == 6 { n++; v[n] = $1; row[n] = $0; if ($1 > last) last = $1 }
+            END {
+                split("victim recovery_ms init_ms state_ms reroute_ms bytes", name, " ")
+                for (i = 1; i <= n; i++) {
+                    if (only == "nonlast" && v[i] >= last) continue
+                    split(row[i], f, "\t")
+                    if (step == "remainder") print f[2] - f[3] - f[4] - f[5]
+                    else for (k = 1; k <= 6; k++) if (name[k] == step) print f[k]
+                }
+            }' | quartiles | awk '{ print $1 }'
 }
 if ls "$out"/*_"$workload"_*.result.json >/dev/null 2>&1; then
-    echo
-    echo "recovery steps, median over fail-stop cycles"
-    printf '%-20s %14s %14s %9s\n' step parent change delta
-    for col in init_ms state_ms reroute_ms remainder bytes; do
-        row "$col" "$(cycle_median parent "$col" || true)" "$(cycle_median change "$col" || true)"
+    for only in nonlast all; do
+        echo
+        if [ "$only" = nonlast ]; then
+            echo "recovery steps, median over fail-stop cycles of victims other than the last (what recovery_ms reads)"
+        else
+            echo "recovery steps, median over all fail-stop cycles"
+        fi
+        printf '%-20s %14s %14s %9s\n' step parent change delta
+        for col in init_ms state_ms reroute_ms remainder bytes; do
+            row "$col" "$(cycle_median parent "$col" "$only" || true)" \
+                "$(cycle_median change "$col" "$only" || true)"
+        done
     done
 fi
 for side in parent change; do
