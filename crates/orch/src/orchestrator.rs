@@ -20,6 +20,7 @@ use ftc_core::replace::{
 use ftc_core::replica::ReplicaState;
 use ftc_net::topology::RegionId;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Orchestrator tunables.
@@ -92,6 +93,10 @@ pub struct Orchestrator {
     pub probe: ProbeSlot,
     pub(crate) cfg: OrchestratorConfig,
     detector: FailureDetector,
+    /// The thread freeing the slots of the last replacement whose slots
+    /// were large enough for one; joined before the next such thread
+    /// starts, and on drop.
+    freeing: Option<JoinHandle<()>>,
 }
 
 impl Orchestrator {
@@ -104,6 +109,7 @@ impl Orchestrator {
             probe: ProbeSlot::new(),
             cfg,
             detector,
+            freeing: None,
         }
     }
 
@@ -181,9 +187,16 @@ impl Orchestrator {
             })
             .sum();
         if entries >= THREAD_MIN_ENTRIES {
-            let _ = std::thread::Builder::new()
+            // The previous free ended long ago unless replacements follow
+            // each other within milliseconds.
+            if let Some(previous) = self.freeing.take() {
+                previous.join().expect("freeing a replaced slot");
+            }
+            // Should the spawn fail, the closure is dropped with the slots.
+            self.freeing = std::thread::Builder::new()
                 .name("ftc-free-slot".into())
-                .spawn(move || drop(replaced));
+                .spawn(move || drop(replaced))
+                .ok();
         }
         report
     }
@@ -208,6 +221,15 @@ impl Orchestrator {
     /// Access to the orchestrator config.
     pub fn config(&self) -> &OrchestratorConfig {
         &self.cfg
+    }
+}
+
+impl Drop for Orchestrator {
+    fn drop(&mut self) {
+        // A panic there has already been reported on that thread.
+        if let Some(freeing) = self.freeing.take() {
+            let _ = freeing.join();
+        }
     }
 }
 
